@@ -9,11 +9,19 @@
 // values — see EXPERIMENTS.md). The full-size runs live in cmd/lowend
 // and cmd/vliwbench; the benchmarks use reduced search effort and a
 // population sample to stay in benchmark time.
+//
+// The component benchmarks below also back the committed BENCH_*.json
+// baselines: cmd/benchjson converts `go test -bench` output into those
+// files and gates a run against them (README.md has the commands).
 package diffra_test
 
 import (
+	"errors"
+	"strconv"
 	"testing"
+	"time"
 
+	"diffra"
 	"diffra/internal/adjacency"
 	"diffra/internal/diffenc"
 	"diffra/internal/experiments"
@@ -23,6 +31,8 @@ import (
 	"diffra/internal/pipeline"
 	"diffra/internal/remap"
 	"diffra/internal/scratch"
+	"diffra/internal/ssaalloc"
+	"diffra/internal/telemetry"
 	"diffra/internal/vliw"
 	"diffra/internal/workloads"
 )
@@ -116,7 +126,7 @@ func BenchmarkTable2Speedup(b *testing.B) {
 		}
 	}
 	for _, row := range rep.Rows {
-		b.ReportMetric(row.SpeedupAll, "speedup%/all/regn"+itoa(row.RegN))
+		b.ReportMetric(row.SpeedupAll, "speedup%/all/regn"+strconv.Itoa(row.RegN))
 	}
 }
 
@@ -132,37 +142,39 @@ func BenchmarkTable3Spills(b *testing.B) {
 		}
 	}
 	for _, row := range rep.Rows {
-		b.ReportMetric(float64(row.SpillsOptimized), "spills/regn"+itoa(row.RegN))
-		b.ReportMetric(row.GrowthAllCode, "growth%/regn"+itoa(row.RegN))
+		b.ReportMetric(float64(row.SpillsOptimized), "spills/regn"+strconv.Itoa(row.RegN))
+		b.ReportMetric(row.GrowthAllCode, "growth%/regn"+strconv.Itoa(row.RegN))
 	}
 }
 
 // ---- component micro-benchmarks ----
 
+// benchPrimed runs op once, so a scratch arena it uses grows to its
+// steady state, then measures it. Even a -benchtime 1x run (the CI
+// alloc gate) thus reports what a warm service worker pays.
+func benchPrimed(b *testing.B, op func() error) {
+	if err := op(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIRCAllocate measures the baseline allocator on the largest
-// kernel: the flat-state engine with a warm arena (the steady-state
-// service configuration) against the retained map-based legacy
-// formulation. The two produce identical assignments (see
-// TestAllocateMatchesLegacy); only machinery and allocation behavior
-// differ.
+// kernel with a warm arena, the steady-state service configuration.
 func BenchmarkIRCAllocate(b *testing.B) {
 	k := workloads.KernelByName("susan")
-	b.Run("flat", func(b *testing.B) {
+	b.Run("susan", func(b *testing.B) {
 		ar := new(scratch.Arena)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := irc.Allocate(k.F, irc.Options{K: 8, Scratch: ar}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := irc.LegacyAllocate(k.F, irc.Options{K: 8}); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchPrimed(b, func() error {
+			_, _, err := irc.Allocate(k.F, irc.Options{K: 8, Scratch: ar})
+			return err
+		})
 	})
 }
 
@@ -176,20 +188,19 @@ func BenchmarkDiffEncode(b *testing.B) {
 	}
 	cfg := diffenc.Config{RegN: 12, DiffN: 8}
 	regOf := func(r ir.Reg) int { return asn.Color[r] }
-	ar := new(scratch.Arena)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ar.Reset()
-		if _, err := diffenc.EncodeScratch(out, regOf, cfg, ar); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("sha", func(b *testing.B) {
+		ar := new(scratch.Arena)
+		benchPrimed(b, func() error {
+			ar.Reset()
+			_, err := diffenc.EncodeScratch(out, regOf, cfg, ar)
+			return err
+		})
+	})
 }
 
-// BenchmarkRemapGreedy measures the §5 permutation search: the
-// retained map-graph baseline (legacy) against the CSR engine at one
-// and many workers. cmd/benchjson runs the same cases and persists
-// them to BENCH_remap.json.
+// BenchmarkRemapGreedy measures the §5 permutation search on one
+// worker; the search is deterministic at any worker count, and the
+// determinism tests cover the parallel path.
 func BenchmarkRemapGreedy(b *testing.B) {
 	k := workloads.KernelByName("bitcount")
 	out, asn, err := irc.Allocate(k.F, irc.Options{K: 12})
@@ -197,25 +208,135 @@ func BenchmarkRemapGreedy(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := adjacency.BuildReg(out, func(r ir.Reg) int { return asn.Color[r] }, 12)
-	opts := remap.Options{RegN: 12, DiffN: 8, Restarts: 100, Seed: 1}
-	b.Run("legacy", func(b *testing.B) {
+	opts := remap.Options{RegN: 12, DiffN: 8, Restarts: 100, Seed: 1, Workers: 1}
+	b.Run("bitcount", func(b *testing.B) {
 		b.ReportAllocs()
+		var evals int
 		for i := 0; i < b.N; i++ {
-			remap.LegacyGreedy(g, opts)
+			evals += remap.Greedy(g, opts).Evaluated
 		}
+		b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
 	})
-	for _, workers := range []int{1, 8} {
-		o := opts
-		o.Workers = workers
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var evals int
-			for i := 0; i < b.N; i++ {
-				evals += remap.Greedy(g, o).Evaluated
+}
+
+// pipelineOpts is the Pipeline lanes' fixed configuration: the paper's
+// reference point (select scheme, 12 registers, 8 encodable
+// differences) at 100 restarts, so one compile stays near a
+// millisecond. The arena is the service's per-worker configuration:
+// CompileFunc resets it between phases.
+func pipelineOpts(ar *scratch.Arena) diffra.Options {
+	return diffra.Options{Scheme: diffra.Select, RegN: 12, DiffN: 8, Restarts: 100, Scratch: ar}
+}
+
+// BenchmarkPipeline measures end-to-end CompileFunc on every §8 kernel
+// twice, back to back: plain with Telemetry nil (the compiled-out
+// path), and traced with the service's always-on capture attached (a
+// fresh CollectSink per compile plus the span→metrics bridge, as
+// internal/service wires each request). cmd/benchjson turns the pairs
+// into instrumentation_overhead_pct; the traced lanes report the mean
+// duration of the compile span and of each stage beneath it, from
+// which it derives stage_shares.
+func BenchmarkPipeline(b *testing.B) {
+	bridge := &telemetry.MetricsSink{Reg: telemetry.NewRegistry()}
+	for _, k := range workloads.Kernels() {
+		b.Run(k.Name+"/plain", func(b *testing.B) {
+			opts := pipelineOpts(new(scratch.Arena))
+			benchPrimed(b, func() error {
+				_, err := diffra.CompileFunc(k.F.Clone(), opts)
+				return err
+			})
+		})
+		b.Run(k.Name+"/traced", func(b *testing.B) {
+			ar := new(scratch.Arena)
+			stages := map[string]time.Duration{}
+			benchPrimed(b, func() error {
+				capture := &telemetry.CollectSink{}
+				opts := pipelineOpts(ar)
+				opts.Telemetry = telemetry.New(telemetry.MultiSink{capture, bridge})
+				if _, err := diffra.CompileFunc(k.F.Clone(), opts); err != nil {
+					return err
+				}
+				root := capture.Last()
+				if root == nil {
+					return errors.New("capture lost the span tree")
+				}
+				stages["compile"] += root.Dur
+				for _, c := range root.Children {
+					stages[telemetry.NormalizeStage(c.Name)] += c.Dur
+				}
+				return nil
+			})
+			// The sums include the priming compile.
+			for name, d := range stages {
+				b.ReportMetric(float64(d.Nanoseconds())/float64(b.N+1), name+"-ns/op")
 			}
-			b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
 		})
 	}
+}
+
+// allocK is the Alloc lanes' register-file width. K=32 keeps every §8
+// kernel spill-free, which is the comparison that matters: once both
+// backends spill they share RewriteSpills and the gap collapses to the
+// rewrite cost, but the deadline ladder steps down precisely when
+// allocation itself, not spill insertion, is the budget risk.
+const allocK = 32
+
+// BenchmarkAlloc races the portfolio's two general-purpose backends on
+// every §8 kernel, back to back per kernel so drift hits both lanes of
+// a ratio: the SSA scan (ssa) against iterated register coalescing
+// (irc), each on a warm private arena. cmd/benchjson derives
+// alloc_speedups (irc over ssa ns/op) and their geometric mean,
+// speedup_ssa_geomean: the latency multiple the deadline ladder banks
+// on when it steps a request down to the scan.
+func BenchmarkAlloc(b *testing.B) {
+	for _, k := range workloads.Kernels() {
+		b.Run(k.Name+"/ssa", func(b *testing.B) {
+			ar := new(scratch.Arena)
+			benchPrimed(b, func() error {
+				_, _, err := ssaalloc.Allocate(k.F, ssaalloc.Options{K: allocK, Scratch: ar})
+				return err
+			})
+		})
+		b.Run(k.Name+"/irc", func(b *testing.B) {
+			ar := new(scratch.Arena)
+			benchPrimed(b, func() error {
+				_, _, err := irc.Allocate(k.F, irc.Options{K: allocK, Scratch: ar})
+				return err
+			})
+		})
+	}
+}
+
+// BenchmarkModschedPopulation compares the phased modulo-scheduling
+// pipeline with the joint scheduling × allocation search over the
+// first 300 loops of the seed-42 population at RegN=56, the widest
+// sweep point where the phased remapper still leaves repairs on the
+// table. It reuses the experiment driver, so the numbers match
+// `vliwbench -joint`; cmd/benchjson folds the metrics into the
+// modsched_joint summary of BENCH_modsched.json.
+func BenchmarkModschedPopulation(b *testing.B) {
+	cfg := experiments.DefaultVLIW()
+	cfg.Loops = 300
+	cfg.RegNs = []int{56}
+	cfg.Joint = true
+	var rep *experiments.VLIWReport
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rep, err = experiments.RunVLIW(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	row := rep.Rows[0]
+	b.ReportMetric(float64(cfg.Loops), "loops")
+	b.ReportMetric(float64(rep.Optimized), "optimized-loops")
+	b.ReportMetric(float64(row.RegN), "regn")
+	b.ReportMetric(float64(cfg.DiffN), "diffn")
+	b.ReportMetric(float64(row.JointImproved), "improved-loops")
+	b.ReportMetric(float64(row.SetLastRegs), "sets/phased")
+	b.ReportMetric(float64(row.JointSetLastRegs), "sets/joint")
+	b.ReportMetric(row.SpeedupOptimized, "speedup%/phased")
+	b.ReportMetric(row.JointSpeedupOptimized, "speedup%/joint")
+	b.ReportMetric(float64(row.JointNodes), "bb-nodes")
 }
 
 // BenchmarkModuloSchedule measures the software pipeliner on a
@@ -255,20 +376,6 @@ func BenchmarkPipelineSim(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // BenchmarkAblationSelective regenerates the §8.2 ablation: total

@@ -8,16 +8,6 @@ import (
 	"diffra/internal/scratch"
 )
 
-// Access identifies one register field of a function, in nominal
-// access order (block layout order, instructions in order, fields
-// src1..srcN then dst).
-type Access struct {
-	Block *ir.Block
-	Instr int // instruction index within the block
-	Field int // field index within the instruction
-	Reg   int // machine register number accessed
-}
-
 // fieldsOf returns an instruction's register fields in the configured
 // access order.
 func fieldsOf(in *ir.Instr, cfg Config) []ir.Reg {
@@ -45,27 +35,6 @@ func (c Config) Class(reg int) int { return c.classOf(reg) }
 // ReservedCode returns the direct code assigned to a reserved register
 // and whether reg is reserved at all.
 func (c Config) ReservedCode(reg int) (int, bool) { return c.reservedCode(reg) }
-
-// AccessSequence extracts the register access sequence of an allocated
-// function in the paper's default order (src1, src2, ..., dst). regOf
-// maps a vreg operand to its machine register. For alternate orders
-// use AccessSequenceOrdered.
-func AccessSequence(f *ir.Func, regOf func(ir.Reg) int) []Access {
-	return AccessSequenceOrdered(f, regOf, Config{})
-}
-
-// AccessSequenceOrdered is AccessSequence under cfg's access order.
-func AccessSequenceOrdered(f *ir.Func, regOf func(ir.Reg) int, cfg Config) []Access {
-	var seq []Access
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			for k, r := range fieldsOf(in, cfg) {
-				seq = append(seq, Access{Block: b, Instr: i, Field: k, Reg: regOf(r)})
-			}
-		}
-	}
-	return seq
-}
 
 // SetReason classifies why a set_last_reg repair was inserted — the
 // two failure modes of plain differential encoding (§2.3).
@@ -164,8 +133,10 @@ func OrderSets(sets []SetPoint) {
 // Result is the outcome of Encode.
 type Result struct {
 	Cfg Config
-	// Codes[i] is the encoded field value for the i-th access of
-	// AccessSequence: a difference in [0, DiffN) or a reserved code.
+	// Codes[i] is the encoded field value for the i-th register field
+	// in access order (blocks in layout order, instructions in order,
+	// fields in Config.FieldsOf order): a difference in [0, DiffN) or
+	// a reserved code.
 	Codes []int
 	// Sets lists the planned set_last_reg instructions; Cost == len(Sets).
 	Sets []SetPoint
@@ -252,9 +223,8 @@ func EncodeScratch(f *ir.Func, regOf func(ir.Reg) int, cfg Config, ar *scratch.A
 		ar = new(scratch.Arena)
 	}
 
-	// Validate every access (first offender in access order wins, like
-	// the old AccessSequence pre-pass) and count fields so Codes is
-	// allocated exactly once.
+	// Validate every access (the first offender in access order wins)
+	// and count fields so Codes is allocated exactly once.
 	nf := 0
 	var verr error
 	for _, b := range f.Blocks {

@@ -2,69 +2,26 @@ package ilp
 
 import "testing"
 
-// BenchmarkILPSolve measures the decomposed solver against the
-// retained legacy baseline on the two instance families:
-// hard-disjoint (where decomposition collapses the search — the
-// BENCH_ilp.json speedup_legacy_serial acceptance number) and
-// hard-overlap (one connected component, so the win is per-node
-// efficiency and worker scaling). Nodes/sec is reported so throughput
-// regressions are visible separately from structural wins.
+// BenchmarkILPSolve measures the serial decomposed solver on the two
+// instance families: hard-disjoint, where decomposition collapses the
+// search, and hard-overlap, one connected component, where the win is
+// per-node efficiency. Nodes/sec is reported so throughput regressions
+// are visible separately from structural wins.
 func BenchmarkILPSolve(b *testing.B) {
-	disjoint := HardDisjoint(8, 12, 6)
-	overlap := HardOverlap(8, 12, 6)
-	reportNodes := func(b *testing.B, nodes int) {
-		b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-	}
-	b.Run("disjoint/legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		nodes := 0
-		for i := 0; i < b.N; i++ {
-			nodes += LegacySolve(disjoint, Options{MaxNodes: 50000}).Nodes
-		}
-		reportNodes(b, nodes)
-	})
-	for _, workers := range []int{1, 2, 8} {
-		opts := Options{MaxNodes: 50000, Workers: workers}
-		b.Run("disjoint/workers="+itoa(workers), func(b *testing.B) {
+	for _, fam := range []struct {
+		name string
+		p    Problem
+	}{
+		{"disjoint", HardDisjoint(8, 12, 6)},
+		{"overlap", HardOverlap(8, 12, 6)},
+	} {
+		b.Run(fam.name, func(b *testing.B) {
 			b.ReportAllocs()
 			nodes := 0
 			for i := 0; i < b.N; i++ {
-				nodes += Solve(disjoint, opts).Nodes
+				nodes += Solve(fam.p, Options{MaxNodes: 50000, Workers: 1}).Nodes
 			}
-			reportNodes(b, nodes)
+			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 		})
 	}
-	b.Run("overlap/legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		nodes := 0
-		for i := 0; i < b.N; i++ {
-			nodes += LegacySolve(overlap, Options{MaxNodes: 50000}).Nodes
-		}
-		reportNodes(b, nodes)
-	})
-	for _, workers := range []int{1, 2, 8} {
-		opts := Options{MaxNodes: 50000, Workers: workers}
-		b.Run("overlap/workers="+itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			nodes := 0
-			for i := 0; i < b.N; i++ {
-				nodes += Solve(overlap, opts).Nodes
-			}
-			reportNodes(b, nodes)
-		})
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -4,10 +4,9 @@ import "sort"
 
 // LegacySolve is the pre-decomposition branch-and-bound solver: a
 // single-threaded search with a per-constraint lower bound recomputed
-// from scratch at every node. It is retained as the benchmark baseline
-// (cmd/benchjson's BENCH_ilp.json measures Solve against it) and as a
-// quality oracle in tests — both solvers are exact, so on any instance
-// they finish they must agree on the optimal cost.
+// from scratch at every node. It is retained as a quality oracle in
+// tests — both solvers are exact, so on any instance they finish they
+// must agree on the optimal cost.
 func LegacySolve(p Problem, opts Options) Solution {
 	maxNodes := opts.MaxNodes
 	if maxNodes == 0 {

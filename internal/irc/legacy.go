@@ -11,10 +11,10 @@ import (
 )
 
 // LegacyAllocate is the original map-based IRC implementation,
-// retained verbatim as the bench baseline and quality oracle for the
-// flat-state allocator (the same pattern as remap.LegacyGreedy and
-// ilp.LegacySolve): Allocate must produce an identical assignment on
-// every input, and the equivalence tests prove it. Its worklists are
+// retained verbatim as the quality oracle for the flat-state allocator
+// (the same pattern as remap.LegacyGreedy and ilp.LegacySolve):
+// Allocate must produce an identical assignment on every input, and
+// the equivalence tests prove it. Its worklists are
 // map[int]bool popped via an O(n) minKey scan, nodeMoves allocates a
 // slice per moveRelated query, and haveWorklistMoves rescans every
 // move state per main-loop turn — the exact hot-loop behaviors the

@@ -9,6 +9,7 @@ import (
 	"diffra/internal/liveness"
 	"diffra/internal/regalloc"
 	"diffra/internal/telemetry"
+	"diffra/internal/workloads"
 )
 
 // pressure6 keeps six values live at once inside a loop.
@@ -243,4 +244,20 @@ func TestNonOptimalCounterIncrements(t *testing.T) {
 	if !strings.Contains(buf.String(), "spill_nonoptimal") {
 		t.Fatalf("metrics text output missing spill_nonoptimal:\n%s", buf.String())
 	}
+}
+
+// BenchmarkOspillDecide measures the end-to-end exact-spill decision on
+// the susan kernel at K=6, where register pressure forces a
+// non-trivial ILP.
+func BenchmarkOspillDecide(b *testing.B) {
+	f := workloads.KernelByName("susan").F
+	b.Run("susan", func(b *testing.B) {
+		b.ReportAllocs()
+		nodes := 0
+		for i := 0; i < b.N; i++ {
+			_, _, st := DecideSpillsExtended(f, 6, 0)
+			nodes += st.ILPNodes
+		}
+		b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+	})
 }

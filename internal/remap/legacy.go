@@ -10,9 +10,7 @@ import (
 // before the parallel CSR engine: one shared RNG stream across
 // restarts, incidence lists rebuilt from the map-backed Graph, and a
 // full O(free²) swap-pair rescan on every descent step. It is retained
-// as the benchmark baseline the optimized search is measured against
-// (cmd/benchjson, BENCH_remap.json) and as a search-quality oracle in
-// tests; new callers should use Greedy.
+// as a search-quality oracle in tests; new callers should use Greedy.
 //
 // Because its restarts consume one sequential RNG stream, its visited
 // permutations differ from Greedy's for the same Seed; only the cost

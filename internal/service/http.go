@@ -102,6 +102,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // emits responses in input order, flushing each one — so early
 // results reach the client while later compiles are still running.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	s.reg.Counter("service_batches").Inc()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	dec := json.NewDecoder(body)
 	w.Header().Set("Content-Type", "application/x-ndjson")

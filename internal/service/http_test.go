@@ -132,13 +132,22 @@ func TestHTTPStatusCodes(t *testing.T) {
 }
 
 func TestHTTPBatchStreamsInOrder(t *testing.T) {
-	_, ts := newTestHTTP(t)
+	h, ts := newTestHTTP(t)
 
+	// Lines alternate between two schemes and one carries unparsable
+	// IR: it fails on its own line while its neighbours compile.
+	const n, bad = 6, 3
+	schemes := []string{"select", "coalesce"}
 	var in bytes.Buffer
-	const n = 6
 	for i := 0; i < n; i++ {
-		ir := strings.Replace(tinyIR, "func tiny", fmt.Sprintf("func tiny%d", i), 1)
-		if err := json.NewEncoder(&in).Encode(Request{IR: ir, Scheme: "select"}); err != nil {
+		req := Request{
+			IR:     strings.Replace(tinyIR, "func tiny", fmt.Sprintf("func tiny%d", i), 1),
+			Scheme: schemes[i%2],
+		}
+		if i == bad {
+			req.IR = "garbage"
+		}
+		if err := json.NewEncoder(&in).Encode(req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,24 +162,33 @@ func TestHTTPBatchStreamsInOrder(t *testing.T) {
 	sc := bufio.NewScanner(hr.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	got := 0
-	for sc.Scan() {
+	for ; sc.Scan(); got++ {
 		var resp Response
 		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
 			t.Fatalf("line %d: %v", got, err)
 		}
+		if got == bad {
+			if resp.Error == "" {
+				t.Fatalf("line %d: garbage IR reported success", got)
+			}
+			continue
+		}
 		if resp.Error != "" {
 			t.Fatalf("line %d: %s", got, resp.Error)
 		}
-		if want := fmt.Sprintf("tiny%d", got); resp.Func != want {
-			t.Fatalf("line %d: func %q, want %q (responses out of order)", got, resp.Func, want)
+		if want := fmt.Sprintf("tiny%d", got); resp.Func != want || resp.Scheme != schemes[got%2] {
+			t.Fatalf("line %d: %s/%s, want %s/%s (responses out of order)",
+				got, resp.Func, resp.Scheme, want, schemes[got%2])
 		}
-		got++
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if got != n {
 		t.Fatalf("got %d responses, want %d", got, n)
+	}
+	if b := h.Registry().Counter("service_batches").Value(); b != 1 {
+		t.Fatalf("service_batches = %d, want 1", b)
 	}
 }
 

@@ -181,13 +181,6 @@ type Config struct {
 	// tracer, no stage metrics, no trace endpoints data) — the escape
 	// hatch the instrumentation-overhead benchmark compares against.
 	TraceBuffer int
-	// TraceSlowKeep bounds the slowest-ever retention class of the
-	// trace buffer (0: 32). The slowest N requests are kept even after
-	// they age out of the recent ring.
-	TraceSlowKeep int
-	// TraceErrKeep bounds the retained errored/timed-out/diverged
-	// requests (0: 64); like the slowest, they outlive the recent ring.
-	TraceErrKeep int
 	// AccessLog, when non-nil, receives one NDJSON record per request:
 	// request id, function, scheme, cache hit, queue wait, total time,
 	// per-stage timings and the outcome. Writes are serialized.
@@ -210,18 +203,12 @@ func (c Config) withDefaults() Config {
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = 256
 	}
-	if c.TraceSlowKeep == 0 {
-		c.TraceSlowKeep = 32
-	}
-	if c.TraceErrKeep == 0 {
-		c.TraceErrKeep = 64
-	}
 	return c
 }
 
 // Server is the compilation service: pool + cache + metrics. It is
 // safe for concurrent use; the HTTP layer in http.go is one front end,
-// ServeBatch and Compile are the in-process ones.
+// Compile is the in-process one.
 type Server struct {
 	cfg       Config
 	pool      *Pool
@@ -271,7 +258,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.arenas = make(chan *scratch.Arena, s.pool.Workers())
 	if cfg.TraceBuffer > 0 {
-		s.traces = newTraceBuffer(cfg.TraceBuffer, cfg.TraceSlowKeep, cfg.TraceErrKeep)
+		s.traces = newTraceBuffer(cfg.TraceBuffer, traceSlowKeep, traceErrKeep)
 		s.bridge = &telemetry.MetricsSink{Reg: s.reg}
 	}
 	if cfg.AccessLog != nil {
@@ -652,24 +639,4 @@ func (s *Server) selfCheck(src *ir.Func, res *diffra.Result) (diverged bool) {
 		return true
 	}
 	return false
-}
-
-// ServeBatch compiles every request through the pool and returns the
-// responses in input order. Individual failures land in their
-// Response; ServeBatch itself never fails. The experiments harness
-// uses this path to compile workload×scheme grids.
-func (s *Server) ServeBatch(ctx context.Context, reqs []Request) []Response {
-	s.reg.Counter("service_batches").Inc()
-	out := make([]Response, len(reqs))
-	done := make(chan int)
-	for i := range reqs {
-		go func(i int) {
-			out[i] = s.Compile(ctx, reqs[i])
-			done <- i
-		}(i)
-	}
-	for range reqs {
-		<-done
-	}
-	return out
 }

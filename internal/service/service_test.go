@@ -213,35 +213,6 @@ func TestBadRequestsAreErrorsNotPanics(t *testing.T) {
 	}
 }
 
-func TestServeBatchOrderAndIsolation(t *testing.T) {
-	srv := newTestServer(t, Config{})
-	reqs := []Request{
-		{IR: tinyIR, Scheme: "select"},
-		{IR: "garbage"},
-		{IR: tinyIR, Scheme: "baseline", RegN: 8, DiffN: 8},
-		{IR: tinyIR, Scheme: "coalesce"},
-	}
-	resps := srv.ServeBatch(context.Background(), reqs)
-	if len(resps) != len(reqs) {
-		t.Fatalf("got %d responses for %d requests", len(resps), len(reqs))
-	}
-	if resps[0].Error != "" || resps[0].Scheme != "select" {
-		t.Fatalf("resp 0: %+v", resps[0])
-	}
-	if resps[1].Error == "" {
-		t.Fatal("bad request in batch reported success")
-	}
-	if resps[2].Error != "" || resps[2].Scheme != "baseline" {
-		t.Fatalf("resp 2: %+v", resps[2])
-	}
-	if resps[3].Error != "" || resps[3].Scheme != "coalesce" {
-		t.Fatalf("resp 3: %+v", resps[3])
-	}
-	if b := srv.Registry().Counter("service_batches").Value(); b != 1 {
-		t.Fatalf("service_batches = %d, want 1", b)
-	}
-}
-
 func TestConcurrentCompilesShareOneRegistry(t *testing.T) {
 	srv := newTestServer(t, Config{Workers: 4, CacheEntries: -1})
 	const n = 16

@@ -75,6 +75,13 @@ type traceBuffer struct {
 	errPos int
 }
 
+// traceSlowKeep and traceErrKeep bound the slowest-ever and the
+// interesting retention classes; both outlive the recent ring.
+const (
+	traceSlowKeep = 32
+	traceErrKeep  = 64
+)
+
 func newTraceBuffer(recent, slow, errs int) *traceBuffer {
 	return &traceBuffer{
 		recent: make([]*TraceRecord, recent),

@@ -5,8 +5,11 @@ import (
 
 	"diffra"
 	"diffra/internal/diffenc"
+	"diffra/internal/interp"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
+	"diffra/internal/pipeline"
+	"diffra/internal/regalloc"
 	"diffra/internal/scratch"
 	"diffra/internal/ssaalloc"
 	"diffra/internal/workloads"
@@ -25,6 +28,8 @@ const (
 	ssaAllocateBudget = 8    // measured 3 (susan, K=32, spill-free scan)
 	diffEncodeBudget  = 80   // measured ~26 (sha, RegN=12, DiffN=8)
 	compileFuncBudget = 1100 // measured ~864 (crc32, remapping, 8 restarts)
+	simulateBudget    = 22   // measured 17 (crc32, K=8; constant per run)
+	interpBudget      = 13   // measured 10 (crc32, K=8)
 )
 
 func assertAllocBudget(t *testing.T, name string, budget float64, body func()) {
@@ -84,6 +89,49 @@ func TestAllocBudgetCompileFunc(t *testing.T) {
 	opts := diffra.Options{Scheme: diffra.Remapping, RegN: 8, DiffN: 6, Restarts: 8, Scratch: ar}
 	assertAllocBudget(t, "CompileFunc/crc32/remapping", compileFuncBudget, func() {
 		if _, err := diffra.CompileFunc(k.F, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// crc32K8 is the allocated crc32 kernel both executor budgets run.
+func crc32K8(t *testing.T) (*workloads.Kernel, *ir.Func, *regalloc.Assignment) {
+	t.Helper()
+	k := workloads.KernelByName("crc32")
+	out, asn, err := irc.Allocate(k.F, irc.Options{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, out, asn
+}
+
+// TestAllocBudgetSimulate pins the simulator's allocations per run:
+// a constant for the run's state, independent of how many
+// instructions execute.
+func TestAllocBudgetSimulate(t *testing.T) {
+	k, out, asn := crc32K8(t)
+	m, err := pipeline.New(pipeline.LowEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := pipeline.RunOptions{Args: k.Args, OrigParams: k.F.Params, Mem: k.Mem}
+	assertAllocBudget(t, "Simulate/crc32", simulateBudget, func() {
+		if _, _, err := m.Run(out, asn, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestAllocBudgetInterp pins the oracle interpreter's allocations per
+// run on the same program.
+func TestAllocBudgetInterp(t *testing.T) {
+	k, out, asn := crc32K8(t)
+	opts := interp.Options{
+		Args: k.Args, OrigParams: k.F.Params, StackParams: asn.StackParams, Mem: k.Mem,
+		NumRegs: asn.K, RegOf: func(r ir.Reg) int { return asn.Color[r] },
+	}
+	assertAllocBudget(t, "Interp/crc32", interpBudget, func() {
+		if _, err := interp.Run(out, opts); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -32,10 +32,6 @@ func (c Config) FieldsOf(in *ir.Instr) []ir.Reg { return fieldsOf(in, c) }
 // Class returns reg's register class (0 when ClassOf is nil).
 func (c Config) Class(reg int) int { return c.classOf(reg) }
 
-// ReservedCode returns the direct code assigned to a reserved register
-// and whether reg is reserved at all.
-func (c Config) ReservedCode(reg int) (int, bool) { return c.reservedCode(reg) }
-
 // SetReason classifies why a set_last_reg repair was inserted — the
 // two failure modes of plain differential encoding (§2.3).
 type SetReason uint8

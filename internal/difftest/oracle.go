@@ -56,18 +56,6 @@ func Reference(f *ir.Func, spec RunSpec) (*interp.Trace, error) {
 	return interp.Run(f, interp.Options{Args: spec.Args, Mem: spec.Mem, MaxSteps: spec.MaxSteps})
 }
 
-// colorFunc adapts an assignment to the regOf signature, mapping vregs
-// the allocator eliminated to -1 (the interpreter rejects them if they
-// are ever actually fetched).
-func colorFunc(asn *regalloc.Assignment) func(ir.Reg) int {
-	return func(r ir.Reg) int {
-		if r < 0 || int(r) >= len(asn.Color) {
-			return -1
-		}
-		return asn.Color[r]
-	}
-}
-
 // CheckCompiled verifies one facade compile end to end: the reference
 // trace of src must equal the allocated program's trace run through the
 // allocation directly, and — for differential schemes — through both
@@ -95,7 +83,7 @@ func CompareCompiled(src *ir.Func, res *diffra.Result, ref *interp.Trace, spec R
 		StackParams: asn.StackParams,
 		Mem:         spec.Mem,
 		NumRegs:     asn.K,
-		RegOf:       colorFunc(asn),
+		RegOf:       asn.RegOf,
 		MaxSteps:    spec.MaxSteps,
 		// A dead parameter may legally share its machine register with
 		// a live one (it interferes with nothing); liveness on the
@@ -148,7 +136,7 @@ func CheckEncoding(allocated *ir.Func, asn *regalloc.Assignment, origParams []ir
 		StackParams: asn.StackParams,
 		Mem:         spec.Mem,
 		NumRegs:     asn.K,
-		RegOf:       colorFunc(asn),
+		RegOf:       asn.RegOf,
 		MaxSteps:    spec.MaxSteps,
 	}
 	direct, err := interp.Run(allocated, base)
@@ -167,7 +155,7 @@ func CompareEncoding(allocated *ir.Func, asn *regalloc.Assignment, origParams []
 			}
 		}
 	}
-	regOf := colorFunc(asn)
+	regOf := asn.RegOf
 	clone := allocated.Clone()
 	enc, err := diffenc.Encode(clone, regOf, cfg)
 	if err != nil {

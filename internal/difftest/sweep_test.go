@@ -124,7 +124,7 @@ func TestSweepEncodingGrid(t *testing.T) {
 			// every geometry below.
 			direct, err := interp.Run(res.F, interp.Options{
 				Args: spec.Args, OrigParams: k.F.Params, StackParams: res.Assignment.StackParams,
-				Mem: spec.Mem, NumRegs: res.Assignment.K, RegOf: colorFunc(res.Assignment),
+				Mem: spec.Mem, NumRegs: res.Assignment.K, RegOf: res.Assignment.RegOf,
 			})
 			if err != nil {
 				t.Fatalf("%s/R%d: direct run: %v", k.Name, regN, err)

@@ -44,10 +44,9 @@ func RISC32() Model {
 // Layout is the placed code of one function.
 type Layout struct {
 	Model Model
-	// Addr maps every instruction to its byte address.
-	Addr map[*ir.Instr]uint64
-	// BlockAddr maps each block to its first instruction's address.
-	BlockAddr map[*ir.Block]uint64
+	// Addr[i] is the byte address of the i-th instruction in block
+	// layout order (the flat index interp.Step reports).
+	Addr []uint64
 	// Size is the total code size in bytes.
 	Size uint64
 }
@@ -55,20 +54,11 @@ type Layout struct {
 // Place assigns consecutive addresses to the function's instructions
 // in block layout order, starting at base.
 func Place(f *ir.Func, m Model, base uint64) *Layout {
-	l := &Layout{
-		Model:     m,
-		Addr:      make(map[*ir.Instr]uint64, f.NumInstrs()),
-		BlockAddr: make(map[*ir.Block]uint64, len(f.Blocks)),
+	l := &Layout{Model: m, Addr: make([]uint64, f.NumInstrs())}
+	for i := range l.Addr {
+		l.Addr[i] = base + uint64(i*m.InstrBytes)
 	}
-	addr := base
-	for _, b := range f.Blocks {
-		l.BlockAddr[b] = addr
-		for _, in := range b.Instrs {
-			l.Addr[in] = addr
-			addr += uint64(m.InstrBytes)
-		}
-	}
-	l.Size = addr - base
+	l.Size = uint64(len(l.Addr) * m.InstrBytes)
 	return l
 }
 

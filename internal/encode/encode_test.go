@@ -28,23 +28,18 @@ func TestPlaceSequentialAddresses(t *testing.T) {
 	if l.Size != uint64(f.NumInstrs()*2) {
 		t.Errorf("size = %d, want %d", l.Size, f.NumInstrs()*2)
 	}
+	if len(l.Addr) != f.NumInstrs() {
+		t.Fatalf("%d addresses for %d instructions", len(l.Addr), f.NumInstrs())
+	}
 	prev := uint64(0xFFF)
-	count := 0
-	for _, b := range f.Blocks {
-		if l.BlockAddr[b] != l.Addr[b.Instrs[0]] {
-			t.Errorf("block %s addr mismatch", b.Name)
+	for i, a := range l.Addr {
+		if a != prev+2 && i > 0 {
+			t.Errorf("non-sequential address %#x after %#x", a, prev)
 		}
-		for _, in := range b.Instrs {
-			a := l.Addr[in]
-			if a != prev+2 && count > 0 {
-				t.Errorf("non-sequential address %#x after %#x", a, prev)
-			}
-			if count == 0 && a != 0x1000 {
-				t.Errorf("first address %#x, want 0x1000", a)
-			}
-			prev = a
-			count++
+		if i == 0 && a != 0x1000 {
+			t.Errorf("first address %#x, want 0x1000", a)
 		}
+		prev = a
 	}
 }
 

@@ -229,3 +229,42 @@ entry:
 		t.Fatal("want ArgLive arity error")
 	}
 }
+
+// TestStepReports pins what a Step tells a timing model: the layout
+// index, the data address of each memory op, the successor control
+// moved to, and the returned value.
+func TestStepReports(t *testing.T) {
+	f := ir.MustParse(`
+func s(v0) {
+entry:
+  v1 = load v0, 4
+  spill_store v1, 2
+  beq v1, v0 -> same, differ
+same:
+  ret v1
+differ:
+  ret v0
+}
+`)
+	m, err := New(f, Options{Args: []int64{100}, Mem: map[int64]int64{104: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Step{
+		{Block: f.Blocks[0], Index: 0, Mem: true, Addr: 104, Succ: -1},
+		{Block: f.Blocks[0], Index: 1, Mem: true, Addr: SpillBase + 2, Succ: -1},
+		{Block: f.Blocks[0], Index: 2, Succ: 1},
+		{Block: f.Blocks[2], Index: 4, Succ: -1, Done: true, Ret: 100},
+	}
+	for i, w := range want {
+		s, err := m.Step()
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		got := *s
+		got.In = nil
+		if got != w {
+			t.Fatalf("step %d: got %+v, want %+v", i, got, w)
+		}
+	}
+}

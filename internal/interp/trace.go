@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -87,24 +86,37 @@ type Trace struct {
 	h   hashState
 }
 
+// FNV-1a, 64-bit: cheap, deterministic and order-sensitive.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvString folds the bytes of s into h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// fnvWord folds the 8 little-endian bytes of v into h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v>>(8*i))&0xff) * fnvPrime
+	}
+	return h
+}
+
 type hashState struct{ sum uint64 }
 
 func (h *hashState) mix(vals ...uint64) {
-	// FNV-1a over 8-byte words; cheap, deterministic, order-sensitive.
-	const prime = 1099511628211
 	if h.sum == 0 {
-		h.sum = 14695981039346656037
+		h.sum = fnvOffset
 	}
 	for _, v := range vals {
-		for i := 0; i < 8; i++ {
-			h.sum ^= (v >> (8 * i)) & 0xff
-			h.sum *= prime
-		}
+		h.sum = fnvWord(h.sum, v)
 	}
-}
-
-func newTrace(maxEvents int) *Trace {
-	return &Trace{max: maxEvents}
 }
 
 func (t *Trace) record(e Event) {
@@ -120,24 +132,16 @@ func (t *Trace) store(addr, val int64) {
 	t.record(Event{Kind: EvStore, Addr: addr, Val: val})
 }
 
-// call resolves an intrinsic stub deterministically from the symbol
-// and argument values, records the event, and returns the stub value.
-func (t *Trace) call(sym string, uses []int, regs []int64) int64 {
-	args := make([]int64, len(uses))
-	for i, u := range uses {
-		args[i] = regs[u]
-	}
-	ret := Intrinsic(sym, args)
+// call records a call to an intrinsic stub. args is the caller's
+// scratch, so the retained event gets its own copy.
+func (t *Trace) call(sym string, args []int64, ret int64) {
 	t.h.mix(uint64(EvCall), uint64(len(args)))
 	for _, a := range args {
 		t.h.mix(uint64(a))
 	}
-	hs := fnv.New64a()
-	hs.Write([]byte(sym))
-	t.h.mix(hs.Sum64())
+	t.h.mix(fnvString(fnvOffset, sym))
 	t.Hash = t.h.sum
-	t.record(Event{Kind: EvCall, Sym: sym, Args: args, Ret: ret})
-	return ret
+	t.record(Event{Kind: EvCall, Sym: sym, Args: append([]int64(nil), args...), Ret: ret})
 }
 
 // Intrinsic is the deterministic call stub: a pure function of the
@@ -145,19 +149,13 @@ func (t *Trace) call(sym string, uses []int, regs []int64) int64 {
 // see identical stub results, so calls neither hide nor invent
 // divergence.
 func Intrinsic(sym string, args []int64) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(sym))
-	var buf [8]byte
+	h := fnvString(fnvOffset, sym)
 	for _, a := range args {
-		v := uint64(a)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
+		h = fnvWord(h, uint64(a))
 	}
 	// Keep stub values small so generated programs that branch or
 	// index memory on them stay well-behaved.
-	return int64(h.Sum64() % 251)
+	return int64(h % 251)
 }
 
 // Equal reports whether two traces are observationally identical:
@@ -199,9 +197,4 @@ func (t *Trace) Diff(o *Trace, ref, got string) string {
 		return fmt.Sprintf("return value: %s=%d %s=%d", ref, t.Ret, got, o.Ret)
 	}
 	return fmt.Sprintf("trace hash: %s=%#x %s=%#x (divergence beyond the %d retained events)", ref, t.Hash, got, o.Hash, n)
-}
-
-// Summary is a one-line description for logs and CLI output.
-func (t *Trace) Summary() string {
-	return fmt.Sprintf("steps=%d events=%d ret=%d halt=%s", t.Steps, t.NumEvents, t.Ret, t.Halt)
 }

@@ -23,15 +23,6 @@ type Instr struct {
 	Sym  string
 }
 
-// Def returns the defined register, or NoReg if the instruction
-// defines nothing.
-func (in *Instr) Def() Reg {
-	if len(in.Defs) == 0 {
-		return NoReg
-	}
-	return in.Defs[0]
-}
-
 // IsMove reports whether the instruction is a register-to-register
 // copy, the coalescing candidate of Chaitin-style allocators.
 func (in *Instr) IsMove() bool {

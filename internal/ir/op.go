@@ -85,14 +85,12 @@ const NumOps = int(numOps)
 
 // opInfo captures static operand shape for each opcode.
 type opInfo struct {
-	name    string
-	nUses   int  // fixed number of register uses (-1: variadic, e.g. call)
-	hasDef  bool // defines Defs[0]
-	hasImm  bool
-	term    bool // block terminator
-	nSuccs  int  // successors required when terminator (-1: any)
-	memRead bool
-	memWr   bool
+	name   string
+	nUses  int  // fixed number of register uses (-1: variadic, e.g. call)
+	hasDef bool // defines Defs[0]
+	hasImm bool
+	term   bool // block terminator
+	nSuccs int  // successors required when terminator (-1: any)
 }
 
 var opTable = [numOps]opInfo{
@@ -115,8 +113,8 @@ var opTable = [numOps]opInfo{
 	OpCmpLE:      {name: "cmple", nUses: 2, hasDef: true},
 	OpMov:        {name: "mov", nUses: 1, hasDef: true},
 	OpLI:         {name: "li", nUses: 0, hasDef: true, hasImm: true},
-	OpLoad:       {name: "load", nUses: 1, hasDef: true, hasImm: true, memRead: true},
-	OpStore:      {name: "store", nUses: 2, hasImm: true, memWr: true},
+	OpLoad:       {name: "load", nUses: 1, hasDef: true, hasImm: true},
+	OpStore:      {name: "store", nUses: 2, hasImm: true},
 	OpBr:         {name: "br", nUses: 1, term: true, nSuccs: 2},
 	OpBEQ:        {name: "beq", nUses: 2, term: true, nSuccs: 2},
 	OpBNE:        {name: "bne", nUses: 2, term: true, nSuccs: 2},
@@ -125,8 +123,8 @@ var opTable = [numOps]opInfo{
 	OpJmp:        {name: "jmp", term: true, nSuccs: 1},
 	OpRet:        {name: "ret", nUses: -1, term: true, nSuccs: 0},
 	OpCall:       {name: "call", nUses: -1, hasDef: true},
-	OpSpillLoad:  {name: "spill_load", nUses: 0, hasDef: true, hasImm: true, memRead: true},
-	OpSpillStore: {name: "spill_store", nUses: 1, hasImm: true, memWr: true},
+	OpSpillLoad:  {name: "spill_load", nUses: 0, hasDef: true, hasImm: true},
+	OpSpillStore: {name: "spill_store", nUses: 1, hasImm: true},
 	OpSetLastReg: {name: "set_last_reg", hasImm: true},
 }
 
@@ -141,9 +139,6 @@ func (o Op) String() string {
 // IsTerminator reports whether the opcode must end a basic block.
 func (o Op) IsTerminator() bool { return opTable[o].term }
 
-// IsBranch reports whether the opcode is a two-way conditional branch.
-func (o Op) IsBranch() bool { return opTable[o].term && opTable[o].nSuccs == 2 }
-
 // HasDef reports whether the opcode defines a register.
 func (o Op) HasDef() bool { return opTable[o].hasDef }
 
@@ -152,12 +147,6 @@ func (o Op) NumUses() int { return opTable[o].nUses }
 
 // NumSuccs returns the successor count required by a terminator.
 func (o Op) NumSuccs() int { return opTable[o].nSuccs }
-
-// ReadsMem reports whether the opcode reads data memory.
-func (o Op) ReadsMem() bool { return opTable[o].memRead }
-
-// WritesMem reports whether the opcode writes data memory.
-func (o Op) WritesMem() bool { return opTable[o].memWr }
 
 // opByName resolves a mnemonic; used by the parser.
 var opByName = func() map[string]Op {

@@ -26,7 +26,6 @@ import (
 	"math"
 	"math/bits"
 
-	"diffra/internal/bitset"
 	"diffra/internal/ir"
 	"diffra/internal/liveness"
 	"diffra/internal/regalloc"
@@ -387,13 +386,12 @@ func newAllocState(f *ir.Func, opts Options, span *telemetry.Span, ar *scratch.A
 	return a
 }
 
-// build constructs interference edges and move lists from liveness,
-// with the same rules and the same move order as regalloc.Build: defs
-// interfere with everything live after the instruction (minus a move's
-// source), multi-defs conflict pairwise, and entry-live registers form
-// a clique. Edges land in the bit matrix first (deduplicating), then
-// one pass per row emits the CSR neighbor lists in ascending order —
-// a neighbor order the main loop is provably insensitive to.
+// build constructs interference edges and move lists from liveness
+// through regalloc.Interferences, with the rule and move order
+// regalloc.Build uses. Edges land in the bit matrix first
+// (deduplicating), then one pass per row emits the CSR neighbor lists
+// in ascending order — a neighbor order the main loop is provably
+// insensitive to.
 func (a *allocState) build() {
 	live := a.trace.Child("liveness")
 	info := liveness.ComputeScratch(a.f, live, a.ar)
@@ -410,32 +408,7 @@ func (a *allocState) build() {
 	a.moves = make([]*ir.Instr, 0, nm)
 	a.mstate = a.ar.Bytes(nm) // zeroed: every move starts mvWorklist
 
-	for _, b := range a.f.Blocks {
-		info.LiveAcross(b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			if in.IsMove() {
-				a.moves = append(a.moves, in)
-			}
-			for _, d := range in.Defs {
-				liveAfter.ForEach(func(l int) {
-					if in.IsMove() && ir.Reg(l) == in.Uses[0] {
-						return
-					}
-					a.matAdd(int(d), l)
-				})
-				for _, d2 := range in.Defs {
-					a.matAdd(int(d), int(d2))
-				}
-			}
-		})
-	}
-	entryLive := info.LiveIn[a.f.Entry().Index]
-	entryLive.ForEach(func(u int) {
-		entryLive.ForEach(func(v int) {
-			if v > u {
-				a.matAdd(u, v)
-			}
-		})
-	})
+	regalloc.Interferences(a.f, info, func(in *ir.Instr) { a.moves = append(a.moves, in) }, a.matAdd)
 
 	// Freeze the matrix into CSR neighbor lists.
 	total := 0

@@ -158,7 +158,7 @@ func newLegacyState(f *ir.Func, opts Options, span *telemetry.Span) *legacyState
 // build constructs interference edges and move lists from liveness.
 func (a *legacyState) build() {
 	live := a.trace.Child("liveness")
-	info := liveness.ComputeTraced(a.f, live)
+	info := liveness.ComputeScratch(a.f, live, nil)
 	live.End()
 	g := regalloc.Build(a.f, info)
 	for u := 0; u < g.N; u++ {

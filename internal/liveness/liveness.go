@@ -33,11 +33,6 @@ func Compute(f *ir.Func) *Info {
 	return ComputeScratch(f, nil, nil)
 }
 
-// ComputeTraced is Compute under a telemetry span; see ComputeScratch.
-func ComputeTraced(f *ir.Func, span *telemetry.Span) *Info {
-	return ComputeScratch(f, span, nil)
-}
-
 // ComputeScratch is Compute with its working and result sets carved
 // from ar (nil: a private arena, equivalent to Compute). The returned
 // Info aliases arena memory: it is valid until the arena owner's next
@@ -285,19 +280,15 @@ func (info *Info) MaxPressure() int {
 // a register inserts a load per use and a store per def, so cost is
 // proportional to weighted occurrence count.
 func SpillCosts(f *ir.Func) []float64 {
-	return SpillCostsScratch(f, nil)
+	return SpillCostsWeighted(f, f.BlockFreqs(), nil)
 }
 
-// SpillCostsScratch is SpillCosts with the result carved from ar
-// (nil: heap). The slice is valid until the arena's next Reset.
-func SpillCostsScratch(f *ir.Func, ar *scratch.Arena) []float64 {
-	return SpillCostsWeighted(f, f.BlockFreqs(), ar)
-}
-
-// SpillCostsWeighted is SpillCostsScratch with caller-supplied block
-// frequencies (indexed by Block.Index). Spill rewriting inserts
-// instructions but never changes the CFG, so a multi-round allocator
-// computes frequencies once and reuses them every round.
+// SpillCostsWeighted is SpillCosts with caller-supplied block
+// frequencies (indexed by Block.Index) and the result carved from ar
+// (nil: heap; otherwise valid until the arena's next Reset). Spill
+// rewriting inserts instructions but never changes the CFG, so a
+// multi-round allocator computes frequencies once and reuses them
+// every round.
 func SpillCostsWeighted(f *ir.Func, freq []float64, ar *scratch.Arena) []float64 {
 	var costs []float64
 	if ar != nil {

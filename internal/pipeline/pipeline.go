@@ -1,21 +1,27 @@
 // Package pipeline simulates a 5-stage in-order scalar processor — the
 // paper's low-end evaluation machine (§10.1, an ARM/THUMB-like core
-// modeled on SimpleScalar; see DESIGN.md's substitution table). It
-// interprets allocated IR functions cycle-approximately:
+// modeled on SimpleScalar; see DESIGN.md's substitution table).
+//
+// It is a pure cost model. internal/interp executes the allocated
+// function one instruction at a time (binding arguments, computing
+// values, choosing branch directions), and the simulator charges each
+// step:
 //
 //   - every instruction costs its latency (1 for simple ALU ops, more
 //     for multiply/divide),
-//   - instruction fetch goes through the I-cache at the instruction's
-//     placed address,
-//   - loads and stores (including spill code) go through the D-cache,
-//   - taken branches pay a one-cycle redirect bubble,
+//   - instruction fetch goes through the I-cache at the address
+//     encode.Place gives the instruction,
+//   - loads and stores (including spill code) go through the D-cache
+//     at the data address the step touched,
+//   - taken branches and jumps pay a one-cycle redirect bubble,
 //   - set_last_reg instructions are fetched and decoded but never enter
 //     the execute stage (§2.3): they cost one decode slot plus fetch.
 //
-// Register operands are resolved through the allocation's colors, so a
+// Register operands resolve through the allocation's colors, so a
 // miscolored program computes wrong values — executing through the
 // machine register file doubles as a dynamic validation of the
-// allocator.
+// allocator — and a simulated run computes exactly what the oracle
+// (internal/difftest) says the program computes.
 package pipeline
 
 import (
@@ -24,6 +30,7 @@ import (
 
 	"diffra/internal/cache"
 	"diffra/internal/encode"
+	"diffra/internal/interp"
 	"diffra/internal/ir"
 	"diffra/internal/regalloc"
 )
@@ -136,11 +143,14 @@ type OpShare struct {
 	Count  uint64
 }
 
-// Machine executes functions.
+// Machine is the cost model: it charges cycles over the steps of an
+// internal/interp machine.
 type Machine struct {
 	cfg Config
 	ic  *cache.Cache
 	dc  *cache.Cache
+	// extra[op] is op's latency beyond its base cycle.
+	extra [ir.NumOps]uint64
 }
 
 // New builds a machine.
@@ -159,7 +169,13 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: dcache: %w", err)
 	}
-	return &Machine{cfg: cfg, ic: ic, dc: dc}, nil
+	m := &Machine{cfg: cfg, ic: ic, dc: dc}
+	m.extra[ir.OpMul] = uint64(cfg.MulLat - 1)
+	m.extra[ir.OpDiv] = uint64(cfg.DivLat - 1)
+	m.extra[ir.OpRem] = uint64(cfg.DivLat - 1)
+	m.extra[ir.OpLoad] = uint64(cfg.LoadUseBubble)
+	m.extra[ir.OpSpillLoad] = uint64(cfg.LoadUseBubble)
+	return m, nil
 }
 
 // Run options.
@@ -172,19 +188,11 @@ type RunOptions struct {
 	OrigParams []ir.Reg
 	// ArgLive, when non-nil, flags positionally which original
 	// parameters' incoming values are observable (see
-	// liveness.LiveParams on the source function). Dead parameters are
-	// skipped during binding: an allocator may give a dead parameter
-	// the same machine register as a live one, so writing its argument
-	// would clobber the live value. nil binds every argument.
+	// interp.Options.ArgLive). nil binds every argument.
 	ArgLive []bool
 	// Mem pre-initializes data memory (word addressed, 4-byte words).
 	Mem map[int64]int64
 }
-
-// spillBase places spill slots in a dedicated region of the data
-// address space so spill traffic shares the D-cache with program data,
-// as on the real machine.
-const spillBase = int64(1) << 28
 
 // Run executes f to completion and returns the return value and
 // statistics. When asn is non-nil operands resolve through machine
@@ -193,262 +201,75 @@ const spillBase = int64(1) << 28
 func (m *Machine) Run(f *ir.Func, asn *regalloc.Assignment, opts RunOptions) (ret int64, st Stats, err error) {
 	m.ic.Reset()
 	m.dc.Reset()
-	defer func() {
-		st.ICache = m.ic.Stats
-		st.DCache = m.dc.Stats
-	}()
-
-	nregs := f.NumRegs()
-	if asn != nil {
-		nregs = asn.K
-	}
-	regs := make([]int64, nregs)
-	regOf := func(r ir.Reg) int {
-		if asn == nil {
-			return int(r)
-		}
-		return asn.Color[r]
-	}
-
-	mem := make(map[int64]int64, len(opts.Mem)+64)
-	for k, v := range opts.Mem {
-		mem[k] = v
-	}
-
-	// Bind arguments.
-	origParams := opts.OrigParams
-	if origParams == nil {
-		origParams = f.Params
-	}
-	if len(opts.Args) != len(origParams) {
-		return 0, st, fmt.Errorf("pipeline: %d args for %d params", len(opts.Args), len(origParams))
-	}
-	if opts.ArgLive != nil && len(opts.ArgLive) != len(origParams) {
-		return 0, st, fmt.Errorf("pipeline: %d ArgLive flags for %d params", len(opts.ArgLive), len(origParams))
-	}
-	next := 0
-	for i, p := range origParams {
-		live := opts.ArgLive == nil || opts.ArgLive[i]
-		if asn != nil {
-			if slot, ok := asn.StackParams[p]; ok {
-				if live {
-					mem[spillBase+slot] = opts.Args[i]
-				}
-				continue
-			}
-		}
-		if next >= len(f.Params) {
-			return 0, st, fmt.Errorf("pipeline: parameter binding ran out of register params")
-		}
-		rp := f.Params[next]
-		next++
-		if !live {
-			continue
-		}
-		c := regOf(rp)
-		if c < 0 || c >= nregs {
-			return 0, st, fmt.Errorf("pipeline: param v%d maps to register %d outside [0,%d)", rp, c, nregs)
-		}
-		regs[c] = opts.Args[i]
-	}
-
-	layout := encode.Place(f, m.cfg.Model, 0)
-
 	st.BlockCounts = make([]uint64, len(f.Blocks))
 	st.BlockCycles = make([]uint64, len(f.Blocks))
 	st.BlockIMisses = make([]uint64, len(f.Blocks))
 	st.BlockDMisses = make([]uint64, len(f.Blocks))
 	st.OpCycles = make([]uint64, ir.NumOps)
 	st.OpCounts = make([]uint64, ir.NumOps)
-	b := f.Entry()
-	st.BlockCounts[b.Index]++
-	ii := 0
+	defer func() {
+		st.ICache = m.ic.Stats
+		st.DCache = m.dc.Stats
+		st.SetLastRegs = st.OpCounts[ir.OpSetLastReg]
+		st.SpillOps = st.OpCounts[ir.OpSpillLoad] + st.OpCounts[ir.OpSpillStore]
+	}()
+
+	xopts := interp.Options{Args: opts.Args, OrigParams: opts.OrigParams, ArgLive: opts.ArgLive, Mem: opts.Mem}
+	if asn != nil {
+		xopts.NumRegs, xopts.RegOf, xopts.StackParams = asn.K, asn.RegOf, asn.StackParams
+	}
+	x, err := interp.New(f, xopts)
+	if err != nil {
+		return 0, st, err
+	}
+	fetch := encode.Place(f, m.cfg.Model, 0).Addr
+	ipen, dpen := uint64(m.ic.Penalty()), uint64(m.dc.Penalty())
+	bubble := uint64(m.cfg.BranchBubble)
+	st.BlockCounts[f.Entry().Index]++
 	for {
-		if ii >= len(b.Instrs) {
-			return 0, st, fmt.Errorf("pipeline: fell off block %s", b.Name)
-		}
-		in := b.Instrs[ii]
 		if st.Instrs >= m.cfg.MaxInstrs {
 			return 0, st, fmt.Errorf("pipeline: instruction budget exhausted (%d)", m.cfg.MaxInstrs)
 		}
+		s, err := x.Step()
+		if err != nil {
+			return 0, st, err
+		}
 		st.Instrs++
-		bi := b.Index     // attribution block: where the instruction issued
-		cyc0 := st.Cycles // attribution base: cycles before this instruction
-		st.Cycles++       // base cycle
-
-		// Fetch through the I-cache.
-		if !m.ic.Access(layout.Addr[in]) {
-			st.Cycles += uint64(m.ic.Penalty())
+		bi := s.Block.Index
+		// Base cycle plus latency; set_last_reg costs only its fetch
+		// and decode slot (§2.3).
+		cyc := 1 + m.extra[s.In.Op]
+		if !m.ic.Access(fetch[s.Index]) {
+			cyc += ipen
 			st.BlockIMisses[bi]++
 		}
-
-		get := func(i int) int64 { return regs[regOf(in.Uses[i])] }
-		set := func(v int64) { regs[regOf(in.Defs[0])] = v }
-		dmem := func(addr int64) {
+		if s.Mem {
 			st.MemOps++
-			if !m.dc.Access(uint64(addr)) {
-				st.Cycles += uint64(m.dc.Penalty())
+			if !m.dc.Access(uint64(s.Addr)) {
+				cyc += dpen
 				st.BlockDMisses[bi]++
 			}
 		}
-
-		branchTo := -1 // successor index chosen by a branch
-		done := false  // set by ret; the return value is in retv
-		var retv int64
-		switch in.Op {
-		case ir.OpAdd:
-			set(get(0) + get(1))
-		case ir.OpSub:
-			set(get(0) - get(1))
-		case ir.OpMul:
-			set(get(0) * get(1))
-			st.Cycles += uint64(m.cfg.MulLat - 1)
-		case ir.OpDiv:
-			st.Cycles += uint64(m.cfg.DivLat - 1)
-			if d := get(1); d != 0 {
-				set(get(0) / d)
-			} else {
-				set(0)
-			}
-		case ir.OpRem:
-			st.Cycles += uint64(m.cfg.DivLat - 1)
-			if d := get(1); d != 0 {
-				set(get(0) % d)
-			} else {
-				set(0)
-			}
-		case ir.OpAnd:
-			set(get(0) & get(1))
-		case ir.OpOr:
-			set(get(0) | get(1))
-		case ir.OpXor:
-			set(get(0) ^ get(1))
-		case ir.OpShl:
-			set(get(0) << (uint64(get(1)) & 63))
-		case ir.OpShr:
-			set(int64(uint64(get(0)) >> (uint64(get(1)) & 63)))
-		case ir.OpNeg:
-			set(-get(0))
-		case ir.OpNot:
-			set(^get(0))
-		case ir.OpCmpEQ:
-			set(b2i(get(0) == get(1)))
-		case ir.OpCmpNE:
-			set(b2i(get(0) != get(1)))
-		case ir.OpCmpLT:
-			set(b2i(get(0) < get(1)))
-		case ir.OpCmpLE:
-			set(b2i(get(0) <= get(1)))
-		case ir.OpMov:
-			set(get(0))
-		case ir.OpLI:
-			set(in.Imm)
-		case ir.OpLoad:
-			addr := get(0) + in.Imm
-			dmem(addr)
-			st.Cycles += uint64(m.cfg.LoadUseBubble)
-			set(mem[addr])
-		case ir.OpStore:
-			addr := get(1) + in.Imm
-			dmem(addr)
-			mem[addr] = get(0)
-		case ir.OpSpillLoad:
-			st.SpillOps++
-			addr := spillBase + in.Imm
-			dmem(addr)
-			st.Cycles += uint64(m.cfg.LoadUseBubble)
-			set(mem[addr])
-		case ir.OpSpillStore:
-			st.SpillOps++
-			addr := spillBase + in.Imm
-			dmem(addr)
-			mem[addr] = get(0)
-		case ir.OpSetLastReg:
-			// Consumed at decode; costs the fetch/decode slot only.
-			st.SetLastRegs++
-		case ir.OpJmp:
-			// Unconditional transfer: counted as an always-taken branch
-			// so branch statistics cover every redirect bubble paid.
+		if s.Succ >= 0 {
+			// Every control transfer counts as a branch. Successor 0
+			// (a conditional branch's taken target, a jmp's only
+			// target) is a redirect and pays the bubble.
 			st.Branches++
-			branchTo = 0
-		case ir.OpBr:
-			st.Branches++
-			if get(0) != 0 {
-				branchTo = 0
-			} else {
-				branchTo = 1
-			}
-		case ir.OpBEQ, ir.OpBNE, ir.OpBLT, ir.OpBLE:
-			st.Branches++
-			taken := false
-			switch in.Op {
-			case ir.OpBEQ:
-				taken = get(0) == get(1)
-			case ir.OpBNE:
-				taken = get(0) != get(1)
-			case ir.OpBLT:
-				taken = get(0) < get(1)
-			case ir.OpBLE:
-				taken = get(0) <= get(1)
-			}
-			if taken {
-				branchTo = 0
-			} else {
-				branchTo = 1
-			}
-		case ir.OpRet:
-			done = true
-			if len(in.Uses) > 0 {
-				retv = get(0)
-			}
-		case ir.OpCall:
-			// The workloads are leaf kernels; calls return zero.
-			set(0)
-		default:
-			return 0, st, fmt.Errorf("pipeline: cannot execute %s", in)
-		}
-
-		if branchTo >= 0 {
-			succ := b.Succs[branchTo]
-			// A control transfer away from fall-through pays the
-			// redirect bubble (successor 0 of a conditional branch and
-			// every jmp target).
-			if branchTo == 0 && in.Op != ir.OpJmp {
+			if s.Succ == 0 {
 				st.Taken++
-				st.Cycles += uint64(m.cfg.BranchBubble)
+				cyc += bubble
 			}
-			if in.Op == ir.OpJmp {
-				st.Taken++
-				st.Cycles += uint64(m.cfg.BranchBubble)
-			}
-			b = succ
-			st.BlockCounts[b.Index]++
-			ii = 0
-		} else {
-			ii++
+			st.BlockCounts[s.Block.Succs[s.Succ].Index]++
 		}
-
 		// Attribute everything this instruction cost — base cycle,
 		// cache stalls, latency, bubbles — to its opcode and the block
 		// it issued from.
-		delta := st.Cycles - cyc0
-		st.OpCycles[in.Op] += delta
-		st.OpCounts[in.Op]++
-		st.BlockCycles[bi] += delta
-
-		if done {
-			return retv, st, nil
+		st.Cycles += cyc
+		st.OpCycles[s.In.Op] += cyc
+		st.OpCounts[s.In.Op]++
+		st.BlockCycles[bi] += cyc
+		if s.Done {
+			return s.Ret, st, nil
 		}
 	}
 }
-
-func b2i(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// ICacheStats / DCacheStats expose the last run's cache statistics.
-func (m *Machine) ICacheStats() cache.Stats { return m.ic.Stats }
-func (m *Machine) DCacheStats() cache.Stats { return m.dc.Stats }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"diffra/internal/diffenc"
+	"diffra/internal/interp"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
 	"diffra/internal/regalloc"
@@ -284,6 +285,31 @@ entry:
 	}
 }
 
+// TestMalformedRunsFail: a program the simulator cannot execute is an
+// error, never a panic.
+func TestMalformedRunsFail(t *testing.T) {
+	f := ir.MustParse(`
+func f(v0) {
+entry:
+  v1 = add v0, v0
+  ret v1
+}
+`)
+	m := newMachine(t)
+	for _, c := range []struct {
+		name  string
+		color []int
+	}{{"uncolored", []int{0, -1}}, {"beyond K", []int{0, 9}}} {
+		asn := &regalloc.Assignment{Color: c.color, K: 4}
+		if _, _, err := m.Run(f, asn, RunOptions{Args: []int64{1}}); err == nil {
+			t.Errorf("%s operand: want an error", c.name)
+		}
+	}
+	if _, _, err := m.Run(&ir.Func{Name: "empty"}, nil, RunOptions{}); err == nil {
+		t.Error("function without blocks: want an error")
+	}
+}
+
 func TestCacheStatsPopulated(t *testing.T) {
 	f := ir.MustParse(sumSrc)
 	m := newMachine(t)
@@ -453,7 +479,10 @@ out:
 	}
 }
 
-func TestCallReturnsZeroAndCacheAccessors(t *testing.T) {
+// TestCallUsesIntrinsicStub pins the one call rule the simulator
+// shares with the oracle: a call returns interp's deterministic stub
+// value.
+func TestCallUsesIntrinsicStub(t *testing.T) {
 	src := `
 func c(v0) {
 entry:
@@ -464,17 +493,16 @@ entry:
 `
 	f := ir.MustParse(src)
 	m := newMachine(t)
-	got, _, err := m.Run(f, nil, RunOptions{Args: []int64{7}})
+	got, st, err := m.Run(f, nil, RunOptions{Args: []int64{7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 7 {
-		t.Errorf("call result = %d, want 7 (leaf-model call returns 0)", got)
+	if want := 7 + interp.Intrinsic("helper", []int64{7}); got != want {
+		t.Errorf("call result = %d, want %d (7 + the intrinsic stub)", got, want)
 	}
-	if m.ICacheStats().Accesses == 0 {
-		t.Error("ICacheStats empty")
+	if st.ICache.Accesses == 0 {
+		t.Error("icache accesses not recorded")
 	}
-	_ = m.DCacheStats()
 }
 
 func TestBadCacheConfigRejected(t *testing.T) {

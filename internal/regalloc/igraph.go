@@ -35,35 +35,50 @@ func Build(f *ir.Func, info *liveness.Info) *Graph {
 		g.adj[i] = bitset.New(g.N)
 	}
 
+	Interferences(f, info, func(in *ir.Instr) { g.Moves = append(g.Moves, in) }, g.AddEdge)
+	return g
+}
+
+// Interferences reports f's interference relation: the one rule every
+// graph builder and checker applies. It walks each block backwards,
+// blocks in order (liveness.Info.LiveAcross order), and calls edge for
+// each conflicting pair: a def conflicts with everything live after its
+// instruction except a move's own source, and the defs of one
+// instruction conflict pairwise. Registers live into the entry block
+// then form a clique, since they coexist without a defining
+// instruction in the body. Pairs repeat and may have u == v; callers
+// dedupe. move, when non-nil, sees each move instruction in walk order,
+// before its edges.
+func Interferences(f *ir.Func, info *liveness.Info, move func(*ir.Instr), edge func(u, v int)) {
 	for _, b := range f.Blocks {
 		info.LiveAcross(b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			if in.IsMove() {
-				g.Moves = append(g.Moves, in)
+			isMove := in.IsMove()
+			if isMove && move != nil {
+				move(in)
 			}
 			for _, d := range in.Defs {
 				liveAfter.ForEach(func(l int) {
-					if in.IsMove() && ir.Reg(l) == in.Uses[0] {
+					if isMove && ir.Reg(l) == in.Uses[0] {
 						return
 					}
-					g.AddEdge(int(d), l)
+					edge(int(d), l)
 				})
-				// Multiple defs of one instruction conflict with each other.
 				for _, d2 := range in.Defs {
-					g.AddEdge(int(d), int(d2))
+					edge(int(d), int(d2))
 				}
 			}
 		})
 	}
-
-	// Entry clique: registers live into the entry block coexist without
-	// a defining instruction inside the function body.
-	entryLive := info.LiveIn[f.Entry().Index].Elems()
-	for i, u := range entryLive {
-		for _, v := range entryLive[i+1:] {
-			g.AddEdge(u, v)
-		}
+	if e := f.Entry(); e != nil {
+		entryLive := info.LiveIn[e.Index]
+		entryLive.ForEach(func(u int) {
+			entryLive.ForEach(func(v int) {
+				if v > u {
+					edge(u, v)
+				}
+			})
+		})
 	}
-	return g
 }
 
 // AddEdge inserts an undirected interference edge between u and v.
@@ -102,6 +117,17 @@ type Assignment struct {
 	// as real calling conventions do once the register file is
 	// exhausted.
 	StackParams map[ir.Reg]int64
+}
+
+// RegOf returns the machine register of vreg r, or -1 when r has none
+// (the allocator eliminated it, or it lies outside the assignment).
+// Executors reject -1 only if an executed instruction reads or writes
+// it.
+func (a *Assignment) RegOf(r ir.Reg) int {
+	if r < 0 || int(r) >= len(a.Color) {
+		return -1
+	}
+	return a.Color[r]
 }
 
 // SpillStats tallies spill instructions present in a function; the
@@ -158,41 +184,12 @@ func Verify(f *ir.Func, asn *Assignment) error {
 	// Check interference directly off the liveness walk instead of
 	// materializing a Graph: Build keeps an O(V^2)-bit adjacency matrix
 	// to dedup edges, which dominates verification on large functions
-	// (tens of thousands of vregs), while the walk below is
-	// O(instrs x live). The edge rules are Build's exactly: each def
-	// conflicts with everything live after its instruction except a
-	// move's own source, multiple defs of one instruction conflict
-	// pairwise, and registers live into entry form a clique.
-	info := liveness.Compute(f)
+	// (tens of thousands of vregs), while the walk is O(instrs x live).
 	var err2 error
-	conflict := func(u, v int) {
+	Interferences(f, liveness.Compute(f), nil, func(u, v int) {
 		if err2 == nil && u != v && asn.Color[u] == asn.Color[v] {
 			err2 = fmt.Errorf("regalloc: interfering v%d and v%d share R%d", u, v, asn.Color[u])
 		}
-	}
-	for _, b := range f.Blocks {
-		info.LiveAcross(b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			for _, d := range in.Defs {
-				liveAfter.ForEach(func(l int) {
-					if in.IsMove() && ir.Reg(l) == in.Uses[0] {
-						return
-					}
-					conflict(int(d), l)
-				})
-				for _, d2 := range in.Defs {
-					conflict(int(d), int(d2))
-				}
-			}
-		})
-		if err2 != nil {
-			return err2
-		}
-	}
-	entryLive := info.LiveIn[f.Entry().Index].Elems()
-	for i, u := range entryLive {
-		for _, v := range entryLive[i+1:] {
-			conflict(u, v)
-		}
-	}
+	})
 	return err2
 }

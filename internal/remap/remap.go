@@ -85,9 +85,6 @@ type Result struct {
 	Evaluated int
 }
 
-// Apply returns the remapped register for old register r.
-func (r *Result) Apply(reg int) int { return r.Perm[reg] }
-
 // Identity returns the identity permutation over n registers.
 func Identity(n int) []int {
 	p := make([]int, n)

@@ -260,15 +260,6 @@ func (h *HTTPServer) Serve(l net.Listener) error {
 	return err
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (h *HTTPServer) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return h.Serve(l)
-}
-
 // Shutdown drains in-flight requests; ctx bounds the wait. The server
 // flips to draining first, so /healthz answers 503 ("draining") for
 // the whole drain window and load balancers stop routing new work

@@ -767,11 +767,10 @@ func (s *scanState) scan() bool {
 // --- dense-matrix fallback ---
 
 // matrixColor rebuilds the coloring against the full interference
-// matrix (same construction as regalloc.Build: defs × live-after minus
-// the move-source exception, sibling defs pairwise, entry live-ins as
-// a clique), greedily in the same dominance order the scan uses. It is
-// the safety net for live ranges that are not dominance-connected.
-// Returns nil on success, or the spill victims for the next round.
+// matrix (regalloc.Interferences, as regalloc.Build uses), greedily in
+// the same dominance order the scan uses. It is the safety net for
+// live ranges that are not dominance-connected. Returns nil on
+// success, or the spill victims for the next round.
 func (s *scanState) matrixColor() []int {
 	w := (s.n + 63) / 64
 	mat := s.ar.Uint64s(s.n * w)
@@ -790,31 +789,7 @@ func (s *scanState) matrixColor() []int {
 		deg[u]++
 		deg[v]++
 	}
-	for _, b := range s.f.Blocks {
-		s.info.LiveAcross(b, func(_ int, in *ir.Instr, liveAfter *bitset.Set) {
-			for _, d := range in.Defs {
-				liveAfter.ForEach(func(l int) {
-					if in.IsMove() && ir.Reg(l) == in.Uses[0] {
-						return
-					}
-					add(int(d), l)
-				})
-				for _, d2 := range in.Defs {
-					add(int(d), int(d2))
-				}
-			}
-		})
-	}
-	if e := s.f.Entry(); e != nil {
-		entryLive := s.info.LiveIn[e.Index]
-		entryLive.ForEach(func(u int) {
-			entryLive.ForEach(func(v int) {
-				if v > u {
-					add(u, v)
-				}
-			})
-		})
-	}
+	regalloc.Interferences(s.f, &s.info, nil, add)
 
 	// First-touch dominance order: live-ins, then operands, then defs,
 	// block by block — the same visit order the scan colors in.

@@ -1,10 +1,18 @@
 package diffra
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"diffra/internal/adjacency"
 	"diffra/internal/diffenc"
+	"diffra/internal/ir"
+	"diffra/internal/irc"
+	"diffra/internal/remap"
 	"diffra/internal/telemetry"
 )
 
@@ -250,5 +258,75 @@ func TestCompileEmitsSpanTree(t *testing.T) {
 				t.Fatalf("%s: no ilp span under allocate", s)
 			}
 		}
+	}
+}
+
+// deepNestIR generates a function whose innermost block sits depth
+// loops deep: header h<i> enters level i+1 or exits to e<i>, which is
+// level i-1's latch. Every header and latch also computes, so the
+// adjacency graph has edges at every depth.
+func deepNestIR(depth int) string {
+	var b strings.Builder
+	b.WriteString("func deep(v0) {\nentry:\n")
+	for v := 1; v <= 14; v++ {
+		fmt.Fprintf(&b, "  v%d = li %d\n", v, v)
+	}
+	b.WriteString("  jmp h0\n")
+	reg := func(i int) int { return 1 + i%14 }
+	for i := 0; i < depth; i++ {
+		inner := fmt.Sprintf("h%d", i+1)
+		if i == depth-1 {
+			inner = "body"
+		}
+		fmt.Fprintf(&b, "h%d:\n  v%d = add v%d, v%d\n  br v1 -> %s, e%d\n", i, reg(i), reg(i+3), reg(i+7), inner, i)
+	}
+	b.WriteString("body:\n  v2 = xor v3, v4\n  v5 = add v2, v6\n")
+	fmt.Fprintf(&b, "  jmp h%d\n", depth-1)
+	for i := depth - 1; i >= 1; i-- {
+		fmt.Fprintf(&b, "e%d:\n  v%d = sub v%d, v%d\n  jmp h%d\n", i, reg(i+5), reg(i+1), reg(i+9), i-1)
+	}
+	b.WriteString("e0:\n  ret v2\n}\n")
+	return b.String()
+}
+
+// TestDeepLoopNestCompiles: ir.BlockFreq's 10^depth is uncapped, so a
+// nest 309 or more loops deep weighs its inner adjacency edges and
+// spill costs +Inf. Every scheme must still compile well inside a
+// deadline, and the remapping search must report the cost of the
+// permutation it returns.
+func TestDeepLoopNestCompiles(t *testing.T) {
+	f, err := ir.Parse(deepNestIR(320))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if freq := f.BlockFreqs(); !math.IsInf(freq[f.Blocks[len(f.Blocks)/2].Index], 1) {
+		t.Fatal("test premise broken: the innermost blocks should weigh +Inf")
+	}
+	for _, s := range []Scheme{Baseline, Remapping, Select, OSpill, Coalesce} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		done := make(chan error, 1)
+		go func() {
+			_, err := CompileFuncContext(ctx, f, Options{Scheme: s, RemapWorkers: 1})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", s, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: compile hung past its deadline", s)
+		}
+		cancel()
+	}
+
+	out, asn, err := irc.Allocate(f, irc.Options{K: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := adjacency.BuildReg(out, func(r ir.Reg) int { return asn.Color[r] }, 12)
+	res := remap.Auto(g, remap.Options{RegN: 12, DiffN: 8, Seed: 1, Workers: 1})
+	if got := g.Freeze().PermCost(res.Perm, 12, 8); res.Cost != got {
+		t.Fatalf("cost %v, PermCost of the returned permutation %v", res.Cost, got)
 	}
 }

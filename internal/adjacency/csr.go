@@ -194,7 +194,8 @@ func (c *CSR) PermCost(perm []int, regN, diffN int) float64 {
 // or j (each counted once). Entries of perm must be registers in
 // [0, regN) or -1; the delta an edge contributes is computed from the
 // same integer math as PermCost, so applying the swap and re-scoring
-// yields exactly cost+delta up to float summation order.
+// yields exactly cost+delta up to float summation order. An index at
+// or above N (a register no graph node maps to) has no edges.
 func (c *CSR) SwapDelta(perm []int, i, j, regN, diffN int) float64 {
 	delta := 0.0
 	pi, pj := perm[i], perm[j]
@@ -202,6 +203,9 @@ func (c *CSR) SwapDelta(perm []int, i, j, regN, diffN int) float64 {
 		v := i
 		if pass == 1 {
 			v = j
+		}
+		if v >= c.N {
+			continue
 		}
 		from, to, w := c.Inc(v)
 		for k := range w {

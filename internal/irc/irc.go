@@ -757,6 +757,12 @@ func (a *allocState) selectSpill() {
 			best, bestScore = v, score
 		}
 	})
+	if best < 0 {
+		// No score is below +Inf: the block frequencies overflowed
+		// (ir.BlockFreq is an uncapped 10^depth). Spill the lowest
+		// candidate rather than none.
+		best = a.spillWL.popMin()
+	}
 	a.spillWL.remove(best)
 	a.state[best] = nsSimplify
 	a.simplifyWL.add(best)

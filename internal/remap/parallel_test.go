@@ -9,13 +9,16 @@ import (
 	"diffra/internal/telemetry"
 )
 
-func seededGraph(seed int64, regN, edges int) *adjacency.Graph {
+// seededGraph is a seeded graph over n nodes; with n above the search's
+// RegN some nodes lie outside the register file, and with n below it
+// some registers have no node.
+func seededGraph(seed int64, n, edges int) *adjacency.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := adjacency.New(regN)
+	g := adjacency.New(n)
 	for e := 0; e < edges; e++ {
 		// Quarter-integer weights keep every cost sum exact in float64,
 		// so cross-worker cost comparisons are bitwise meaningful.
-		g.AddWeight(rng.Intn(regN), rng.Intn(regN), 0.25*float64(1+rng.Intn(20)))
+		g.AddWeight(rng.Intn(n), rng.Intn(n), 0.25*float64(1+rng.Intn(20)))
 	}
 	return g
 }
@@ -98,12 +101,13 @@ func TestParallelTrajectoryDeterministic(t *testing.T) {
 
 // descendRescan is the un-cached reference descent: identical restart
 // seeding, but every step freshly re-probes all free pairs with
-// CSR.SwapDelta. The engine's cached descent — O(1) probes against the
-// incrementally-maintained register-cost matrix, invalidated only for
-// pairs a committed swap could have changed — must match it move for
-// move: the test weights are exact quarter-integers, so every sum is
-// exact and the two arithmetics must agree bitwise, not just in
-// quality.
+// CSR.SwapDelta on the float64 weights. The engine's cached descent —
+// O(1) fixed-point probes against the incrementally maintained
+// register-cost matrix, invalidated only for pairs a committed swap
+// could have changed — must match it move for move whenever the
+// weights are exact: on quarter-integer weights every float sum is
+// exact too, so the two arithmetics must agree on every sign and every
+// tie, not just in quality.
 func descendRescan(e *engine, r int) ([]int, float64) {
 	perm := Identity(e.regN)
 	e.shuffleFree(perm, r)
@@ -125,31 +129,101 @@ func descendRescan(e *engine, r int) ([]int, float64) {
 	}
 }
 
-func TestPairInvalidationMatchesFullRescan(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 40; trial++ {
-		regN := 6 + rng.Intn(14)
-		diffN := 1 + rng.Intn(regN)
-		g := seededGraph(int64(trial), regN, rng.Intn(6*regN))
-		opts := Options{RegN: regN, DiffN: diffN, Seed: int64(trial)}
-		if trial%3 == 0 {
-			opts.Pinned = map[int]bool{rng.Intn(regN): true}
+// assertDescentMatchesRescan runs restarts 0..restarts-1 of the cached
+// descent and of descendRescan and fails on the first difference.
+func assertDescentMatchesRescan(t *testing.T, c *adjacency.CSR, opts Options, restarts int) {
+	t.Helper()
+	e := newEngine(c, opts)
+	s := e.newScratch()
+	for r := 0; r < restarts; r++ {
+		cost := e.descend(s, r)
+		wantPerm, wantCost := descendRescan(e, r)
+		if cost != wantCost {
+			t.Fatalf("%+v restart %d: cached cost %v, rescan %v", opts, r, cost, wantCost)
 		}
-		e := newEngine(g.Freeze(), opts)
-		s := e.newScratch()
-		for r := 0; r < 6; r++ {
-			cost := e.descend(s, r)
-			wantPerm, wantCost := descendRescan(e, r)
-			if cost != wantCost {
-				t.Fatalf("trial %d restart %d: cached cost %v, rescan %v", trial, r, cost, wantCost)
-			}
-			for i := range wantPerm {
-				if s.perm[i] != wantPerm[i] {
-					t.Fatalf("trial %d restart %d: cached perm %v, rescan %v", trial, r, s.perm, wantPerm)
-				}
+		for i := range wantPerm {
+			if s.perm[i] != wantPerm[i] {
+				t.Fatalf("%+v restart %d: cached perm %v, rescan %v", opts, r, s.perm, wantPerm)
 			}
 		}
 	}
+}
+
+// TestPairInvalidationMatchesFullRescan covers both window forms of the
+// cost matrix (DiffN <= RegN-DiffN keeps the satisfied window, wider
+// DiffN the violated one) including their edges DiffN 1 and
+// DiffN == RegN, graphs with nodes at or above RegN and graphs smaller
+// than the register file, and no, one or several pinned registers.
+func TestPairInvalidationMatchesFullRescan(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	forms := map[bool]int{} // satisfied form -> cases seen
+	for trial := 0; trial < 48; trial++ {
+		regN := 6 + rng.Intn(14)
+		n := regN
+		switch trial % 3 {
+		case 1:
+			n = regN + 1 + rng.Intn(4) // nodes >= RegN
+		case 2:
+			n = regN - 1 - rng.Intn(3) // registers with no node
+		}
+		g := seededGraph(int64(trial), n, rng.Intn(6*regN))
+		var pinned map[int]bool
+		switch trial % 4 {
+		case 1:
+			pinned = map[int]bool{rng.Intn(regN): true}
+		case 2:
+			pinned = map[int]bool{}
+			for len(pinned) < regN/3 {
+				pinned[rng.Intn(regN)] = true
+			}
+		}
+		for _, diffN := range []int{1, regN / 2, regN/2 + 1, regN - 1, regN, 1 + rng.Intn(regN)} {
+			opts := Options{RegN: regN, DiffN: diffN, Seed: int64(trial), Pinned: pinned}
+			forms[diffN <= regN-diffN]++
+			assertDescentMatchesRescan(t, g.Freeze(), opts, 6)
+		}
+	}
+	if forms[true] == 0 || forms[false] == 0 {
+		t.Fatalf("window forms covered: %v", forms)
+	}
+}
+
+// FuzzRemap checks the greedy engine against its two references on
+// fuzzer-chosen graphs: the cached fixed-point descent matches the
+// CSR.SwapDelta rescan move for move (quarter-integer weights, so
+// every float sum is exact), every result reports its own PermCost,
+// and with at most 7 free registers Greedy never beats Exhaustive. The
+// seed corpus is checked in under testdata/fuzz/FuzzRemap.
+func FuzzRemap(f *testing.F) {
+	f.Fuzz(func(t *testing.T, regN, diffN uint8, pinMask uint16, extra uint8, edges []byte) {
+		rn := 2 + int(regN)%15
+		dn := 1 + int(diffN)%rn
+		n := rn + int(extra)%4 // nodes >= RegN when extra > 0
+		pinned := map[int]bool{}
+		for r := 0; r < rn && r < 16; r++ {
+			if pinMask&(1<<r) != 0 {
+				pinned[r] = true
+			}
+		}
+		g := adjacency.New(n)
+		for i := 0; i+2 < len(edges) && i < 3*64; i += 3 {
+			g.AddWeight(int(edges[i])%n, int(edges[i+1])%n, 0.25*float64(1+int(edges[i+2])%40))
+		}
+		c := g.Freeze()
+		opts := Options{RegN: rn, DiffN: dn, Pinned: pinned, Seed: int64(extra), Restarts: 8, Workers: 1}
+		assertDescentMatchesRescan(t, c, opts, 4)
+
+		gr := GreedyCSR(c, opts)
+		assertPermutation(t, gr.Perm)
+		if want := c.PermCost(gr.Perm, rn, dn); gr.Cost != want {
+			t.Fatalf("%+v: greedy cost %v, PermCost %v", opts, gr.Cost, want)
+		}
+		if len(freeRegs(opts)) <= 7 {
+			if ex := ExhaustiveCSR(c, opts); gr.Cost < ex.Cost {
+				t.Fatalf("%+v: greedy %v beat exhaustive %v", opts, gr.Cost, ex.Cost)
+			}
+		}
+	})
 }
 
 // TestGreedyNoWorseThanLegacy: the rewritten search must stay within

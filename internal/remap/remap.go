@@ -14,15 +14,36 @@
 // restart derives its own RNG stream from (Seed, restart index), so
 // restarts are independent work items sharded across Options.Workers
 // goroutines, and the best permutation — ties broken by lowest restart
-// index — is bit-identical at any worker count. Cost evaluation runs
-// on the frozen CSR form of the adjacency graph (adjacency.Freeze),
-// and each descent step re-probes only swap pairs whose delta a
-// committed swap could have changed (pair invalidation). Each re-probe
-// is O(1): the engine maintains a register-cost matrix a[p][r] — the
-// violated weight of p's incident edges if p held register r — from
-// which a swap delta is four lookups plus a direct-edge correction, so
-// a descent step costs O(deg·DiffN + free) amortized instead of a full
-// O(free²·deg) rescan.
+// index — is bit-identical at any worker count. Each descent step
+// re-probes only the swap pairs whose delta a committed swap could
+// have changed (pair invalidation), each in O(1) against a
+// register-cost matrix a[p][r]: up to a per-row constant, the violated
+// weight of p's incident edges if p held register r.
+//
+// The descent runs in exact int64 fixed point. Each search scales all
+// edge weights by one power of two, chosen from the heaviest total
+// incident weight of a free register so that no matrix entry or swap
+// delta can overflow (maxIncidentLog2). Because integer sums do not
+// depend on their order, a moved neighbor's edge is updated over the
+// shorter of its two cyclic windows — the DiffN registers where it is
+// satisfied or the RegN−DiffN where it is violated — so a committed
+// swap costs O(deg · min(DiffN, RegN−DiffN)). Every committed swap
+// strictly lowers an integer cost that is bounded below, so every
+// descent terminates.
+//
+// Exactness contract: when every weight is a whole multiple of the
+// scale's unit (all weights of the §8 kernels are multiples of 1/2),
+// each probe equals the exact swap delta times the scale, so the
+// search takes exactly the moves exact real arithmetic takes — the
+// moves of a CSR.SwapDelta rescan — and Perm, Cost, Evaluated and the
+// trajectory attribute are reproducible bit for bit. Other weights are
+// rounded to the scale: non-dyadic ones such as the 10/3 of a
+// three-predecessor join, or ones more than ~2^58 times lighter than a
+// register's incident total. For such inputs the descent follows the
+// rounded costs, and its moves can differ from an exact search's by
+// the rounding. Result.Cost is always the float64 PermCost of Perm
+// over the original weights; finiteWeight gives the rule for weights
+// that are not finite.
 package remap
 
 import (
@@ -303,7 +324,8 @@ type workerBest struct {
 	performed int
 }
 
-// engine is the read-only shared state of one greedy search.
+// engine is the read-only shared state of one greedy search: the
+// fixed-point form of every edge the descent can see, built once.
 type engine struct {
 	csr   *adjacency.CSR
 	regN  int
@@ -311,10 +333,48 @@ type engine struct {
 	seed  int64
 	free  []int // non-pinned registers, ascending
 	posOf []int // register -> index in free, or -1 if pinned
-	// pairW[ii*m+jj] is the total weight of edges (both directions)
-	// between free[ii] and free[jj]: the direct-edge correction term of
-	// a swap-delta probe. Static for the whole search.
-	pairW []float64
+	// inc[incOff[pp]:incOff[pp+1]] are the edges between free[pp] and
+	// another register, in CSR incidence order: one flat array for all
+	// free positions.
+	incOff []int32
+	inc    []incEdge
+	// width is the length of the cyclic register window an edge's
+	// weight is spread over in a cost-matrix row: the shorter of the
+	// satisfied window (DiffN wide) and the violated one (RegN-DiffN
+	// wide). fromOff and toOff, in [0, RegN), are where the window
+	// starts relative to the neighbor's register, for a row owner on
+	// the edge's from and to side. See incEdge.
+	width, fromOff, toOff int
+	// pairW[ii*m+jj] is the scaled total weight of edges (both
+	// directions) between free[ii] and free[jj]: the direct-edge
+	// correction term of a swap-delta probe.
+	pairW []int64
+}
+
+// incEdge is one edge of a free register's flat incidence. Row pp of
+// the cost matrix is the sum, over free[pp]'s edges, of each edge's
+// entry dw added over a cyclic window of the row owner's candidate
+// registers: the registers where the edge is satisfied (dw = -w) when
+// that window is the shorter, else those where it is violated
+// (dw = +w). The two forms differ from the true violated weight by a
+// per-row constant, which every probe cancels (probes take differences
+// within one row), so the engine picks the shorter.
+type incEdge struct {
+	dw int64 // the window entry: ±the scaled edge weight
+	// ref is the neighbor's free position, or ^register when it is
+	// pinned (a pinned register keeps its own number).
+	ref int32
+	// fromSide: the row owner is the edge's from endpoint.
+	fromSide bool
+}
+
+// offsets returns the window starts of the edge, relative to the other
+// endpoint's register, in the owner's row and in the neighbor's row.
+func (e *engine) offsets(ie incEdge) (own, nbr int) {
+	if ie.fromSide {
+		return e.fromOff, e.toOff
+	}
+	return e.toOff, e.fromOff
 }
 
 func newEngine(c *adjacency.CSR, opts Options) *engine {
@@ -333,36 +393,130 @@ func newEngine(c *adjacency.CSR, opts Options) *engine {
 		e.posOf[f] = p
 	}
 	m := len(e.free)
-	e.pairW = make([]float64, m*m)
-	for pp, f := range e.free {
-		if f >= c.N {
-			continue
+	regN := e.regN
+	diffN := max(0, min(e.diffN, regN))
+
+	// Window offsets relative to the neighbor's register x. An owner on
+	// the from side is satisfied on (x-DiffN, x] and violated on
+	// [x+1, x+RegN-DiffN]; on the to side satisfied on [x, x+DiffN) and
+	// violated on [x+DiffN, x+RegN). (With an empty window the offsets
+	// are never read.)
+	sign := int64(1)
+	e.width, e.fromOff, e.toOff = regN-diffN, 1, diffN
+	if diffN <= regN-diffN {
+		e.width, e.fromOff, e.toOff, sign = diffN, regN-diffN+1, 0, -1
+		if e.fromOff >= regN {
+			e.fromOff -= regN
 		}
-		to, w := c.Row(f)
-		for k := range to {
-			t := int(to[k])
-			if t >= e.regN {
-				continue
-			}
-			if qq := e.posOf[t]; qq >= 0 {
-				e.pairW[pp*m+qq] += w[k]
-				e.pairW[qq*m+pp] += w[k]
-			}
+	}
+
+	// Lay out the flat incidence and find the heaviest single weight.
+	e.incOff = make([]int32, m+1)
+	maxAbs := 0.0
+	for pp := range e.free {
+		n := 0
+		e.edges(pp, func(_ int, _ bool, w float64) {
+			n++
+			maxAbs = max(maxAbs, math.Abs(w))
+		})
+		e.incOff[pp+1] = e.incOff[pp] + int32(n)
+	}
+	// The fixed-point scale: see maxIncidentLog2.
+	shift := 0
+	if maxAbs > 0 {
+		_, exp := math.Frexp(maxAbs) // maxAbs < 2^exp
+		heaviest := 0.0
+		for pp := range e.free {
+			sum := 0.0
+			e.edges(pp, func(_ int, _ bool, w float64) { sum += math.Ldexp(math.Abs(w), -exp) })
+			heaviest = max(heaviest, sum)
 		}
+		_, hexp := math.Frexp(heaviest) // heaviest < 2^hexp
+		shift = maxIncidentLog2 - exp - hexp
+	}
+	e.inc = make([]incEdge, e.incOff[m])
+	e.pairW = make([]int64, m*m)
+	k := 0
+	for pp := range e.free {
+		e.edges(pp, func(u int, fromSide bool, w float64) {
+			ws := int64(math.Round(math.Ldexp(w, shift)))
+			ref := ^u
+			if pos := e.posOf[u]; pos >= 0 {
+				ref = pos
+				e.pairW[pp*m+pos] += ws
+			}
+			e.inc[k] = incEdge{dw: sign * ws, ref: int32(ref), fromSide: fromSide}
+			k++
+		})
 	}
 	return e
 }
 
+// maxIncidentLog2 bounds the fixed-point scale. Each search scales all
+// its edge weights by one power of two 2^shift, the largest that keeps
+// the heaviest total incident weight of any free register below
+// 2^maxIncidentLog2. A cost-matrix entry is bounded by its row's
+// incident weight, and a swap delta by six times the larger of two
+// rows' (two entry differences plus the direct-edge term), so no entry,
+// probe or intermediate sum can reach 2^63. Multiplying by a power of
+// two is exact, so a weight with no bits below 2^-shift converts
+// exactly; one that has them is rounded to the nearest integer.
+const maxIncidentLog2 = 58
+
+// edges calls fn for every CSR edge between free[pp] and another
+// register (< RegN), in incidence order, with the neighbor, whether
+// free[pp] is the edge's from endpoint, and the weight under the
+// non-finite rule of finiteWeight. Zero weights are included: the
+// invalidation schedule (which positions a swap dirties) follows graph
+// adjacency, not weight.
+func (e *engine) edges(pp int, fn func(u int, fromSide bool, w float64)) {
+	v := e.free[pp]
+	if v >= e.csr.N {
+		return
+	}
+	from, to, w := e.csr.Inc(v)
+	for k := range w {
+		f, t := int(from[k]), int(to[k])
+		u := f
+		if f == v {
+			u = t
+		}
+		if u < e.regN {
+			fn(u, f == v, finiteWeight(w[k]))
+		}
+	}
+}
+
+// finiteWeight is the rule for weights that are not finite at any
+// scale: ±Inf saturates to ±math.MaxFloat64 and NaN counts as 0. It
+// applies only to the descent's fixed-point weights; the float64
+// re-score behind Result.Cost sees the original weights, so Cost is
+// +Inf (or NaN) when such an edge stays violated.
+func finiteWeight(w float64) float64 {
+	switch {
+	case math.IsNaN(w):
+		return 0
+	case math.IsInf(w, 1):
+		return math.MaxFloat64
+	case math.IsInf(w, -1):
+		return -math.MaxFloat64
+	}
+	return w
+}
+
 // scratch is one worker's reusable descent state.
 type scratch struct {
-	perm  []int
-	delta []float64 // delta[ii*m+jj], ii < jj: cost change of swapping free[ii], free[jj]
-	dirty []bool    // free positions whose cached deltas are stale
-	// a[pp*regN+r] is the violated incident weight of register free[pp]
-	// if it were renumbered to r, all other registers as in perm: the
-	// register-cost matrix the O(1) probes read. Maintained
-	// incrementally across swaps.
-	a         []float64
+	perm []int
+	// reg[pp] caches perm[free[pp]], the register each free position
+	// holds, so probes index the cost matrix without the indirection.
+	reg   []int
+	delta []int64 // delta[ii*m+jj], ii < jj: scaled cost change of swapping free[ii], free[jj]
+	dirty []bool  // free positions whose cached deltas are stale
+	// a[pp*regN+r] is the register-cost matrix the O(1) probes read:
+	// up to a per-row constant, the scaled violated incident weight of
+	// free[pp] if it were renumbered to r, all other registers as in
+	// perm. Maintained incrementally across swaps.
+	a         []int64
 	evaluated int
 }
 
@@ -370,9 +524,10 @@ func (e *engine) newScratch() *scratch {
 	m := len(e.free)
 	return &scratch{
 		perm:  make([]int, e.regN),
-		delta: make([]float64, m*m),
+		reg:   make([]int, m),
+		delta: make([]int64, m*m),
 		dirty: make([]bool, m),
-		a:     make([]float64, m*e.regN),
+		a:     make([]int64, m*e.regN),
 	}
 }
 
@@ -419,102 +574,96 @@ func (e *engine) shuffleFree(perm []int, r int) {
 	}
 }
 
-// maxDescentSteps bounds one restart's descent. Unreachable in
-// practice — every step strictly lowers the (finite-valued) cost — it
-// only guards against cycling if float drift in the incremental
-// register-cost matrix ever makes a zero-gain swap look negative.
-const maxDescentSteps = 1 << 20
-
 // descend runs one restart: shuffle (restart 0 keeps the identity),
 // then steepest descent on pairwise swaps. The pairwise deltas are
 // cached; after committing a swap of registers (i, j), only pairs
 // whose delta could have changed — those with a position in
 // {i, j} ∪ neighbors(i) ∪ neighbors(j) — are re-probed, each probe in
-// O(1) against the register-cost matrix (see probe). Returns the exact
-// final cost of s.perm.
+// O(1) against the register-cost matrix (see reprobe), and the same pass
+// picks the next swap. Every committed swap strictly lowers the
+// integer cost, which is bounded below, so the descent terminates.
+// Returns the float64 cost of s.perm, re-scored from the original
+// weights.
 func (e *engine) descend(s *scratch, r int) float64 {
 	perm := s.perm
 	for i := range perm {
 		perm[i] = i
 	}
 	e.shuffleFree(perm, r)
-	e.buildCostMatrix(s, perm)
-
-	free := e.free
-	m := len(free)
-	for ii := 0; ii < m; ii++ {
-		for jj := ii + 1; jj < m; jj++ {
-			s.delta[ii*m+jj] = e.probe(s, perm, ii, jj)
-			s.evaluated++
-		}
+	for pp, f := range e.free {
+		s.reg[pp] = perm[f]
 	}
-	for step := 0; step < maxDescentSteps; step++ {
-		bi, bj := -1, -1
-		bestDelta := 0.0
-		for ii := 0; ii < m; ii++ {
-			row := s.delta[ii*m:]
-			for jj := ii + 1; jj < m; jj++ {
-				if d := row[jj]; d < bestDelta {
-					bestDelta, bi, bj = d, ii, jj
-				}
-			}
-		}
+	e.buildCostMatrix(s)
+	for pp := range s.dirty {
+		s.dirty[pp] = true
+	}
+	for {
+		bi, bj := e.reprobe(s)
 		if bi < 0 {
 			break // local minimum
 		}
-		i, j := free[bi], free[bj]
-		pi, pj := perm[i], perm[j]
-		perm[i], perm[j] = pj, pi
-		e.updateCostMatrix(s, i, pi, pj)
-		e.updateCostMatrix(s, j, pj, pi)
+		ri, rj := s.reg[bi], s.reg[bj]
+		s.reg[bi], s.reg[bj] = rj, ri
+		perm[e.free[bi]], perm[e.free[bj]] = rj, ri
+		e.updateCostMatrix(s, bi, ri, rj)
+		e.updateCostMatrix(s, bj, rj, ri)
 
 		// Invalidate: a cached delta(p, q) depends on the registers of
 		// p, q and their graph neighbors, so it is stale iff p or q is
 		// i, j, or adjacent to either. (Equivalently: rows of the
 		// register-cost matrix change only for neighbors of i and j.)
-		for p := range s.dirty {
-			s.dirty[p] = false
+		for pp := range s.dirty {
+			s.dirty[pp] = false
 		}
 		s.dirty[bi] = true
 		s.dirty[bj] = true
-		e.markNeighbors(s, i)
-		e.markNeighbors(s, j)
-		for ii := 0; ii < m; ii++ {
-			di := s.dirty[ii]
-			for jj := ii + 1; jj < m; jj++ {
-				if di || s.dirty[jj] {
-					s.delta[ii*m+jj] = e.probe(s, perm, ii, jj)
-					s.evaluated++
-				}
-			}
-		}
+		e.markNeighbors(s, bi)
+		e.markNeighbors(s, bj)
 	}
-	// Score the local minimum exactly: per-edge deltas are exact in
-	// principle, but a full re-sum keeps long descents drift-free.
+	// Score the local minimum from the original float64 weights, so
+	// Result.Cost never depends on the fixed-point scale.
 	s.evaluated++
 	return e.csr.PermCost(perm, e.regN, e.diffN)
 }
 
-// probe returns the cost change of swapping the registers of free[ii]
-// and free[jj] in O(1): renumbering p from rp to rq moves p's incident
+// reprobe re-probes every cached pair with a dirty position and
+// returns the first pair, in (ii, jj) order, with the most negative
+// delta, or (-1, -1) at a local minimum.
+//
+// Each probe is O(1): renumbering p from rp to rq moves p's incident
 // cost from a[p][rp] to a[p][rq] (and symmetrically for q), which
 // misstates only the edges directly between p and q — those see both
 // endpoints change at once. Since diff(r, r) = 0 is always satisfied,
 // the correction reduces to the pair's total edge weight times the
 // violation indicators of the swapped assignment in both directions.
-// Equal to CSR.SwapDelta up to float summation order (exactly equal
-// when edge weights are exactly representable sums).
-func (e *engine) probe(s *scratch, perm []int, ii, jj int) float64 {
-	regN := e.regN
-	p, q := e.free[ii], e.free[jj]
-	rp, rq := perm[p], perm[q]
-	ap := s.a[ii*regN:]
-	aq := s.a[jj*regN:]
-	d := ap[rq] - ap[rp] + aq[rp] - aq[rq]
-	if wpq := e.pairW[ii*len(e.free)+jj]; wpq != 0 {
-		d += wpq * float64(violInd(rp, rq, regN, e.diffN)+violInd(rq, rp, regN, e.diffN))
+// A probe equals CSR.SwapDelta on the scaled weights, exactly.
+func (e *engine) reprobe(s *scratch) (bi, bj int) {
+	m, regN, diffN := len(e.free), e.regN, e.diffN
+	bi, bj = -1, -1
+	var best int64
+	for ii := 0; ii < m; ii++ {
+		row := s.delta[ii*m : ii*m+m]
+		pairW := e.pairW[ii*m : ii*m+m]
+		ap := s.a[ii*regN : ii*regN+regN]
+		rp := s.reg[ii]
+		di := s.dirty[ii]
+		for jj := ii + 1; jj < m; jj++ {
+			if di || s.dirty[jj] {
+				rq := s.reg[jj]
+				aq := s.a[jj*regN : jj*regN+regN]
+				d := ap[rq] - ap[rp] + aq[rp] - aq[rq]
+				if wpq := pairW[jj]; wpq != 0 {
+					d += wpq * int64(violInd(rp, rq, regN, diffN)+violInd(rq, rp, regN, diffN))
+				}
+				row[jj] = d
+				s.evaluated++
+			}
+			if d := row[jj]; d < best {
+				best, bi, bj = d, ii, jj
+			}
+		}
 	}
-	return d
+	return bi, bj
 }
 
 // violInd is 1 if the ordered register pair (rf, rt) violates
@@ -530,123 +679,72 @@ func violInd(rf, rt, regN, diffN int) int {
 	return 0
 }
 
-// buildCostMatrix fills s.a for perm: row pp holds, for every
-// candidate register r, the violated weight of free[pp]'s incident
-// edges if free[pp] were numbered r. Each edge is violated for all r
-// except a cyclic window of DiffN registers, so a row is built as
-// (total incident weight) minus the edge windows.
-func (e *engine) buildCostMatrix(s *scratch, perm []int) {
-	regN, diffN := e.regN, e.diffN
-	if diffN > regN {
-		diffN = regN
-	}
-	for pp, v := range e.free {
-		row := s.a[pp*regN : (pp+1)*regN]
-		for r := range row {
-			row[r] = 0
-		}
-		if v >= e.csr.N {
-			continue
-		}
-		total := 0.0
-		from, to, w := e.csr.Inc(v)
-		for k := range w {
-			f, t := int(from[k]), int(to[k])
-			u := f
-			if f == v {
-				u = t
+// buildCostMatrix fills s.a for the registers in s.reg: every edge of
+// row pp adds its window entry over its window (see incEdge).
+func (e *engine) buildCostMatrix(s *scratch) {
+	regN := e.regN
+	clear(s.a)
+	for pp := range e.free {
+		row := s.a[pp*regN : pp*regN+regN]
+		for _, ie := range e.inc[e.incOff[pp]:e.incOff[pp+1]] {
+			x := ^int(ie.ref)
+			if ie.ref >= 0 {
+				x = s.reg[ie.ref]
 			}
-			if u >= regN {
-				continue
-			}
-			total += w[k]
-			addWindow(row, e.windowStart(f == v, perm[u]), diffN, -w[k])
-		}
-		for r := range row {
-			row[r] += total
+			own, _ := e.offsets(ie)
+			addWindow(row, x+own, e.width, ie.dw)
 		}
 	}
 }
 
-// updateCostMatrix repairs s.a after register c was renumbered from
-// xold to xnew: for every neighbor u of c, the edge's satisfied window
-// in u's row moves — add the weight back over the old window, remove
-// it over the new one. O(deg(c) · DiffN).
-func (e *engine) updateCostMatrix(s *scratch, c, xold, xnew int) {
-	if c >= e.csr.N {
+// updateCostMatrix repairs s.a after free[pc] was renumbered from xold
+// to xnew: in the row of every free neighbor, the edge's window moves
+// from xold to xnew. O(deg · min(DiffN, RegN-DiffN)).
+func (e *engine) updateCostMatrix(s *scratch, pc, xold, xnew int) {
+	regN := e.regN
+	for _, ie := range e.inc[e.incOff[pc]:e.incOff[pc+1]] {
+		if ie.ref < 0 {
+			continue
+		}
+		row := s.a[int(ie.ref)*regN : int(ie.ref)*regN+regN]
+		_, off := e.offsets(ie)
+		addWindow(row, xold+off, e.width, -ie.dw)
+		addWindow(row, xnew+off, e.width, ie.dw)
+	}
+}
+
+// addWindow adds w to width consecutive entries of row starting at
+// start (which may exceed len(row) by less than len(row)), wrapping
+// cyclically.
+func addWindow(row []int64, start, width int, w int64) {
+	n := len(row)
+	if start >= n {
+		start -= n
+	}
+	end := start + width
+	if end <= n {
+		seg := row[start:end]
+		for k := range seg {
+			seg[k] += w
+		}
 		return
 	}
-	regN, diffN := e.regN, e.diffN
-	if diffN > regN {
-		diffN = regN
+	seg := row[start:]
+	for k := range seg {
+		seg[k] += w
 	}
-	from, to, w := e.csr.Inc(c)
-	for k := range w {
-		f, t := int(from[k]), int(to[k])
-		u := f
-		if f == c {
-			u = t
-		}
-		if u >= regN {
-			continue
-		}
-		pu := e.posOf[u]
-		if pu < 0 {
-			continue
-		}
-		row := s.a[pu*regN : (pu+1)*regN]
-		// Window position as seen from u's row: u is the edge's "from"
-		// endpoint iff c is its "to" endpoint.
-		fromSide := u == f
-		addWindow(row, e.windowStart(fromSide, xold), diffN, w[k])
-		addWindow(row, e.windowStart(fromSide, xnew), diffN, -w[k])
-	}
-}
-
-// windowStart returns the first register of the cyclic DiffN-wide
-// window where an edge between the row's register r and a neighbor
-// numbered x is satisfied: r from-side means diff(r, x) < DiffN, i.e.
-// r in (x-DiffN, x]; r to-side means diff(x, r) < DiffN, i.e. r in
-// [x, x+DiffN).
-func (e *engine) windowStart(fromSide bool, x int) int {
-	if !fromSide {
-		return x
-	}
-	start := x - e.diffN + 1
-	for start < 0 {
-		start += e.regN
-	}
-	return start
-}
-
-// addWindow adds w to diffN consecutive entries of row starting at
-// start, wrapping cyclically.
-func addWindow(row []float64, start, diffN int, w float64) {
-	for k := 0; k < diffN; k++ {
-		row[start] += w
-		start++
-		if start == len(row) {
-			start = 0
-		}
+	seg = row[:end-n]
+	for k := range seg {
+		seg[k] += w
 	}
 }
 
 // markNeighbors sets the dirty bit of every free position adjacent to
-// register v in the graph.
-func (e *engine) markNeighbors(s *scratch, v int) {
-	if v >= e.csr.N {
-		return
-	}
-	from, to, w := e.csr.Inc(v)
-	for k := range w {
-		other := int(from[k])
-		if other == v {
-			other = int(to[k])
-		}
-		if other < len(e.posOf) {
-			if p := e.posOf[other]; p >= 0 {
-				s.dirty[p] = true
-			}
+// free[pp] in the graph.
+func (e *engine) markNeighbors(s *scratch, pp int) {
+	for _, ie := range e.inc[e.incOff[pp]:e.incOff[pp+1]] {
+		if ie.ref >= 0 {
+			s.dirty[ie.ref] = true
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package remap
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"diffra/internal/adjacency"
 	"diffra/internal/diffenc"
@@ -157,5 +159,89 @@ entry:
 	}
 	if after.Cost() > before.Cost() {
 		t.Errorf("remapping increased true cost: %d -> %d", before.Cost(), after.Cost())
+	}
+}
+
+// TestGreedyTerminatesOnNonDyadicWeights is the float-drift repro: at
+// DiffN 1 every edge between distinct registers is violated under every
+// numbering, so every swap is worth exactly zero and each restart is a
+// local minimum after its first full probe pass (66 pairs plus the
+// re-score). Weights like 10/3 have no exact float64 sum, and drift in
+// an incrementally maintained float matrix made zero-gain swaps look
+// negative, cycling every restart until a step guard fired. The
+// fixed-point descent sees the zeros exactly.
+func TestGreedyTerminatesOnNonDyadicWeights(t *testing.T) {
+	const regN = 12
+	g := adjacency.New(regN)
+	for i := 0; i < regN; i++ {
+		g.AddWeight(i, (i+1)%regN, 10.0/3)
+		g.AddWeight(i, (i+5)%regN, 20.0/3)
+	}
+	res := Greedy(g, Options{RegN: regN, DiffN: 1, Restarts: 3, Seed: 1, Workers: 1})
+	assertPermutation(t, res.Perm)
+	if want := 3 * (regN*(regN-1)/2 + 1); res.Evaluated > want {
+		t.Fatalf("evaluated %d, want <= %d: zero-gain swaps were taken", res.Evaluated, want)
+	}
+	if want := g.Freeze().PermCost(res.Perm, regN, 1); res.Cost != want {
+		t.Fatalf("cost %v, PermCost %v", res.Cost, want)
+	}
+}
+
+// TestGreedyExtremeWeights: weights at the ends of float64's range, and
+// beyond it, still give a terminating search, a valid permutation and a
+// Cost equal to the permutation's own PermCost. +Inf is what
+// ir.BlockFreq's uncapped 10^depth yields 309 loops deep; 1e300 next to
+// 1e-300 cannot share one exact fixed-point scale.
+func TestGreedyExtremeWeights(t *testing.T) {
+	cases := []struct {
+		name string
+		w    func(i int) float64
+	}{
+		{"inf", func(i int) float64 {
+			if i%3 == 0 {
+				return math.Inf(1)
+			}
+			return float64(i + 1)
+		}},
+		{"all-inf", func(int) float64 { return math.Inf(1) }},
+		{"huge-and-tiny", func(i int) float64 {
+			if i%2 == 0 {
+				return 1e300
+			}
+			return 1e-300
+		}},
+		{"near-max", func(i int) float64 { return math.MaxFloat64 / float64(1+i%4) }},
+		{"subnormal", func(i int) float64 { return math.SmallestNonzeroFloat64 * float64(1+i%5) }},
+		{"nan", func(i int) float64 {
+			if i%4 == 0 {
+				return math.NaN()
+			}
+			return float64(i%7) + 0.5
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const regN = 12
+			rng := rand.New(rand.NewSource(9))
+			g := adjacency.New(regN)
+			for i := 0; i < 40; i++ {
+				g.AddWeight(rng.Intn(regN), rng.Intn(regN), tc.w(i))
+			}
+			c := g.Freeze()
+			for _, diffN := range []int{1, 4, 8} {
+				done := make(chan *Result, 1)
+				go func() { done <- GreedyCSR(c, Options{RegN: regN, DiffN: diffN, Restarts: 200, Seed: 3, Workers: 1}) }()
+				var res *Result
+				select {
+				case res = <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatalf("DiffN %d: search did not terminate", diffN)
+				}
+				assertPermutation(t, res.Perm)
+				if want := c.PermCost(res.Perm, regN, diffN); math.Float64bits(res.Cost) != math.Float64bits(want) {
+					t.Fatalf("DiffN %d: cost %v, PermCost %v", diffN, res.Cost, want)
+				}
+			}
+		})
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -241,4 +243,25 @@ func postCompileURL(base string, req Request) (int, Response) {
 		return hr.StatusCode, Response{Error: err.Error()}
 	}
 	return hr.StatusCode, resp
+}
+
+// TestNonDyadicWeightsFinishInsideDeadline: testdata/join3.ir's join
+// block has three predecessors, so its cross-block adjacency edges
+// weigh 10/3. At DiffN 1 every swap of the remapping search is worth
+// exactly zero; a search that lets float drift make zero-gain swaps
+// look negative cycles instead of stopping, holds its worker and
+// answers 504. The request must come back inside its 2 s deadline.
+func TestNonDyadicWeightsFinishInsideDeadline(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "join3.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestHTTP(t)
+	hr, resp := postCompile(t, ts.URL, Request{IR: string(src), Scheme: "remapping", RegN: 12, DiffN: 1, TimeoutMs: 2000})
+	if hr.StatusCode != http.StatusOK || resp.Error != "" {
+		t.Fatalf("status %s, error %q", hr.Status, resp.Error)
+	}
+	if resp.Func != "join3" || resp.Instrs == 0 {
+		t.Fatalf("unexpected response: %+v", resp)
+	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"diffra"
+	"diffra/internal/diffcoal"
 	"diffra/internal/diffenc"
+	"diffra/internal/diffsel"
 	"diffra/internal/interp"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
@@ -30,6 +32,8 @@ const (
 	compileFuncBudget = 1100 // measured ~864 (crc32, remapping, 8 restarts)
 	simulateBudget    = 22   // measured 17 (crc32, K=8; constant per run)
 	interpBudget      = 13   // measured 10 (crc32, K=8)
+	refineBudget      = 50   // measured 38 (susan, RegN=12, DiffN=8)
+	coalesceBudget    = 1460 // measured 1124 (susan, RegN=DiffN=8)
 )
 
 func assertAllocBudget(t *testing.T, name string, budget float64, body func()) {
@@ -89,6 +93,36 @@ func TestAllocBudgetCompileFunc(t *testing.T) {
 	opts := diffra.Options{Scheme: diffra.Remapping, RegN: 8, DiffN: 6, Restarts: 8, Scratch: ar}
 	assertAllocBudget(t, "CompileFunc/crc32/remapping", compileFuncBudget, func() {
 		if _, err := diffra.CompileFunc(k.F, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestAllocBudgetRefine pins the select post-pass: each run refines a
+// fresh copy of susan's IRC coloring, so every run makes the same
+// moves.
+func TestAllocBudgetRefine(t *testing.T) {
+	k := workloads.KernelByName("susan")
+	out, asn, err := irc.Allocate(k.F, irc.Options{K: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := *asn
+	work.Color = make([]int, len(asn.Color))
+	p := diffsel.Params{RegN: 12, DiffN: 8}
+	assertAllocBudget(t, "Refine/susan", refineBudget, func() {
+		copy(work.Color, asn.Color)
+		diffsel.Refine(out, &work, p)
+	})
+}
+
+// TestAllocBudgetCoalesce pins differential coalesce as miss-spill's
+// coalesce lane runs it: every probe rebuilds the merged graph into
+// reused scratch.
+func TestAllocBudgetCoalesce(t *testing.T) {
+	k := workloads.KernelByName("susan")
+	assertAllocBudget(t, "Coalesce/susan", coalesceBudget, func() {
+		if _, _, _, err := diffcoal.Allocate(k.F, diffcoal.Options{RegN: 8, DiffN: 8}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -33,9 +33,12 @@ entry:
 `)
 	g := adjacency.BuildVReg(f)
 	fmt.Println("Figure 5 adjacency graph (edge: vj follows vi):")
-	g.Edges(func(from, to int, w float64) {
-		fmt.Printf("  L%d -> L%d  weight %.0f\n", from, to, w)
-	})
+	for from := 0; from < g.N; from++ {
+		tos, ws := g.Row(from)
+		for k, to := range tos {
+			fmt.Printf("  L%d -> L%d  weight %.0f\n", from, to, ws[k])
+		}
+	}
 
 	const regN, diffN = 3, 2
 	good := map[int]int{1: 0, 2: 1, 3: 2, 4: 0, 5: 2, 6: 1}
@@ -53,13 +56,15 @@ entry:
 	fmt.Printf("  adversarial assignment cost:         %.0f\n", cost(bad))
 
 	// Figure 6: remap a register graph whose identity numbering pays.
-	rg := adjacency.New(3)
-	rg.AddWeight(1, 0, 3) // R0 follows R1: difference 2, violated
-	rg.AddWeight(2, 1, 2) // R1 follows R2: difference 2, violated
-	id := remap.Identity(3)
-	idCost := rg.Cost(func(n int) int { return id[n] }, regN, diffN)
+	rg := adjacency.FromEdges(3, []adjacency.Edge{
+		{From: 1, To: 0, W: 3}, // R0 follows R1: difference 2, violated
+		{From: 2, To: 1, W: 2}, // R1 follows R2: difference 2, violated
+	})
+	idCost := rg.PermCost(remap.Identity(3), regN, diffN)
 	ex := remap.Exhaustive(rg, remap.Options{RegN: regN, DiffN: diffN})
-	gr := remap.Greedy(rg, remap.Options{RegN: regN, DiffN: diffN, Restarts: 100})
+	// One worker: the result is the same at any worker count, but extra
+	// workers can evaluate more before the zero-cost restart stops them.
+	gr := remap.Greedy(rg, remap.Options{RegN: regN, DiffN: diffN, Restarts: 100, Workers: 1})
 	fmt.Printf("\nFigure 6 register graph: identity cost %.0f\n", idCost)
 	fmt.Printf("  exhaustive search: perm %v cost %.0f (%d evaluations)\n", ex.Perm, ex.Cost, ex.Evaluated)
 	fmt.Printf("  greedy search:     perm %v cost %.0f (%d evaluations)\n", gr.Perm, gr.Cost, gr.Evaluated)

@@ -10,6 +10,10 @@
 //	0 <= (reg_no(vj) - reg_no(vi)) mod RegN < DiffN
 //
 // Each violating adjacent pair needs one set_last_reg per occurrence.
+//
+// A graph has one form, the flat CSR: the builders walk the access
+// sequence into (from, to, weight) triples and FromEdges groups them
+// into row and incidence slices.
 package adjacency
 
 import (
@@ -17,187 +21,100 @@ import (
 	"diffra/internal/ir"
 )
 
-// Graph is a directed weighted adjacency graph over integer nodes.
-type Graph struct {
-	N  int
-	wt []map[int]float64 // wt[from][to] = weight
-}
-
-// New creates a graph with n nodes.
-func New(n int) *Graph {
-	g := &Graph{N: n, wt: make([]map[int]float64, n)}
-	return g
-}
-
-// AddWeight accumulates weight on edge from->to. Self loops are
-// ignored: an access immediately following an access to the same node
-// always encodes as difference 0 (§4).
-func (g *Graph) AddWeight(from, to int, w float64) {
-	if from == to || w == 0 {
-		return
-	}
-	if g.wt[from] == nil {
-		g.wt[from] = make(map[int]float64)
-	}
-	g.wt[from][to] += w
-}
-
-// Weight returns the weight of edge from->to.
-func (g *Graph) Weight(from, to int) float64 {
-	if from >= len(g.wt) || g.wt[from] == nil {
-		return 0
-	}
-	return g.wt[from][to]
-}
-
-// Edges calls fn for every edge.
-func (g *Graph) Edges(fn func(from, to int, w float64)) {
-	for from, m := range g.wt {
-		for to, w := range m {
-			fn(from, to, w)
-		}
-	}
-}
-
-// NumEdges counts edges.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for _, m := range g.wt {
-		n += len(m)
-	}
-	return n
-}
-
-// TotalWeight sums all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	t := 0.0
-	g.Edges(func(_, _ int, w float64) { t += w })
-	return t
-}
-
 // Satisfied reports whether condition (3) holds for an adjacent pair
 // numbered (from, to): the difference must be encodable.
 func Satisfied(fromReg, toReg, regN, diffN int) bool {
 	return diffenc.Diff(fromReg, toReg, regN) < diffN
 }
 
-// Cost evaluates the differential-encoding cost of a numbering: the
-// total weight of edges whose endpoint numbers violate condition (3).
-// regNoOf maps a node to its register number; nodes mapped to -1
-// (unallocated) are skipped.
-func (g *Graph) Cost(regNoOf func(node int) int, regN, diffN int) float64 {
-	cost := 0.0
-	g.Edges(func(from, to int, w float64) {
-		rf, rt := regNoOf(from), regNoOf(to)
-		if rf < 0 || rt < 0 {
-			return
-		}
-		if !Satisfied(rf, rt, regN, diffN) {
-			cost += w
-		}
-	})
-	return cost
-}
-
-// NodeCost evaluates only the edges incident to node v (in either
-// direction); differential select uses it to score candidate colors
-// incrementally.
-func (g *Graph) NodeCost(v int, regNoOf func(node int) int, regN, diffN int) float64 {
-	cost := 0.0
-	rv := regNoOf(v)
-	if rv < 0 {
-		return 0
-	}
-	if g.wt[v] != nil {
-		for to, w := range g.wt[v] {
-			if rt := regNoOf(to); rt >= 0 && !Satisfied(rv, rt, regN, diffN) {
-				cost += w
-			}
-		}
-	}
-	for from, m := range g.wt {
-		if from == v {
-			continue
-		}
-		if w, ok := m[v]; ok {
-			if rf := regNoOf(from); rf >= 0 && !Satisfied(rf, rv, regN, diffN) {
-				cost += w
-			}
-		}
-	}
-	return cost
-}
-
 // nodeFunc maps an operand register field to a graph node (or -1 to
 // skip the access entirely, e.g. reserved special registers).
 type nodeFunc func(r ir.Reg) int
 
-// build walks the access sequence of f and accumulates edge weights:
-// consecutive accesses within a block weigh the block's frequency;
-// the pair crossing from each predecessor's last access to a block's
-// first access weighs freq(block)/len(preds), since one set_last_reg
-// at the block head repairs all incoming paths (§4).
+// build walks the access sequence of f and emits one weighted edge per
+// adjacent pair: consecutive accesses within a block weigh the block's
+// frequency; the pair crossing from each predecessor's last access to a
+// block's first access weighs freq(block)/len(preds), since one
+// set_last_reg at the block head repairs all incoming paths (§4).
+// Fields are visited in ir.Instr.RegFields order (uses, then defs; none
+// for set_last_reg).
 //
-// freq supplies block weights: the static 10^depth estimate by
-// default, or a measured execution profile (§4 suggests profile
-// frequencies "should be reflected in the edge weights").
-func build(f *ir.Func, n int, node nodeFunc, freq map[*ir.Block]float64) *Graph {
-	g := New(n)
+// freq supplies block weights: the static 10^depth estimate when nil,
+// or a measured execution profile (§4 suggests profile frequencies
+// "should be reflected in the edge weights").
+func build(f *ir.Func, n int, node nodeFunc, freq map[*ir.Block]float64) *CSR {
+	var bw []float64
 	if freq == nil {
-		freq = f.BlockFreq()
+		bw = f.BlockFreqs()
+	} else {
+		bw = make([]float64, len(f.Blocks))
+		for _, b := range f.Blocks {
+			bw[b.Index] = freq[b]
+		}
 	}
 
-	firstNode := make([]int, len(f.Blocks))
-	lastNode := make([]int, len(f.Blocks))
-	for i := range firstNode {
-		firstNode[i] = -1
-		lastNode[i] = -1
-	}
-
+	// Every access after a block's first, and every predecessor of a
+	// block, emits at most one edge.
+	size := 0
 	for _, b := range f.Blocks {
-		w := freq[b]
-		prev := -1
+		size += len(b.Preds)
 		for _, in := range b.Instrs {
-			for _, r := range in.RegFields() {
-				nd := node(r)
-				if nd < 0 {
-					continue
+			size += len(in.Uses) + len(in.Defs)
+		}
+	}
+	edges := make([]Edge, 0, size)
+
+	firstNode := make([]int32, len(f.Blocks))
+	lastNode := make([]int32, len(f.Blocks))
+	for _, b := range f.Blocks {
+		w := bw[b.Index]
+		first, prev := -1, -1
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpSetLastReg {
+				continue
+			}
+			for _, regs := range [2][]ir.Reg{in.Uses, in.Defs} {
+				for _, r := range regs {
+					nd := node(r)
+					if nd < 0 {
+						continue
+					}
+					if prev >= 0 {
+						edges = append(edges, Edge{int32(prev), int32(nd), w})
+					} else {
+						first = nd
+					}
+					prev = nd
 				}
-				if prev >= 0 {
-					g.AddWeight(prev, nd, w)
-				} else {
-					firstNode[b.Index] = nd
-				}
-				prev = nd
 			}
 		}
-		lastNode[b.Index] = prev
+		firstNode[b.Index], lastNode[b.Index] = int32(first), int32(prev)
 	}
 
 	for _, b := range f.Blocks {
-		fn := firstNode[b.Index]
-		if fn < 0 || len(b.Preds) == 0 {
+		first := firstNode[b.Index]
+		if first < 0 || len(b.Preds) == 0 {
 			continue
 		}
-		w := freq[b] / float64(len(b.Preds))
+		w := bw[b.Index] / float64(len(b.Preds))
 		for _, p := range b.Preds {
-			if ln := lastNode[p.Index]; ln >= 0 {
-				g.AddWeight(ln, fn, w)
+			if last := lastNode[p.Index]; last >= 0 {
+				edges = append(edges, Edge{last, first, w})
 			}
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 // BuildVReg builds the adjacency graph over live ranges (virtual
 // registers); the select and coalesce stages (§6, §7) work on this
 // graph during allocation.
-func BuildVReg(f *ir.Func) *Graph {
+func BuildVReg(f *ir.Func) *CSR {
 	return build(f, f.NumRegs(), func(r ir.Reg) int { return int(r) }, nil)
 }
 
 // BuildVRegProfile is BuildVReg with measured block frequencies.
-func BuildVRegProfile(f *ir.Func, freq map[*ir.Block]float64) *Graph {
+func BuildVRegProfile(f *ir.Func, freq map[*ir.Block]float64) *CSR {
 	return build(f, f.NumRegs(), func(r ir.Reg) int { return int(r) }, freq)
 }
 
@@ -205,11 +122,11 @@ func BuildVRegProfile(f *ir.Func, freq map[*ir.Block]float64) *Graph {
 // allocated function; the post-pass remapping of §5 works on this more
 // restrictive graph ("multiple live ranges might be assigned to the
 // same register leading to more edges being linked to one node").
-func BuildReg(f *ir.Func, regOf func(ir.Reg) int, regN int) *Graph {
+func BuildReg(f *ir.Func, regOf func(ir.Reg) int, regN int) *CSR {
 	return build(f, regN, func(r ir.Reg) int { return regOf(r) }, nil)
 }
 
 // BuildRegProfile is BuildReg with measured block frequencies.
-func BuildRegProfile(f *ir.Func, regOf func(ir.Reg) int, regN int, freq map[*ir.Block]float64) *Graph {
+func BuildRegProfile(f *ir.Func, regOf func(ir.Reg) int, regN int, freq map[*ir.Block]float64) *CSR {
 	return build(f, regN, func(r ir.Reg) int { return regOf(r) }, freq)
 }

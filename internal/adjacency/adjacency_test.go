@@ -1,10 +1,22 @@
-package adjacency
+package adjacency_test
 
 import (
 	"testing"
 
+	"diffra/internal/adjacency"
 	"diffra/internal/ir"
 )
+
+// weight returns the weight of edge from->to, or 0 when there is none.
+func weight(c *adjacency.CSR, from, to int) float64 {
+	tos, ws := c.Row(from)
+	for k, t := range tos {
+		if int(t) == to {
+			return ws[k]
+		}
+	}
+	return 0
+}
 
 // figure5Func reconstructs the access pattern of the paper's Figure 5:
 // live ranges L1..L6 (v1..v6 here) accessed in the sequence
@@ -31,20 +43,27 @@ entry:
 }
 
 func TestFigure5Edges(t *testing.T) {
-	g := BuildVReg(figure5Func())
-	if w := g.Weight(1, 2); w != 2 {
+	g := adjacency.BuildVReg(figure5Func())
+	if w := weight(g, 1, 2); w != 2 {
 		t.Errorf("w(L1,L2) = %v, want 2", w)
 	}
 	for _, e := range [][2]int{{2, 3}, {3, 4}, {4, 1}, {2, 5}, {5, 4}, {4, 6}} {
-		if w := g.Weight(e[0], e[1]); w != 1 {
+		if w := weight(g, e[0], e[1]); w != 1 {
 			t.Errorf("w(L%d,L%d) = %v, want 1", e[0], e[1], w)
 		}
 	}
 	if g.NumEdges() != 7 {
 		t.Errorf("edges = %d, want 7", g.NumEdges())
 	}
-	if g.TotalWeight() != 8 {
-		t.Errorf("total weight = %v, want 8", g.TotalWeight())
+	total := 0.0
+	for v := 0; v < g.N; v++ {
+		_, ws := g.Row(v)
+		for _, w := range ws {
+			total += w
+		}
+	}
+	if total != 8 {
+		t.Errorf("total weight = %v, want 8", total)
 	}
 }
 
@@ -59,7 +78,7 @@ entry:
   ret
 }
 `)
-	g := BuildVReg(f)
+	g := adjacency.BuildVReg(f)
 	if g.NumEdges() != 0 {
 		t.Errorf("self-loop recorded: %d edges", g.NumEdges())
 	}
@@ -69,7 +88,7 @@ func TestFigure5ZeroCostSolutionExists(t *testing.T) {
 	// The paper's Figure 5.e gives an optimal assignment with RegN=3,
 	// DiffN=2 where every edge satisfies condition (3): for each edge
 	// (a,b), (reg(b)-reg(a)) mod 3 must be 0 or 1.
-	g := BuildVReg(figure5Func())
+	g := adjacency.BuildVReg(figure5Func())
 	// L1=0, L2=1, L3=2, L4=0, L5=2, L6=1 checks: 0->1 ok(1), 1->2 ok(1),
 	// 2->0 ok(1), 0->0 ok(0), 1->2 ok(1), 2->0 ok(1), 0->1 ok(1).
 	assign := map[int]int{1: 0, 2: 1, 3: 2, 4: 0, 5: 2, 6: 1}
@@ -91,13 +110,13 @@ func TestFigure5ZeroCostSolutionExists(t *testing.T) {
 
 func TestSatisfiedCondition3(t *testing.T) {
 	// Condition (3): 0 <= (to - from) mod RegN < DiffN.
-	if !Satisfied(2, 3, 8, 2) || !Satisfied(2, 2, 8, 2) {
+	if !adjacency.Satisfied(2, 3, 8, 2) || !adjacency.Satisfied(2, 2, 8, 2) {
 		t.Error("in-range differences rejected")
 	}
-	if Satisfied(3, 2, 8, 2) {
+	if adjacency.Satisfied(3, 2, 8, 2) {
 		t.Error("difference 7 accepted with DiffN=2")
 	}
-	if !Satisfied(7, 0, 8, 2) {
+	if !adjacency.Satisfied(7, 0, 8, 2) {
 		t.Error("wraparound difference 1 rejected")
 	}
 }
@@ -120,15 +139,15 @@ join:
   ret
 }
 `)
-	g := BuildVReg(f)
-	if w := g.Weight(1, 0); w != 0.5 {
+	g := adjacency.BuildVReg(f)
+	if w := weight(g, 1, 0); w != 0.5 {
 		t.Errorf("w(v1,v0) = %v, want 0.5", w)
 	}
-	if w := g.Weight(2, 0); w != 0.5 {
+	if w := weight(g, 2, 0); w != 0.5 {
 		t.Errorf("w(v2,v0) = %v, want 0.5", w)
 	}
 	// Entry->a and entry->b edges: entry's last access is v0 (br use).
-	if w := g.Weight(0, 1); w != 1 {
+	if w := weight(g, 0, 1); w != 1 {
 		t.Errorf("w(v0,v1) = %v, want 1", w)
 	}
 }
@@ -147,10 +166,10 @@ exit:
   ret v0
 }
 `)
-	g := BuildVReg(f)
+	g := adjacency.BuildVReg(f)
 	// In-loop pair (v0,v1) in body carries weight 10 (depth 1); there
 	// are two such adjacencies: head's blt pair and body's add pair.
-	if w := g.Weight(0, 1); w < 10 {
+	if w := weight(g, 0, 1); w < 10 {
 		t.Errorf("w(v0,v1) = %v, want >= 10 (loop weighting)", w)
 	}
 }
@@ -173,37 +192,12 @@ entry:
 		}
 		return int(r) - 1
 	}
-	g := BuildReg(f, regOf, 2)
+	g := adjacency.BuildReg(f, regOf, 2)
 	// Sequence on registers: R0, R1, R0 -> edges R0->R1 and R1->R0.
-	if g.Weight(0, 1) != 1 || g.Weight(1, 0) != 1 {
-		t.Errorf("register graph edges wrong: %v %v", g.Weight(0, 1), g.Weight(1, 0))
+	if weight(g, 0, 1) != 1 || weight(g, 1, 0) != 1 {
+		t.Errorf("register graph edges wrong: %v %v", weight(g, 0, 1), weight(g, 1, 0))
 	}
 	if g.N != 2 {
 		t.Errorf("N = %d, want 2", g.N)
-	}
-}
-
-func TestNodeCostMatchesEdgeSubset(t *testing.T) {
-	g := BuildVReg(figure5Func())
-	assign := map[int]int{1: 0, 2: 2, 3: 1, 4: 0, 5: 1, 6: 2}
-	regNo := func(n int) int {
-		if r, ok := assign[n]; ok {
-			return r
-		}
-		return -1
-	}
-	// NodeCost of every node, halved for double-counted edges, cannot
-	// be directly compared; instead check NodeCost(v) counts exactly
-	// the violated edges incident to v.
-	total := g.Cost(regNo, 3, 2)
-	if total == 0 {
-		t.Fatal("expected violations")
-	}
-	sum := 0.0
-	for v := 1; v <= 6; v++ {
-		sum += g.NodeCost(v, regNo, 3, 2)
-	}
-	if sum != 2*total {
-		t.Errorf("sum of node costs %v != 2 * total %v", sum, total)
 	}
 }

@@ -1,20 +1,23 @@
 package adjacency
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// CSR is the frozen, immutable compressed-sparse-row form of a Graph,
-// built once per search by Freeze. It stores the same directed weighted
-// edges twice, both in flat slices:
+// CSR is an adjacency graph in compressed-sparse-row form, built once
+// by FromEdges and immutable after. It stores each directed weighted
+// edge twice, both in flat slices:
 //
 //   - a directed row form (rowPtr/rowTo/rowW), edges sorted by
 //     (from, to), for whole-numbering cost sweeps, and
 //   - an incidence form (incPtr/incFrom/incTo/incW): for every node v,
-//     the edges touching v in either direction, for the O(deg) probes
-//     of the remapping search and differential select.
+//     the edges touching v in either direction, in (from, to) order,
+//     for the O(deg) probes of the remapping search and differential
+//     select.
 //
-// Unlike the builder Graph, whose map-of-maps iterates in randomized
-// order, a CSR walk is fully deterministic, so floating-point cost
-// sums are bit-identical from run to run.
+// Every walk is in a fixed order, so floating-point cost sums are
+// bit-identical from run to run.
 type CSR struct {
 	// N is the node count (nodes are 0..N-1).
 	N int
@@ -29,59 +32,80 @@ type CSR struct {
 	incW    []float64
 }
 
-// Freeze builds the CSR form of g. The Graph remains the mutable
-// builder API; Freeze is a snapshot — later AddWeight calls do not
-// affect the returned CSR.
-func (g *Graph) Freeze() *CSR {
-	type edge struct {
-		from, to int32
-		w        float64
-	}
-	edges := make([]edge, 0, g.NumEdges())
-	g.Edges(func(from, to int, w float64) {
-		edges = append(edges, edge{int32(from), int32(to), w})
-	})
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
-		}
-		return edges[i].to < edges[j].to
-	})
+// Edge is one adjacent pair of the access sequence: To follows From,
+// weighing W.
+type Edge struct {
+	From, To int32
+	W        float64
+}
 
-	c := &CSR{
-		N:      g.N,
-		rowPtr: make([]int32, g.N+1),
-		rowTo:  make([]int32, len(edges)),
-		rowW:   make([]float64, len(edges)),
-		incPtr: make([]int32, g.N+1),
+// FromEdges builds the CSR of an n-node graph from edges in walk order.
+// Edges sharing (From, To) merge into one whose weight is their sum,
+// taken left to right in input order. Self loops are dropped — an
+// access immediately following an access to the same node always
+// encodes as difference 0 (§4) — and so are zero weights. Endpoints
+// must lie in [0, n).
+func FromEdges(n int, edges []Edge) *CSR {
+	c := &CSR{N: n, rowPtr: make([]int32, n+1), incPtr: make([]int32, n+1)}
+	keep := func(e Edge) bool { return e.From != e.To && e.W != 0 }
+
+	// Group by From, stably: a counting sort.
+	for _, e := range edges {
+		if keep(e) {
+			c.rowPtr[e.From+1]++
+		}
 	}
-	for i, e := range edges {
-		c.rowPtr[e.from+1]++
-		c.rowTo[i] = e.to
-		c.rowW[i] = e.w
-		// Every edge appears in the incidence of both endpoints
-		// (AddWeight rejects self loops, so from != to).
-		c.incPtr[e.from+1]++
-		c.incPtr[e.to+1]++
-	}
-	for v := 0; v < g.N; v++ {
+	for v := 0; v < n; v++ {
 		c.rowPtr[v+1] += c.rowPtr[v]
+	}
+	grouped := make([]Edge, c.rowPtr[n])
+	fill := slices.Clone(c.rowPtr[:n])
+	for _, e := range edges {
+		if keep(e) {
+			grouped[fill[e.From]] = e
+			fill[e.From]++
+		}
+	}
+
+	// Order each row by To, stably, and merge each run of one (From, To)
+	// in place, summing in input order.
+	m := int32(0)
+	for v := 0; v < n; v++ {
+		row := grouped[c.rowPtr[v]:c.rowPtr[v+1]]
+		slices.SortStableFunc(row, func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+		c.rowPtr[v] = m
+		for i, e := range row {
+			if i > 0 && e.To == grouped[m-1].To {
+				grouped[m-1].W += e.W
+				continue
+			}
+			grouped[m] = e
+			m++
+		}
+	}
+	c.rowPtr[n] = m
+	edges = grouped[:m]
+
+	c.rowTo = make([]int32, m)
+	c.rowW = make([]float64, m)
+	for i, e := range edges {
+		c.rowTo[i], c.rowW[i] = e.To, e.W
+		c.incPtr[e.From+1]++
+		c.incPtr[e.To+1]++
+	}
+	for v := 0; v < n; v++ {
 		c.incPtr[v+1] += c.incPtr[v]
 	}
-	c.incFrom = make([]int32, c.incPtr[g.N])
-	c.incTo = make([]int32, c.incPtr[g.N])
-	c.incW = make([]float64, c.incPtr[g.N])
-	fill := make([]int32, g.N)
-	put := func(v int32, e edge) {
-		k := c.incPtr[v] + fill[v]
-		fill[v]++
-		c.incFrom[k] = e.from
-		c.incTo[k] = e.to
-		c.incW[k] = e.w
-	}
+	c.incFrom = make([]int32, c.incPtr[n])
+	c.incTo = make([]int32, c.incPtr[n])
+	c.incW = make([]float64, c.incPtr[n])
+	copy(fill, c.incPtr[:n])
 	for _, e := range edges {
-		put(e.from, e)
-		put(e.to, e)
+		for _, v := range [2]int32{e.From, e.To} {
+			k := fill[v]
+			fill[v]++
+			c.incFrom[k], c.incTo[k], c.incW[k] = e.From, e.To, e.W
+		}
 	}
 	return c
 }
@@ -105,9 +129,10 @@ func (c *CSR) Row(v int) (to []int32, w []float64) {
 	return c.rowTo[lo:hi], c.rowW[lo:hi]
 }
 
-// Cost is Graph.Cost on the frozen form: the total weight of edges
-// whose endpoint numbers violate condition (3). regNoOf maps a node to
-// its register number; nodes mapped to -1 (unallocated) are skipped.
+// Cost evaluates the differential-encoding cost of a numbering: the
+// total weight of edges whose endpoint numbers violate condition (3).
+// regNoOf maps a node to its register number; nodes mapped to -1
+// (unallocated) are skipped.
 func (c *CSR) Cost(regNoOf func(node int) int, regN, diffN int) float64 {
 	cost := 0.0
 	for from := 0; from < c.N; from++ {
@@ -122,29 +147,6 @@ func (c *CSR) Cost(regNoOf func(node int) int, regN, diffN int) float64 {
 		for k := lo; k < hi; k++ {
 			if rt := regNoOf(int(c.rowTo[k])); rt >= 0 && !Satisfied(rf, rt, regN, diffN) {
 				cost += c.rowW[k]
-			}
-		}
-	}
-	return cost
-}
-
-// NodeCost is Graph.NodeCost on the frozen form: the violated weight
-// over edges incident to v (in either direction).
-func (c *CSR) NodeCost(v int, regNoOf func(node int) int, regN, diffN int) float64 {
-	rv := regNoOf(v)
-	if rv < 0 {
-		return 0
-	}
-	cost := 0.0
-	from, to, w := c.Inc(v)
-	for k := range w {
-		if int(from[k]) == v {
-			if rt := regNoOf(int(to[k])); rt >= 0 && !Satisfied(rv, rt, regN, diffN) {
-				cost += w[k]
-			}
-		} else {
-			if rf := regNoOf(int(from[k])); rf >= 0 && !Satisfied(rf, rv, regN, diffN) {
-				cost += w[k]
 			}
 		}
 	}

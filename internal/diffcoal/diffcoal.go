@@ -133,7 +133,8 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		}
 		cs = newCoalesceState(work, opts)
 		cs.unspillable = unspillable
-		if stuck := cs.tryColor(cs.alias); stuck < 0 {
+		cs.cur.build(cs.ig, cs.alias)
+		if stuck := cs.simplify(cs.cur); stuck < 0 {
 			break
 		} else {
 			// Conservative simplify got stuck: spill the cheapest stuck
@@ -168,14 +169,15 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	coalSpan.SetAttr("final_cost", st.FinalCost)
 	coalSpan.End()
 	opts.Trace.Add("fallback_spills", int64(st.FallbackSpills))
-	colors, ok := cs.color(cs.alias)
-	if !ok {
+	// run leaves cs.cur holding the merged graph of the final aliases.
+	g := cs.cur
+	if !cs.color(g) {
 		return nil, nil, nil, fmt.Errorf("diffcoal: final graph uncolorable")
 	}
-	st.FinalDiffCost = cs.diffCost(colors)
+	st.FinalDiffCost = cs.diffCost(g)
 
 	// Apply committed coalesces to the code and drop internal moves.
-	substituteAliases(work, cs.rootOf)
+	substituteAliases(work, func(v int) int { return g.root[v] })
 
 	asn := &regalloc.Assignment{
 		K:              opts.RegN,
@@ -186,22 +188,26 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		StackParams:    stackParams,
 	}
 	for v := range asn.Color {
-		asn.Color[v] = colors[cs.rootOf(v)]
+		asn.Color[v] = g.colors[g.root[v]]
 	}
 	return work, asn, st, nil
 }
 
 // coalesceState holds the graphs for one allocation attempt.
 type coalesceState struct {
-	f           *ir.Func
 	opts        Options
-	n           int
 	ig          *regalloc.Graph
 	adj         *adjacency.CSR
 	alias       []int
 	moves       []moveInfo
 	cost        []float64
 	unspillable map[int]bool
+
+	// cur is the merged graph of alias; probe is rebuilt over trial
+	// for every tentative coalesce. forbidden is the color scratch.
+	cur, probe *mergedGraph
+	trial      []int
+	forbidden  []bool
 }
 
 type moveInfo struct {
@@ -210,35 +216,30 @@ type moveInfo struct {
 }
 
 func newCoalesceState(f *ir.Func, opts Options) *coalesceState {
-	info := liveness.Compute(f)
+	n := f.NumRegs()
 	cs := &coalesceState{
-		f:    f,
-		opts: opts,
-		n:    f.NumRegs(),
-		ig:   regalloc.Build(f, info),
-		// Frozen once per attempt: the coalescing loop's inner coloring
-		// probes score against the CSR form, not the builder's maps.
-		adj:  adjacency.BuildVReg(f).Freeze(),
-		cost: liveness.SpillCosts(f),
+		opts:      opts,
+		ig:        regalloc.Build(f, liveness.Compute(f)),
+		adj:       adjacency.BuildVReg(f),
+		cost:      liveness.SpillCosts(f),
+		alias:     make([]int, n),
+		cur:       newMergedGraph(n),
+		probe:     newMergedGraph(n),
+		trial:     make([]int, n),
+		forbidden: make([]bool, opts.RegN),
 	}
-	cs.alias = identity(cs.n)
-	freq := f.BlockFreq()
+	for v := range cs.alias {
+		cs.alias[v] = v
+	}
+	freq := f.BlockFreqs()
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.IsMove() {
-				cs.moves = append(cs.moves, moveInfo{in: in, weight: freq[b]})
+				cs.moves = append(cs.moves, moveInfo{in: in, weight: freq[b.Index]})
 			}
 		}
 	}
 	return cs
-}
-
-func identity(n int) []int {
-	a := make([]int, n)
-	for i := range a {
-		a[i] = i
-	}
-	return a
 }
 
 func root(alias []int, v int) int {
@@ -248,63 +249,112 @@ func root(alias []int, v int) int {
 	return v
 }
 
-func (cs *coalesceState) rootOf(v int) int { return root(cs.alias, v) }
+// mergedGraph is the interference graph over the roots of one alias
+// vector, as flat per-root neighbor and member lists, together with one
+// simplify-and-color pass over it. Its slices are sized once and
+// refilled by every build.
+type mergedGraph struct {
+	root  []int // root[v]: v's alias root
+	nodes []int // the roots, ascending
+	// Root r's distinct neighbor roots are nbr[nbrOff[r]:nbrOff[r+1]];
+	// its members, ascending, are mem[memOff[r]:memOff[r+1]]. Both are
+	// empty for a non-root.
+	nbrOff, nbr []int
+	memOff, mem []int
+	seen        []int // seen[s] == r+1 once s is listed as r's neighbor
 
-// merged builds the interference structure over alias roots.
-func (cs *coalesceState) merged(alias []int) (nodes []int, adjOf map[int]map[int]bool) {
-	adjOf = make(map[int]map[int]bool)
-	inNodes := map[int]bool{}
-	for v := 0; v < cs.n; v++ {
+	degree  []int
+	removed []bool
+	order   []int // simplify's removal order
+	colors  []int // colors[r]: root r's color, or -1
+}
+
+func newMergedGraph(n int) *mergedGraph {
+	return &mergedGraph{
+		root:    make([]int, n),
+		nbrOff:  make([]int, n+1),
+		memOff:  make([]int, n+1),
+		mem:     make([]int, n),
+		seen:    make([]int, n),
+		degree:  make([]int, n),
+		removed: make([]bool, n),
+		colors:  make([]int, n),
+	}
+}
+
+func (g *mergedGraph) neighbors(r int) []int { return g.nbr[g.nbrOff[r]:g.nbrOff[r+1]] }
+func (g *mergedGraph) members(r int) []int   { return g.mem[g.memOff[r]:g.memOff[r+1]] }
+
+// build merges ig over alias's roots: two roots interfere when any of
+// their members do.
+func (g *mergedGraph) build(ig *regalloc.Graph, alias []int) {
+	n := len(alias)
+	g.nodes = g.nodes[:0]
+	clear(g.memOff)
+	for v := range alias {
 		r := root(alias, v)
-		if !inNodes[r] {
-			inNodes[r] = true
-			nodes = append(nodes, r)
-			adjOf[r] = map[int]bool{}
+		g.root[v] = r
+		if r == v {
+			g.nodes = append(g.nodes, v)
+		}
+		g.memOff[r]++
+	}
+	// Counting sort on root: after the running sum memOff[r] is the end
+	// of r's members, and filling backwards leaves it at their start.
+	for r := 1; r <= n; r++ {
+		g.memOff[r] += g.memOff[r-1]
+	}
+	for v := n - 1; v >= 0; v-- {
+		r := g.root[v]
+		g.memOff[r]--
+		g.mem[g.memOff[r]] = v
+	}
+
+	clear(g.seen)
+	g.nbr = g.nbr[:0]
+	for r := 0; r < n; r++ {
+		g.nbrOff[r] = len(g.nbr)
+		if g.root[r] != r {
+			continue
+		}
+		for _, u := range g.members(r) {
+			for _, w := range ig.AdjList[u] {
+				if s := g.root[w]; s != r && g.seen[s] != r+1 {
+					g.seen[s] = r + 1
+					g.nbr = append(g.nbr, s)
+				}
+			}
 		}
 	}
-	for u := 0; u < cs.n; u++ {
-		ru := root(alias, u)
-		for _, v := range cs.ig.AdjList[u] {
-			if v < u {
-				continue
-			}
-			rv := root(alias, v)
-			if ru != rv {
-				adjOf[ru][rv] = true
-				adjOf[rv][ru] = true
-			}
+	g.nbrOff[n] = len(g.nbr)
+}
+
+// adjacent reports whether roots x and y interfere.
+func (g *mergedGraph) adjacent(x, y int) bool {
+	for _, s := range g.neighbors(x) {
+		if s == y {
+			return true
 		}
 	}
-	return nodes, adjOf
+	return false
 }
 
-// tryColor runs conservative simplify on the merged graph; it returns
-// -1 if every node simplifies (graph is K-colorable by this test) or
-// the cheapest stuck node otherwise.
-func (cs *coalesceState) tryColor(alias []int) int {
-	order, stuckNode := cs.simplifyOrder(alias)
-	if order != nil {
-		return -1
+// simplify removes nodes of degree < K repeatedly (lowest id first,
+// deterministic), recording the removal order. It returns -1 if every
+// node simplifies (the graph is K-colorable by this test) or the
+// cheapest stuck node otherwise.
+func (cs *coalesceState) simplify(g *mergedGraph) int {
+	for _, r := range g.nodes {
+		g.degree[r] = len(g.neighbors(r))
+		g.removed[r] = false
 	}
-	return stuckNode
-}
-
-// simplifyOrder removes nodes of degree < K repeatedly (lowest id
-// first, deterministic). On success it returns the removal order; on
-// failure it returns nil and the cheapest remaining node.
-func (cs *coalesceState) simplifyOrder(alias []int) ([]int, int) {
-	nodes, adjOf := cs.merged(alias)
-	removed := map[int]bool{}
-	degree := map[int]int{}
-	for _, r := range nodes {
-		degree[r] = len(adjOf[r])
-	}
-	var order []int
-	for len(order) < len(nodes) {
+	g.order = g.order[:0]
+	for len(g.order) < len(g.nodes) {
 		pick := -1
-		for _, r := range nodes {
-			if !removed[r] && degree[r] < cs.opts.RegN && (pick < 0 || r < pick) {
+		for _, r := range g.nodes {
+			if !g.removed[r] && g.degree[r] < cs.opts.RegN {
 				pick = r
+				break
 			}
 		}
 		if pick < 0 {
@@ -313,8 +363,8 @@ func (cs *coalesceState) simplifyOrder(alias []int) ([]int, int) {
 			// one cannot reduce pressure).
 			best, bestCost := -1, 0.0
 			anyBest, anyCost := -1, 0.0
-			for _, r := range nodes {
-				if removed[r] {
+			for _, r := range g.nodes {
+				if g.removed[r] {
 					continue
 				}
 				c := cs.cost[r]
@@ -331,94 +381,69 @@ func (cs *coalesceState) simplifyOrder(alias []int) ([]int, int) {
 			if best < 0 {
 				best = anyBest
 			}
-			return nil, best
+			return best
 		}
-		removed[pick] = true
-		order = append(order, pick)
-		for w := range adjOf[pick] {
-			if !removed[w] {
-				degree[w]--
+		g.removed[pick] = true
+		g.order = append(g.order, pick)
+		for _, w := range g.neighbors(pick) {
+			if !g.removed[w] {
+				g.degree[w]--
 			}
 		}
 	}
-	return order, -1
+	return -1
 }
 
-// color colors the merged graph with differential select: nodes are
-// popped in reverse simplify order and each takes the legal color with
-// minimal adjacency cost. Returns per-root colors and success.
-func (cs *coalesceState) color(alias []int) (map[int]int, bool) {
-	order, _ := cs.simplifyOrder(alias)
-	if order == nil {
-		return nil, false
+// color colors g with differential select: nodes are popped in reverse
+// simplify order and each takes the legal color with minimal adjacency
+// cost, lowest color on ties. It reports false when simplify gets
+// stuck.
+func (cs *coalesceState) color(g *mergedGraph) bool {
+	if cs.simplify(g) >= 0 {
+		return false
 	}
-	_, adjOf := cs.merged(alias)
-	colors := map[int]int{}
-	colorOf := func(v int) int {
-		if c, ok := colors[root(alias, v)]; ok {
-			return c
-		}
-		return -1
+	for _, r := range g.nodes {
+		g.colors[r] = -1
 	}
-	aliasOf := func(v int) int { return root(alias, v) }
+	colorOf := func(v int) int { return g.colors[g.root[v]] }
+	aliasOf := func(v int) int { return g.root[v] }
 	params := diffsel.Params{RegN: cs.opts.RegN, DiffN: cs.opts.DiffN}
-
-	members := map[int][]int{}
-	for v := 0; v < cs.n; v++ {
-		r := root(alias, v)
-		members[r] = append(members[r], v)
-	}
-
-	for i := len(order) - 1; i >= 0; i-- {
-		r := order[i]
-		forbidden := map[int]bool{}
-		for w := range adjOf[r] {
-			if c, ok := colors[w]; ok {
-				forbidden[c] = true
+	for i := len(g.order) - 1; i >= 0; i-- {
+		r := g.order[i]
+		clear(cs.forbidden)
+		for _, w := range g.neighbors(r) {
+			if c := g.colors[w]; c >= 0 {
+				cs.forbidden[c] = true
 			}
 		}
 		bestC, bestCost := -1, 0.0
 		for c := 0; c < cs.opts.RegN; c++ {
-			if forbidden[c] {
+			if cs.forbidden[c] {
 				continue
 			}
-			cost := diffsel.PickCost(cs.adj, members[r], r, c, colorOf, aliasOf, params)
+			cost := diffsel.PickCost(cs.adj, g.members(r), r, c, colorOf, aliasOf, params)
 			if bestC < 0 || cost < bestCost {
 				bestC, bestCost = c, cost
 			}
 		}
 		if bestC < 0 {
-			return nil, false
+			return false
 		}
-		colors[r] = bestC
+		g.colors[r] = bestC
 	}
-	return colors, true
+	return true
 }
 
-// diffCost evaluates the adjacency-graph cost of a root coloring.
-func (cs *coalesceState) diffCost(colors map[int]int) float64 {
-	return cs.adj.Cost(func(v int) int {
-		if c, ok := colors[root(cs.alias, v)]; ok {
-			return c
-		}
-		return -1
-	}, cs.opts.RegN, cs.opts.DiffN)
+// diffCost evaluates the adjacency-graph cost of g's coloring.
+func (cs *coalesceState) diffCost(g *mergedGraph) float64 {
+	return cs.adj.Cost(func(v int) int { return g.colors[g.root[v]] }, cs.opts.RegN, cs.opts.DiffN)
 }
 
-func (cs *coalesceState) diffCostWith(alias []int, colors map[int]int) float64 {
-	return cs.adj.Cost(func(v int) int {
-		if c, ok := colors[root(alias, v)]; ok {
-			return c
-		}
-		return -1
-	}, cs.opts.RegN, cs.opts.DiffN)
-}
-
-// moveCost sums the weights of moves still external under alias.
-func (cs *coalesceState) moveCost(alias []int) float64 {
+// moveCost sums the weights of moves still external in g.
+func (cs *coalesceState) moveCost(g *mergedGraph) float64 {
 	t := 0.0
 	for _, m := range cs.moves {
-		if root(alias, int(m.in.Defs[0])) != root(alias, int(m.in.Uses[0])) {
+		if g.root[m.in.Defs[0]] != g.root[m.in.Uses[0]] {
 			t += m.weight
 		}
 	}
@@ -427,52 +452,53 @@ func (cs *coalesceState) moveCost(alias []int) float64 {
 
 // run is the §7 main loop: evaluate every remaining coalesce
 // candidate, commit the best cost reduction, repeat. Returns the
-// number of committed coalesces and of attempts.
+// number of committed coalesces and of attempts, and leaves cs.cur
+// holding the merged graph of the committed aliases.
 func (cs *coalesceState) run() (coalesced, attempts int, initial, final float64) {
-	colors, ok := cs.color(cs.alias)
-	if !ok {
+	cur, probe := cs.cur, cs.probe
+	cur.build(cs.ig, cs.alias)
+	if !cs.color(cur) {
 		return 0, 0, 0, 0
 	}
-	current := cs.diffCostWith(cs.alias, colors) + cs.moveCost(cs.alias)
+	current := cs.diffCost(cur) + cs.moveCost(cur)
 	initial = current
 
 	for {
-		_, adjOf := cs.merged(cs.alias)
 		bestCost := current
-		var bestAlias []int
+		bestX, bestY := -1, -1
 		for _, m := range cs.moves {
 			if cs.opts.Cancel != nil && cs.opts.Cancel() {
 				return coalesced, attempts, initial, current
 			}
-			x := root(cs.alias, int(m.in.Defs[0]))
-			y := root(cs.alias, int(m.in.Uses[0]))
+			x := cur.root[m.in.Defs[0]]
+			y := cur.root[m.in.Uses[0]]
 			if x == y {
 				continue
 			}
-			if adjOf[x][y] {
+			if cur.adjacent(x, y) {
 				continue // constrained: interfering endpoints
 			}
-			trial := append([]int(nil), cs.alias...)
 			// Merge into the smaller id for determinism.
 			if y < x {
 				x, y = y, x
 			}
-			trial[y] = x
+			copy(cs.trial, cs.alias)
+			cs.trial[y] = x
 			attempts++
-			tColors, ok := cs.color(trial)
-			if !ok {
+			probe.build(cs.ig, cs.trial)
+			if !cs.color(probe) {
 				continue
 			}
-			c := cs.diffCostWith(trial, tColors) + cs.moveCost(trial)
+			c := cs.diffCost(probe) + cs.moveCost(probe)
 			if c < bestCost {
-				bestCost = c
-				bestAlias = trial
+				bestCost, bestX, bestY = c, x, y
 			}
 		}
-		if bestAlias == nil {
+		if bestX < 0 {
 			return coalesced, attempts, initial, current
 		}
-		cs.alias = bestAlias
+		cs.alias[bestY] = bestX
+		cur.build(cs.ig, cs.alias)
 		current = bestCost
 		coalesced++
 	}

@@ -28,19 +28,17 @@ type Params struct {
 
 // NewFactory returns an irc.PickerFactory implementing differential
 // select. For every allocation round it rebuilds the adjacency graph
-// over the round's live ranges and freezes it to its CSR form — the
-// scoring below walks incidence slices, not the builder's maps; when
-// scoring a candidate color for a node it accounts for every live
-// range coalesced into that node.
+// over the round's live ranges; when scoring a candidate color for a
+// node it accounts for every live range coalesced into that node.
 func NewFactory(p Params) irc.PickerFactory {
 	return func(f *ir.Func, aliasOf func(int) int) irc.ColorPicker {
-		g := adjacency.BuildVReg(f).Freeze()
+		g := adjacency.BuildVReg(f)
 		n := f.NumRegs()
 		return func(v int, okColors []int, colorOf func(int) int) int {
 			members := membersOf(v, n, aliasOf)
 			bestColor, bestCost := okColors[0], 0.0
 			for i, c := range okColors {
-				cost := candidateCost(g, members, v, c, colorOf, aliasOf, p)
+				cost := PickCost(g, members, v, c, colorOf, aliasOf, p)
 				if i == 0 || cost < bestCost {
 					bestColor, bestCost = c, cost
 				}
@@ -51,16 +49,6 @@ func NewFactory(p Params) irc.PickerFactory {
 			return bestColor
 		}
 	}
-}
-
-// PickCost exposes the scoring used by the picker so that differential
-// coalesce and the refinement post-pass can evaluate colorings with
-// identical logic. g is the frozen CSR of the live-range adjacency
-// graph (adjacency.Graph.Freeze). members must list the complete
-// coalescing class of self (every u with aliasOf(u) == self, plus
-// self): scoring walks only the members' incident edges.
-func PickCost(g *adjacency.CSR, members []int, self, color int, colorOf func(int) int, aliasOf func(int) int, p Params) float64 {
-	return candidateCost(g, members, self, color, colorOf, aliasOf, p)
 }
 
 func membersOf(v, n int, aliasOf func(int) int) []int {
@@ -76,23 +64,23 @@ func membersOf(v, n int, aliasOf func(int) int) []int {
 	return out
 }
 
-// candidateCost sums the weights of adjacency edges incident to the
-// node's members that would violate condition (3) if the node took the
-// candidate color. Edges to uncolored neighbors are free: their color
-// will be chosen later with this node's choice already visible.
-// Edges between two members cost nothing (difference 0).
+// PickCost is differential select's score, shared by the picker, the
+// refinement post-pass, the SSA backend's tiebreak and differential
+// coalesce: the weight of the adjacency edges incident to self's
+// coalescing class that would violate condition (3) if the class took
+// color. g is the live-range adjacency graph. members must list the
+// complete class (every u with aliasOf(u) == self, plus self). Edges to
+// uncolored neighbors are free: their color will be chosen later with
+// this node's choice already visible. Edges between two members cost
+// nothing (difference 0).
 //
 // Only the members' incidence slices are walked — an edge with no
 // endpoint in the class cannot contribute — so a probe costs
 // O(deg(members)) rather than O(E). An edge between two members
 // appears in both incidence lists but both visits skip it (in-class,
 // difference 0), so nothing is double counted.
-func candidateCost(g *adjacency.CSR, members []int, self, color int, colorOf func(int) int, aliasOf func(int) int, p Params) float64 {
-	memberSet := make(map[int]bool, len(members))
-	for _, m := range members {
-		memberSet[m] = true
-	}
-	inClass := func(u int) bool { return memberSet[u] || aliasOf(u) == self }
+func PickCost(g *adjacency.CSR, members []int, self, color int, colorOf func(int) int, aliasOf func(int) int, p Params) float64 {
+	inClass := func(u int) bool { return u == self || aliasOf(u) == self }
 	cost := 0.0
 	for _, m := range members {
 		if m >= g.N {

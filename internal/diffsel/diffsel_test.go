@@ -119,10 +119,10 @@ func TestSelectNeverSpillsMoreThanBaseline(t *testing.T) {
 }
 
 func TestPickCostCountsBothDirections(t *testing.T) {
-	b := adjacency.New(3)
-	b.AddWeight(0, 1, 2) // node 1 follows node 0
-	b.AddWeight(1, 2, 3) // node 2 follows node 1
-	g := b.Freeze()
+	g := adjacency.FromEdges(3, []adjacency.Edge{
+		{From: 0, To: 1, W: 2}, // node 1 follows node 0
+		{From: 1, To: 2, W: 3}, // node 2 follows node 1
+	})
 	p := Params{RegN: 8, DiffN: 2}
 	aliasOf := func(v int) int { return v }
 	colorOf := func(v int) int {
@@ -151,10 +151,10 @@ func TestPickCostCountsBothDirections(t *testing.T) {
 }
 
 func TestPickCostMergedMembersAreFree(t *testing.T) {
-	b := adjacency.New(4)
-	b.AddWeight(0, 1, 5) // both members of the same class
-	b.AddWeight(1, 2, 1)
-	g := b.Freeze()
+	g := adjacency.FromEdges(4, []adjacency.Edge{
+		{From: 0, To: 1, W: 5}, // both members of the same class
+		{From: 1, To: 2, W: 1},
+	})
 	p := Params{RegN: 8, DiffN: 2}
 	aliasOf := func(v int) int {
 		if v == 1 {

@@ -24,9 +24,8 @@ func Refine(f *ir.Func, asn *regalloc.Assignment, p Params) int {
 // RefineProfile is Refine with measured block frequencies driving the
 // adjacency edge weights (nil falls back to the static estimate).
 func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq map[*ir.Block]float64) int {
-	g := adjacency.BuildVRegProfile(f, freq).Freeze()
-	info := liveness.Compute(f)
-	ig := regalloc.Build(f, info)
+	g := adjacency.BuildVRegProfile(f, freq)
+	ig := regalloc.Build(f, liveness.Compute(f))
 
 	colorOf := func(v int) int {
 		if v < len(asn.Color) {
@@ -35,6 +34,8 @@ func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq map[*ir.
 		return -1
 	}
 	aliasOf := func(v int) int { return v }
+	members := []int{0}
+	forbidden := make([]bool, p.RegN)
 
 	moves := 0
 	for round := 0; round < 8; round++ {
@@ -44,19 +45,20 @@ func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq map[*ir.
 			if cur < 0 {
 				continue
 			}
-			forbidden := make(map[int]bool)
+			clear(forbidden)
 			for _, w := range ig.AdjList[v] {
-				if c := colorOf(w); c >= 0 {
+				if c := colorOf(w); c >= 0 && c < p.RegN {
 					forbidden[c] = true
 				}
 			}
+			members[0] = v
 			bestC := cur
-			bestCost := PickCost(g, []int{v}, v, cur, colorOf, aliasOf, p)
+			bestCost := PickCost(g, members, v, cur, colorOf, aliasOf, p)
 			for c := 0; c < p.RegN; c++ {
 				if c == cur || forbidden[c] {
 					continue
 				}
-				cost := PickCost(g, []int{v}, v, c, colorOf, aliasOf, p)
+				cost := PickCost(g, members, v, c, colorOf, aliasOf, p)
 				if cost < bestCost {
 					bestC, bestCost = c, cost
 				}

@@ -162,12 +162,13 @@ func EncodingCost(s *Schedule, regOf []int, regN, diffN, restarts int, seed int6
 	if len(seq) < 2 {
 		return 0
 	}
-	g := adjacency.New(regN)
+	edges := make([]adjacency.Edge, 0, len(seq))
 	for i := 1; i < len(seq); i++ {
-		g.AddWeight(seq[i-1], seq[i], 1)
+		edges = append(edges, adjacency.Edge{From: int32(seq[i-1]), To: int32(seq[i]), W: 1})
 	}
-	g.AddWeight(seq[len(seq)-1], seq[0], 1) // wraparound: next iteration
-	res := remap.Greedy(g, remap.Options{
+	// Wraparound: the next iteration follows the last access.
+	edges = append(edges, adjacency.Edge{From: int32(seq[len(seq)-1]), To: int32(seq[0]), W: 1})
+	res := remap.Greedy(adjacency.FromEdges(regN, edges), remap.Options{
 		RegN: regN, DiffN: diffN, Restarts: restarts, Seed: seed,
 	})
 	// Count violated adjacent pairs under the best permutation.

@@ -1,5 +1,6 @@
 // Package regalloc holds the machinery shared by all register
-// allocators in this repository: the interference graph, spill-code
+// allocators in this repository: the interference rule and the
+// interference graph built from it (flat neighbor lists), spill-code
 // rewriting, allocation results and the allocation verifier.
 package regalloc
 
@@ -14,8 +15,10 @@ import (
 // Graph is an interference graph over the virtual registers of one
 // function, with the move instructions recorded for coalescing.
 type Graph struct {
-	N       int // node count == f.NumRegs()
-	adj     []*bitset.Set
+	N int // node count == f.NumRegs()
+	// AdjList[u] lists u's neighbors, each once, in the order
+	// Interferences first reports the pair. The rows share one backing
+	// array.
 	AdjList [][]int
 	Moves   []*ir.Instr // register-to-register copies
 }
@@ -28,14 +31,44 @@ type Graph struct {
 // parameters) interfere pairwise, as they occupy registers
 // simultaneously at the call boundary.
 func Build(f *ir.Func, info *liveness.Info) *Graph {
-	g := &Graph{N: f.NumRegs()}
-	g.adj = make([]*bitset.Set, g.N)
-	g.AdjList = make([][]int, g.N)
-	for i := range g.adj {
-		g.adj[i] = bitset.New(g.N)
-	}
+	n := f.NumRegs()
+	g := &Graph{N: n, AdjList: make([][]int, n)}
 
-	Interferences(f, info, func(in *ir.Instr) { g.Moves = append(g.Moves, in) }, g.AddEdge)
+	// Count each row's reports, repeats included, so the rows can be
+	// filled into one flat slice in report order.
+	off := make([]int, n+1)
+	Interferences(f, info, nil, func(u, v int) {
+		if u != v {
+			off[u+1]++
+			off[v+1]++
+		}
+	})
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	flat := make([]int, off[n])
+	for u := range g.AdjList {
+		g.AdjList[u] = flat[off[u]:off[u]:off[u+1]]
+	}
+	Interferences(f, info, func(in *ir.Instr) { g.Moves = append(g.Moves, in) }, func(u, v int) {
+		if u != v {
+			g.AdjList[u] = append(g.AdjList[u], v)
+			g.AdjList[v] = append(g.AdjList[v], u)
+		}
+	})
+
+	// Drop repeats in place, keeping each neighbor's first report.
+	seen := make([]int, n) // seen[v] == u+1 once v is kept in u's row
+	for u, row := range g.AdjList {
+		kept := row[:0]
+		for _, v := range row {
+			if seen[v] != u+1 {
+				seen[v] = u + 1
+				kept = append(kept, v)
+			}
+		}
+		g.AdjList[u] = kept[:len(kept):len(kept)]
+	}
 	return g
 }
 
@@ -80,23 +113,6 @@ func Interferences(f *ir.Func, info *liveness.Info, move func(*ir.Instr), edge f
 		})
 	}
 }
-
-// AddEdge inserts an undirected interference edge between u and v.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v || g.adj[u].Has(v) {
-		return
-	}
-	g.adj[u].Add(v)
-	g.adj[v].Add(u)
-	g.AdjList[u] = append(g.AdjList[u], v)
-	g.AdjList[v] = append(g.AdjList[v], u)
-}
-
-// Interferes reports whether u and v conflict.
-func (g *Graph) Interferes(u, v int) bool { return u != v && g.adj[u].Has(v) }
-
-// Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u int) int { return len(g.AdjList[u]) }
 
 // Assignment is the result of register allocation: a machine register
 // number for every virtual register, plus bookkeeping about spills.
@@ -182,9 +198,8 @@ func Verify(f *ir.Func, asn *Assignment) error {
 	}
 
 	// Check interference directly off the liveness walk instead of
-	// materializing a Graph: Build keeps an O(V^2)-bit adjacency matrix
-	// to dedup edges, which dominates verification on large functions
-	// (tens of thousands of vregs), while the walk is O(instrs x live).
+	// materializing a Graph: the walk is O(instrs x live) and stores
+	// nothing, while Build walks twice and keeps every reported pair.
 	var err2 error
 	Interferences(f, liveness.Compute(f), nil, func(u, v int) {
 		if err2 == nil && u != v && asn.Color[u] == asn.Color[v] {

@@ -7,15 +7,15 @@ import (
 )
 
 // LegacyGreedy is the serial multi-start search this package shipped
-// before the parallel CSR engine: one shared RNG stream across
-// restarts, incidence lists rebuilt from the map-backed Graph, and a
-// full O(free²) swap-pair rescan on every descent step. It is retained
+// before the parallel fixed-point engine: one shared RNG stream across
+// restarts, incidence lists rebuilt from the CSR rows, and a full
+// O(free²) swap-pair rescan on every descent step. It is retained
 // as a search-quality oracle in tests; new callers should use Greedy.
 //
 // Because its restarts consume one sequential RNG stream, its visited
 // permutations differ from Greedy's for the same Seed; only the cost
 // quality is comparable, not the exact permutation.
-func LegacyGreedy(g *adjacency.Graph, opts Options) *Result {
+func LegacyGreedy(g *adjacency.CSR, opts Options) *Result {
 	restarts := opts.Restarts
 	if restarts == 0 {
 		restarts = 1000
@@ -23,14 +23,7 @@ func LegacyGreedy(g *adjacency.Graph, opts Options) *Result {
 	free := freeRegs(opts)
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	permCost := func(perm []int) float64 {
-		return g.Cost(func(node int) int {
-			if node < len(perm) {
-				return perm[node]
-			}
-			return -1
-		}, opts.RegN, opts.DiffN)
-	}
+	permCost := func(perm []int) float64 { return g.PermCost(perm, opts.RegN, opts.DiffN) }
 
 	// Incidence lists: edges touching each node.
 	type edge struct {
@@ -38,16 +31,17 @@ func LegacyGreedy(g *adjacency.Graph, opts Options) *Result {
 		w        float64
 	}
 	incident := make([][]edge, opts.RegN)
-	g.Edges(func(from, to int, w float64) {
-		if from >= opts.RegN || to >= opts.RegN {
-			return
-		}
-		e := edge{from, to, w}
-		incident[from] = append(incident[from], e)
-		if to != from {
+	for from := 0; from < g.N && from < opts.RegN; from++ {
+		tos, ws := g.Row(from)
+		for k, to := range tos {
+			if int(to) >= opts.RegN {
+				continue
+			}
+			e := edge{from, int(to), ws[k]}
+			incident[from] = append(incident[from], e)
 			incident[to] = append(incident[to], e)
 		}
-	})
+	}
 	// incidentCost sums violated weight over edges touching i or j
 	// under perm (edges touching both are counted once via the from
 	// side de-duplication below).

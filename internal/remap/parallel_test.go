@@ -12,15 +12,15 @@ import (
 // seededGraph is a seeded graph over n nodes; with n above the search's
 // RegN some nodes lie outside the register file, and with n below it
 // some registers have no node.
-func seededGraph(seed int64, n, edges int) *adjacency.Graph {
+func seededGraph(seed int64, n, edges int) *adjacency.CSR {
 	rng := rand.New(rand.NewSource(seed))
-	g := adjacency.New(n)
-	for e := 0; e < edges; e++ {
+	es := make([]adjacency.Edge, edges)
+	for e := range es {
 		// Quarter-integer weights keep every cost sum exact in float64,
 		// so cross-worker cost comparisons are bitwise meaningful.
-		g.AddWeight(rng.Intn(n), rng.Intn(n), 0.25*float64(1+rng.Intn(20)))
+		es[e] = adjacency.Edge{From: int32(rng.Intn(n)), To: int32(rng.Intn(n)), W: 0.25 * float64(1+rng.Intn(20))}
 	}
-	return g
+	return adjacency.FromEdges(n, es)
 }
 
 // TestParallelGreedyMatchesSerial is the determinism contract of the
@@ -180,7 +180,7 @@ func TestPairInvalidationMatchesFullRescan(t *testing.T) {
 		for _, diffN := range []int{1, regN / 2, regN/2 + 1, regN - 1, regN, 1 + rng.Intn(regN)} {
 			opts := Options{RegN: regN, DiffN: diffN, Seed: int64(trial), Pinned: pinned}
 			forms[diffN <= regN-diffN]++
-			assertDescentMatchesRescan(t, g.Freeze(), opts, 6)
+			assertDescentMatchesRescan(t, g, opts, 6)
 		}
 	}
 	if forms[true] == 0 || forms[false] == 0 {
@@ -205,21 +205,21 @@ func FuzzRemap(f *testing.F) {
 				pinned[r] = true
 			}
 		}
-		g := adjacency.New(n)
+		var es []adjacency.Edge
 		for i := 0; i+2 < len(edges) && i < 3*64; i += 3 {
-			g.AddWeight(int(edges[i])%n, int(edges[i+1])%n, 0.25*float64(1+int(edges[i+2])%40))
+			es = append(es, adjacency.Edge{From: int32(int(edges[i]) % n), To: int32(int(edges[i+1]) % n), W: 0.25 * float64(1+int(edges[i+2])%40)})
 		}
-		c := g.Freeze()
+		c := adjacency.FromEdges(n, es)
 		opts := Options{RegN: rn, DiffN: dn, Pinned: pinned, Seed: int64(extra), Restarts: 8, Workers: 1}
 		assertDescentMatchesRescan(t, c, opts, 4)
 
-		gr := GreedyCSR(c, opts)
+		gr := Greedy(c, opts)
 		assertPermutation(t, gr.Perm)
 		if want := c.PermCost(gr.Perm, rn, dn); gr.Cost != want {
 			t.Fatalf("%+v: greedy cost %v, PermCost %v", opts, gr.Cost, want)
 		}
 		if len(freeRegs(opts)) <= 7 {
-			if ex := ExhaustiveCSR(c, opts); gr.Cost < ex.Cost {
+			if ex := Exhaustive(c, opts); gr.Cost < ex.Cost {
 				t.Fatalf("%+v: greedy %v beat exhaustive %v", opts, gr.Cost, ex.Cost)
 			}
 		}
@@ -293,8 +293,7 @@ func TestExhaustiveCancelStopsEnumeration(t *testing.T) {
 func TestGreedyZeroCostEarlyExit(t *testing.T) {
 	// A single-edge graph violated by the identity numbering
 	// (diff(0, 11) = 11 >= DiffN): the first descent repairs it to 0.
-	g := adjacency.New(12)
-	g.AddWeight(0, 11, 4)
+	g := adjacency.FromEdges(12, []adjacency.Edge{{From: 0, To: 11, W: 4}})
 	tr := telemetry.New(&telemetry.CollectSink{})
 	span := tr.Start("remap")
 	res := Greedy(g, Options{RegN: 12, DiffN: 2, Restarts: 100000, Seed: 1, Workers: 4, Trace: span})

@@ -8,7 +8,8 @@
 // Two searches are provided, matching the paper: exhaustive over all
 // RegN! permutations (tractable for small RegN) and a greedy
 // steepest-descent over pairwise swaps restarted from many initial
-// register vectors (the paper uses 1000).
+// register vectors (the paper uses 1000). Both take the graph in the
+// one form adjacency builds it, an *adjacency.CSR.
 //
 // The greedy multi-start search is parallel and deterministic: every
 // restart derives its own RNG stream from (Seed, restart index), so
@@ -124,12 +125,7 @@ const exhaustiveCancelStride = 4096
 // callers should keep RegN small (<= ~9). Options.Cancel is polled
 // every few thousand permutations, so a cancelled context stops the
 // enumeration early with the best permutation found so far.
-func Exhaustive(g *adjacency.Graph, opts Options) *Result {
-	return ExhaustiveCSR(g.Freeze(), opts)
-}
-
-// ExhaustiveCSR is Exhaustive on an already-frozen graph.
-func ExhaustiveCSR(c *adjacency.CSR, opts Options) *Result {
+func Exhaustive(c *adjacency.CSR, opts Options) *Result {
 	free := freeRegs(opts)
 	perm := Identity(opts.RegN)
 	best := &Result{Perm: append([]int(nil), perm...), Cost: c.PermCost(perm, opts.RegN, opts.DiffN), Evaluated: 1}
@@ -193,12 +189,7 @@ func ExhaustiveCSR(c *adjacency.CSR, opts Options) *Result {
 // goroutines with a deterministic outcome (see Options.Workers). A
 // zero-cost restart stops the search — every worker quits as soon as
 // its next restart index exceeds the lowest zero-cost index found.
-func Greedy(g *adjacency.Graph, opts Options) *Result {
-	return GreedyCSR(g.Freeze(), opts)
-}
-
-// GreedyCSR is Greedy on an already-frozen graph.
-func GreedyCSR(c *adjacency.CSR, opts Options) *Result {
+func Greedy(c *adjacency.CSR, opts Options) *Result {
 	restarts := opts.Restarts
 	if restarts == 0 {
 		restarts = 1000
@@ -752,16 +743,11 @@ func (e *engine) markNeighbors(s *scratch, pp int) {
 // Auto picks exhaustive search for small register files and the greedy
 // multi-start heuristic otherwise, mirroring the paper's guidance that
 // exhaustive search "is actually tractable for small RegN values".
-func Auto(g *adjacency.Graph, opts Options) *Result {
-	return AutoCSR(g.Freeze(), opts)
-}
-
-// AutoCSR is Auto on an already-frozen graph.
-func AutoCSR(c *adjacency.CSR, opts Options) *Result {
+func Auto(c *adjacency.CSR, opts Options) *Result {
 	if len(freeRegs(opts)) <= 7 {
-		return ExhaustiveCSR(c, opts)
+		return Exhaustive(c, opts)
 	}
-	return GreedyCSR(c, opts)
+	return Greedy(c, opts)
 }
 
 func freeRegs(opts Options) []int {

@@ -15,17 +15,14 @@ import (
 // figure6Graph mimics the paper's Figure 6: a small register adjacency
 // graph where the identity numbering pays but a permutation reaches
 // cost 0 (RegN=3, DiffN=2).
-func figure6Graph() *adjacency.Graph {
-	g := adjacency.New(3)
+func figure6Graph() *adjacency.CSR {
 	// Edges chosen so identity (0,1,2) violates condition (3):
 	// 1->0 has diff 2 (violation), 2->1 has diff 2 (violation).
-	g.AddWeight(1, 0, 3)
-	g.AddWeight(2, 1, 2)
-	return g
+	return adjacency.FromEdges(3, []adjacency.Edge{{From: 1, To: 0, W: 3}, {From: 2, To: 1, W: 2}})
 }
 
-func costOf(g *adjacency.Graph, perm []int, regN, diffN int) float64 {
-	return g.Cost(func(n int) int { return perm[n] }, regN, diffN)
+func costOf(g *adjacency.CSR, perm []int, regN, diffN int) float64 {
+	return g.PermCost(perm, regN, diffN)
 }
 
 func TestExhaustiveFindsZeroCost(t *testing.T) {
@@ -49,10 +46,11 @@ func TestGreedyMatchesExhaustiveOnSmallGraphs(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		regN := 3 + rng.Intn(4) // 3..6
 		diffN := 1 + rng.Intn(regN)
-		g := adjacency.New(regN)
+		var edges []adjacency.Edge
 		for e := 0; e < 2+rng.Intn(8); e++ {
-			g.AddWeight(rng.Intn(regN), rng.Intn(regN), float64(1+rng.Intn(5)))
+			edges = append(edges, adjacency.Edge{From: int32(rng.Intn(regN)), To: int32(rng.Intn(regN)), W: float64(1 + rng.Intn(5))})
 		}
+		g := adjacency.FromEdges(regN, edges)
 		ex := Exhaustive(g, Options{RegN: regN, DiffN: diffN})
 		gr := Greedy(g, Options{RegN: regN, DiffN: diffN, Restarts: 200, Seed: int64(trial)})
 		if gr.Cost < ex.Cost {
@@ -70,10 +68,11 @@ func TestGreedyNeverWorseThanIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		regN := 8 + rng.Intn(8)
-		g := adjacency.New(regN)
+		var edges []adjacency.Edge
 		for e := 0; e < 30; e++ {
-			g.AddWeight(rng.Intn(regN), rng.Intn(regN), float64(1+rng.Intn(9)))
+			edges = append(edges, adjacency.Edge{From: int32(rng.Intn(regN)), To: int32(rng.Intn(regN)), W: float64(1 + rng.Intn(9))})
 		}
+		g := adjacency.FromEdges(regN, edges)
 		opts := Options{RegN: regN, DiffN: regN / 2, Restarts: 10, Seed: 1}
 		idCost := costOf(g, Identity(regN), regN, regN/2)
 		res := Greedy(g, opts)
@@ -102,11 +101,12 @@ func TestAutoSelectsStrategy(t *testing.T) {
 		t.Errorf("auto on small graph should be exhaustive-optimal, cost %v", res.Cost)
 	}
 	// Larger graph: must still return a valid permutation quickly.
-	big := adjacency.New(16)
 	rng := rand.New(rand.NewSource(2))
+	var edges []adjacency.Edge
 	for e := 0; e < 60; e++ {
-		big.AddWeight(rng.Intn(16), rng.Intn(16), 1)
+		edges = append(edges, adjacency.Edge{From: int32(rng.Intn(16)), To: int32(rng.Intn(16)), W: 1})
 	}
+	big := adjacency.FromEdges(16, edges)
 	res = Auto(big, Options{RegN: 16, DiffN: 8, Restarts: 20})
 	assertPermutation(t, res.Perm)
 }
@@ -172,17 +172,17 @@ entry:
 // fixed-point descent sees the zeros exactly.
 func TestGreedyTerminatesOnNonDyadicWeights(t *testing.T) {
 	const regN = 12
-	g := adjacency.New(regN)
-	for i := 0; i < regN; i++ {
-		g.AddWeight(i, (i+1)%regN, 10.0/3)
-		g.AddWeight(i, (i+5)%regN, 20.0/3)
+	var edges []adjacency.Edge
+	for i := int32(0); i < regN; i++ {
+		edges = append(edges, adjacency.Edge{From: i, To: (i + 1) % regN, W: 10.0 / 3}, adjacency.Edge{From: i, To: (i + 5) % regN, W: 20.0 / 3})
 	}
+	g := adjacency.FromEdges(regN, edges)
 	res := Greedy(g, Options{RegN: regN, DiffN: 1, Restarts: 3, Seed: 1, Workers: 1})
 	assertPermutation(t, res.Perm)
 	if want := 3 * (regN*(regN-1)/2 + 1); res.Evaluated > want {
 		t.Fatalf("evaluated %d, want <= %d: zero-gain swaps were taken", res.Evaluated, want)
 	}
-	if want := g.Freeze().PermCost(res.Perm, regN, 1); res.Cost != want {
+	if want := g.PermCost(res.Perm, regN, 1); res.Cost != want {
 		t.Fatalf("cost %v, PermCost %v", res.Cost, want)
 	}
 }
@@ -223,14 +223,14 @@ func TestGreedyExtremeWeights(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const regN = 12
 			rng := rand.New(rand.NewSource(9))
-			g := adjacency.New(regN)
+			var edges []adjacency.Edge
 			for i := 0; i < 40; i++ {
-				g.AddWeight(rng.Intn(regN), rng.Intn(regN), tc.w(i))
+				edges = append(edges, adjacency.Edge{From: int32(rng.Intn(regN)), To: int32(rng.Intn(regN)), W: tc.w(i)})
 			}
-			c := g.Freeze()
+			c := adjacency.FromEdges(regN, edges)
 			for _, diffN := range []int{1, 4, 8} {
 				done := make(chan *Result, 1)
-				go func() { done <- GreedyCSR(c, Options{RegN: regN, DiffN: diffN, Restarts: 200, Seed: 3, Workers: 1}) }()
+				go func() { done <- Greedy(c, Options{RegN: regN, DiffN: diffN, Restarts: 200, Seed: 3, Workers: 1}) }()
 				var res *Result
 				select {
 				case res = <-done:

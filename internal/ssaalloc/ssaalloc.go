@@ -34,7 +34,7 @@
 //
 // The differential-select cost hook (§6) plugs into the color choice:
 // when several colors are free, the scan scores them with
-// diffsel.PickCost over the frozen adjacency CSR and takes the
+// diffsel.PickCost over the live-range adjacency graph and takes the
 // cheapest, so the fast path still minimizes set_last_reg traffic.
 package ssaalloc
 
@@ -59,9 +59,9 @@ type Options struct {
 	K int
 	// Diff, when its RegN is non-zero and DiffN < RegN, enables the
 	// differential-select tiebreak: free colors are scored with
-	// diffsel.PickCost over the frozen adjacency CSR and the cheapest
-	// wins. The zero value keeps the plain lowest-color rule (and the
-	// allocation-free hot path).
+	// diffsel.PickCost over the live-range adjacency graph and the
+	// cheapest wins. The zero value keeps the plain lowest-color rule
+	// (and the allocation-free hot path).
 	Diff diffsel.Params
 	// MaxRounds bounds spill-rewrite iterations (0: 32).
 	MaxRounds int
@@ -603,7 +603,7 @@ func (s *scanState) pickColor(v int, ok []int) int {
 		return ok[0]
 	}
 	if s.diffCSR == nil {
-		s.diffCSR = adjacency.BuildVReg(s.f).Freeze()
+		s.diffCSR = adjacency.BuildVReg(s.f)
 	}
 	s.memBuf[0] = v
 	colorOf := func(u int) int { return s.color[u] }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -9,9 +8,9 @@ import (
 	"diffra/internal/diffsel"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
+	"diffra/internal/par"
 	"diffra/internal/pipeline"
 	"diffra/internal/regalloc"
-	"diffra/internal/service"
 	"diffra/internal/workloads"
 )
 
@@ -41,7 +40,7 @@ type SelectiveResult struct {
 func RunSelective(cfg LowEndConfig) ([]SelectiveResult, error) {
 	kernels := workloads.Kernels()
 	out := make([]SelectiveResult, len(kernels))
-	err := service.NewPool(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
+	err := par.Map(cfg.Workers, len(kernels), func(i int) error {
 		k := &kernels[i]
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
@@ -105,7 +104,7 @@ type AlternativeResult struct {
 func RunAlternatives(cfg LowEndConfig) ([]AlternativeResult, error) {
 	kernels := workloads.Kernels()
 	out := make([]AlternativeResult, len(kernels))
-	err := service.NewPool(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
+	err := par.Map(cfg.Workers, len(kernels), func(i int) error {
 		k := &kernels[i]
 		alloc, asn, err := irc.Allocate(k.F, irc.Options{
 			K:             cfg.RegN,

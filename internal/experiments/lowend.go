@@ -6,12 +6,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"diffra"
+	"diffra/internal/par"
 	"diffra/internal/pipeline"
-	"diffra/internal/service"
 	"diffra/internal/workloads"
 )
 
@@ -124,9 +123,9 @@ func (rep *LowEndReport) avg(scheme string, f func(KernelResult) float64) float6
 // every differential encoding is checked decodable; every simulated
 // run must return the same value as the virtual-register reference.
 //
-// The kernel×scheme cells are independent, so they fan out over a
-// worker pool (cfg.Workers); results land in per-cell slots, keeping
-// the report deterministic regardless of completion order.
+// The kernel×scheme cells are independent, so they fan out over
+// cfg.Workers goroutines; results land in per-cell slots, keeping the
+// report deterministic regardless of completion order.
 func RunLowEnd(cfg LowEndConfig) (*LowEndReport, error) {
 	rep := &LowEndReport{
 		Config:  cfg,
@@ -140,13 +139,11 @@ func RunLowEnd(cfg LowEndConfig) (*LowEndReport, error) {
 	for _, k := range kernels {
 		rep.Kernels = append(rep.Kernels, k.Name)
 	}
-	pool := service.NewPool(cfg.Workers)
-	ctx := context.Background()
 
 	// Reference runs, one per kernel, on virtual registers. The
 	// pipeline machine keeps per-run state, so each task builds its own.
 	refs := make([]int64, len(kernels))
-	err := pool.Map(ctx, len(kernels), func(i int) error {
+	err := par.Map(cfg.Workers, len(kernels), func(i int) error {
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
 			return err
@@ -164,7 +161,7 @@ func RunLowEnd(cfg LowEndConfig) (*LowEndReport, error) {
 
 	// The kernel×scheme grid.
 	cells := make([]*KernelResult, len(kernels)*len(schemes))
-	err = pool.Map(ctx, len(cells), func(c int) error {
+	err = par.Map(cfg.Workers, len(cells), func(c int) error {
 		k, scheme := &kernels[c/len(schemes)], schemes[c%len(schemes)]
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
@@ -191,8 +188,8 @@ func RunLowEnd(cfg LowEndConfig) (*LowEndReport, error) {
 
 // runKernelScheme compiles one cell of the grid through the facade,
 // which verifies the allocation and checks the differential encoding,
-// and simulates the result. The pool already fans out the cells, so
-// the remapping search runs serially.
+// and simulates the result. The cells already fan out over the cores,
+// so the remapping search runs serially.
 func runKernelScheme(mach *pipeline.Machine, k *workloads.Kernel, scheme string, cfg LowEndConfig) (*KernelResult, error) {
 	opts := diffra.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, RemapWorkers: 1}
 	switch scheme {

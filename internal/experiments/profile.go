@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -10,10 +9,10 @@ import (
 	"diffra/internal/diffsel"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
+	"diffra/internal/par"
 	"diffra/internal/pipeline"
 	"diffra/internal/regalloc"
 	"diffra/internal/remap"
-	"diffra/internal/service"
 	"diffra/internal/workloads"
 )
 
@@ -36,11 +35,11 @@ type ProfileResult struct {
 }
 
 // RunProfileGuided executes the ablation over the kernel suite, one
-// kernel per pool task.
+// kernel per task.
 func RunProfileGuided(cfg LowEndConfig) ([]ProfileResult, error) {
 	kernels := workloads.Kernels()
 	out := make([]ProfileResult, len(kernels))
-	err := service.NewPool(cfg.Workers).Map(context.Background(), len(kernels), func(i int) error {
+	err := par.Map(cfg.Workers, len(kernels), func(i int) error {
 		mach, err := pipeline.New(pipeline.LowEnd())
 		if err != nil {
 			return err
@@ -89,7 +88,7 @@ func profileOne(mach *pipeline.Machine, k *workloads.Kernel, cfg LowEndConfig) (
 	// (the facade seeds the search with 1 too).
 	staticAsn := cloneAssignment(asn)
 	gs := adjacency.BuildReg(alloc, func(r ir.Reg) int { return staticAsn.Color[r] }, cfg.RegN)
-	ps := remap.Auto(gs, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: 1})
+	ps := remap.Auto(gs, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: 1, Workers: 1})
 	permute(staticAsn, ps.Perm)
 	diffsel.Refine(alloc, staticAsn, params)
 	sets, cycles, err := encodeAndRun(mach, k, alloc, staticAsn, cfg)
@@ -101,7 +100,7 @@ func profileOne(mach *pipeline.Machine, k *workloads.Kernel, cfg LowEndConfig) (
 	// Variant B: profile weights.
 	profAsn := cloneAssignment(asn)
 	gp := adjacency.BuildRegProfile(alloc, func(r ir.Reg) int { return profAsn.Color[r] }, cfg.RegN, freq)
-	pp := remap.Auto(gp, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: 1})
+	pp := remap.Auto(gp, remap.Options{RegN: cfg.RegN, DiffN: cfg.DiffN, Restarts: cfg.Restarts, Seed: 1, Workers: 1})
 	permute(profAsn, pp.Perm)
 	diffsel.RefineProfile(alloc, profAsn, params, freq)
 	sets, cycles, err = encodeAndRun(mach, k, alloc, profAsn, cfg)

@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"diffra/internal/modsched"
-	"diffra/internal/service"
+	"diffra/internal/par"
 	"diffra/internal/vliw"
 	"diffra/internal/workloads"
 )
@@ -109,14 +108,12 @@ func RunVLIW(cfg VLIWConfig) (*VLIWReport, error) {
 	m := vliw.Default()
 	loops := workloads.SPECLoops(cfg.Seed, cfg.Loops)
 	rep := &VLIWReport{Config: cfg}
-	pool := service.NewPool(cfg.Workers)
-	ctx := context.Background()
 
-	// Baseline pass: every loop scheduled independently over the pool,
+	// Baseline pass: every loop scheduled independently in parallel,
 	// then a sequential reduce so the floating-point sums stay in loop
 	// order (bit-identical reports at any worker count).
 	bases := make([]loopBaseline, len(loops))
-	err := pool.Map(ctx, len(loops), func(i int) error {
+	err := par.Map(cfg.Workers, len(loops), func(i int) error {
 		free, err := modsched.Compile(loops[i], m, 1<<30)
 		if err != nil {
 			return fmt.Errorf("loop %d (free): %w", i, err)
@@ -164,7 +161,7 @@ func RunVLIW(cfg VLIWConfig) (*VLIWReport, error) {
 	for _, regN := range cfg.RegNs {
 		row := VLIWRow{RegN: regN}
 		cells := make([]loopCell, len(bases))
-		err := pool.Map(ctx, len(bases), func(i int) error {
+		err := par.Map(cfg.Workers, len(bases), func(i int) error {
 			b := &bases[i]
 			if !b.optimized {
 				return nil

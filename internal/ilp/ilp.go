@@ -16,14 +16,14 @@
 // components, and searches each component with a trail-based branch
 // and bound using an incrementally-maintained disjoint-sum lower
 // bound. The search runs in fixed-size node chunks on a deterministic
-// work-stealing scheduler (steal.go): a chunk that exhausts its budget
-// serializes its unexplored frontier into new work items, and
-// incumbent bounds broadcast at epoch barriers, so the item population
-// adapts to where the instance is hard — including connected instances
-// decomposition cannot split — while X, Cost, Optimal, Nodes and
-// Pruned stay bit-identical at any Options.Workers. The
-// pre-decomposition solver is retained as LegacySolve (benchmark
-// baseline and quality oracle).
+// epoch scheduler (steal.go) whose items fan out over internal/par: a
+// chunk that exhausts its budget serializes its unexplored frontier
+// into new work items, and incumbent bounds broadcast at epoch
+// barriers, so the item population adapts to where the instance is
+// hard — including connected instances decomposition cannot split —
+// while X, Cost, Optimal, Nodes and Pruned stay bit-identical at any
+// Options.Workers. The pre-decomposition solver is retained as
+// LegacySolve (benchmark baseline and quality oracle).
 package ilp
 
 import (
@@ -84,10 +84,8 @@ type Options struct {
 	// concurrently (0 or 1: serial). The result is bit-identical at
 	// any worker count.
 	Workers int
-	// Stats, when non-nil, accumulates work-stealing scheduler
-	// telemetry (steals, epochs, bound broadcasts, items). Steal
-	// counts are timing-dependent, which is why they are reported
-	// here and not in Solution.
+	// Stats, when non-nil, accumulates epoch scheduler telemetry
+	// (epochs, bound broadcasts, items).
 	Stats *StealStats
 }
 
@@ -141,7 +139,7 @@ func Solve(p Problem, opts Options) Solution {
 
 	outs := solveSteal(pre, maxNodes, opts)
 
-	// The steal engine already reduced per component (best incumbent by
+	// The epoch engine already reduced per component (best incumbent by
 	// (cost, lowest item index), bounds broadcast at epoch barriers);
 	// assemble the global assignment with the greedy incumbent backing
 	// any component whose search improved on nothing.

@@ -4,9 +4,9 @@ package ilp
 // of one component (epoch 0: the whole component, no fixes). Items are
 // produced by the search itself — a chunk that exhausts its node
 // budget serializes its unexplored frontier into child items — and
-// scheduled by the deterministic work-stealing engine in steal.go, so
-// the item population adapts to where the instance is actually hard
-// instead of being guessed up front. X, Cost, Optimal, Nodes and
+// scheduled by the deterministic epoch engine in steal.go, so the item
+// population adapts to where the instance is actually hard instead of
+// being guessed up front. X, Cost, Optimal, Nodes and
 // Pruned remain bit-identical at any worker count.
 
 // varFix is one root decision of a work item: variable v fixed to 1
@@ -21,7 +21,7 @@ type workItem struct {
 	fixes []varFix
 }
 
-// solveSteal runs the decomposed search on the work-stealing engine:
+// solveSteal runs the decomposed search on the epoch engine:
 // one group per component, seeded with one fix-free item each and the
 // component greedy cost as the starting incumbent bound.
 func solveSteal(pre *preprocessed, maxNodes int, opts Options) []GroupOut[[]bool] {

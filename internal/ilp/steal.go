@@ -1,15 +1,14 @@
 package ilp
 
-// Deterministic work-stealing scheduler for branch-and-bound searches.
+// Deterministic epoch scheduler for branch-and-bound searches.
 //
-// The PR 5 protocol split every instance into a FIXED work-item list up
-// front and claimed items off an atomic counter. That scales only when
-// the split guesses the hard subtrees correctly; on a connected
-// instance whose difficulty concentrates in one region — the joint
-// modulo-scheduling model is the standing example — most pre-split
-// items finish instantly and one worker grinds the rest alone. This
-// engine replaces the static split with dynamic frontier splitting
-// scheduled by work stealing, while keeping the solver's determinism
+// An earlier protocol split every instance into a FIXED work-item list
+// up front. That scales only when the split guesses the hard subtrees
+// correctly; on a connected instance whose difficulty concentrates in
+// one region — the joint modulo-scheduling model is the standing
+// example — most pre-split items finish instantly and one worker
+// grinds the rest alone. This engine replaces the static split with
+// dynamic frontier splitting, while keeping the solver's determinism
 // contract: the returned solution is bit-identical at any worker count.
 //
 // The determinism argument, in three invariants:
@@ -30,18 +29,12 @@ package ilp
 //     item index, and node/prune counters are summed in the same fixed
 //     order.
 //
-// Within an epoch, items are dealt round-robin onto per-worker deques;
-// an idle worker first drains its own deque from the bottom, then
-// steals from the top of its victims' deques in fixed order (w+1, w+2,
-// ... mod W). Stealing moves only *which goroutine* runs an item —
-// by invariants 1–3 it cannot move the result, so the steal count is
-// the single timing-dependent output, and it is reported through
-// StealStats rather than the Solution.
+// Within an epoch, par.For hands the items out to the workers from one
+// shared counter. That moves only *which goroutine* runs an item; by
+// invariants 1–3 it cannot move the result, so every StealStats field
+// is deterministic too.
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "diffra/internal/par"
 
 // stealChunkNodes is the node budget of one work-item chunk. Small
 // enough that the frontier re-splits (and the incumbent re-broadcasts)
@@ -49,14 +42,9 @@ import (
 // per-chunk replay of root fixes is noise.
 const stealChunkNodes = 2048
 
-// StealStats reports scheduler behaviour for telemetry. Epochs,
-// Broadcasts and Items are deterministic at any worker count; Steals
-// depends on scheduling timing and is excluded from the solver's
-// determinism contract (which is why it lives here and NOT in
-// Solution).
+// StealStats reports scheduler behaviour for telemetry. Every field
+// is deterministic at any worker count.
 type StealStats struct {
-	// Steals counts items a worker took from another worker's deque.
-	Steals int64
 	// Epochs is the number of barrier-synchronized search rounds.
 	Epochs int64
 	// Broadcasts counts incumbent bound tightenings applied at epoch
@@ -74,7 +62,6 @@ func (s *StealStats) add(o StealStats) {
 	if s == nil {
 		return
 	}
-	s.Steals += o.Steals
 	s.Epochs += o.Epochs
 	s.Broadcasts += o.Broadcasts
 	s.Items += o.Items
@@ -121,8 +108,11 @@ type StealConfig[I, P any] struct {
 	// remainder. A group whose budget hits zero with pending work left
 	// is marked Exhausted and its frontier is dropped.
 	MaxNodes int
-	Workers  int
-	Cancel   func() bool
+	// Workers is the number of goroutines an epoch's items run on
+	// (<= 1: serial, on the caller's goroutine). Run's w is below
+	// max(Workers, 1).
+	Workers int
+	Cancel  func() bool
 	// Run searches one item for at most chunk nodes against the given
 	// incumbent bound.
 	Run   func(w int, it I, bound float64, chunk int) ChunkOut[I, P]
@@ -141,14 +131,10 @@ type GroupOut[P any] struct {
 }
 
 // RunSteal drives the epoch loop: admit pending items under the node
-// budget, schedule them across the workers' deques, barrier, reduce in
-// item order, broadcast the tightened bounds, and go again on the
-// frontier the epoch emitted.
+// budget, run them on the workers, barrier, reduce in item order,
+// broadcast the tightened bounds, and go again on the frontier the
+// epoch emitted.
 func RunSteal[I, P any](cfg StealConfig[I, P]) []GroupOut[P] {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	outs := make([]GroupOut[P], cfg.Groups)
 	bound := append([]float64(nil), cfg.Bound...)
 	nodesUsed := make([]int, cfg.Groups)
@@ -198,7 +184,7 @@ func RunSteal[I, P any](cfg StealConfig[I, P]) []GroupOut[P] {
 		}
 		stats.Epochs++
 		stats.Items += int64(len(items))
-		results := runEpoch(cfg, items, chunks, bound, workers, &stats, &cancelled)
+		results := runEpoch(cfg, items, chunks, bound)
 
 		for idx := range results {
 			r := &results[idx]
@@ -229,97 +215,19 @@ func RunSteal[I, P any](cfg StealConfig[I, P]) []GroupOut[P] {
 }
 
 // runEpoch executes one epoch's fixed item list and returns the
-// per-item results (indexed slots, one writer each). The serial path
-// and the deque path produce identical results because item outcomes
-// do not depend on execution order within an epoch.
-func runEpoch[I, P any](cfg StealConfig[I, P], items []I, chunks []int, bound []float64, workers int, stats *StealStats, cancelled *bool) []ChunkOut[I, P] {
+// per-item results (indexed slots, one writer each). Item outcomes do
+// not depend on which worker runs them or in what order, so the result
+// is the same at any worker count. A cancelled search admits no
+// further epoch, so only the Cancel hook can stop an item here.
+func runEpoch[I, P any](cfg StealConfig[I, P], items []I, chunks []int, bound []float64) []ChunkOut[I, P] {
 	results := make([]ChunkOut[I, P], len(items))
-	runOne := func(w, idx int) {
-		// cancelled is only written between epochs, so reading it from
-		// the workers is race-free.
-		if *cancelled || (cfg.Cancel != nil && cfg.Cancel()) {
+	par.For(cfg.Workers, len(items), func(w, idx int) bool {
+		if cfg.Cancel != nil && cfg.Cancel() {
 			results[idx] = ChunkOut[I, P]{Cancelled: true}
-			return
+		} else {
+			results[idx] = cfg.Run(w, items[idx], bound[cfg.GroupOf(items[idx])], chunks[idx])
 		}
-		results[idx] = cfg.Run(w, items[idx], bound[cfg.GroupOf(items[idx])], chunks[idx])
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers == 1 {
-		for idx := range items {
-			runOne(0, idx)
-		}
-		return results
-	}
-
-	// Deal items round-robin: deque w holds indices w, w+W, w+2W, ...
-	// in FIFO order from the top.
-	deques := make([]workDeque, workers)
-	for idx := range items {
-		w := idx % workers
-		deques[w].items = append(deques[w].items, idx)
-	}
-	var steals atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				idx, ok := deques[w].popBottom()
-				if !ok {
-					// Own deque drained: steal from victims in fixed
-					// order w+1, w+2, ... mod W, taking the oldest item
-					// (the top) to keep contention off the victim's
-					// working end.
-					for d := 1; d < workers; d++ {
-						idx, ok = deques[(w+d)%workers].popTop()
-						if ok {
-							steals.Add(1)
-							break
-						}
-					}
-				}
-				if !ok {
-					return
-				}
-				runOne(w, idx)
-			}
-		}(w)
-	}
-	wg.Wait()
-	stats.Steals += steals.Load()
+		return true
+	})
 	return results
-}
-
-// workDeque is a per-worker double-ended queue of item indices. A
-// mutex suffices: operations are per-chunk (thousands of search nodes),
-// not per-node, so contention is negligible next to the search itself.
-type workDeque struct {
-	mu    sync.Mutex
-	items []int
-}
-
-func (d *workDeque) popBottom() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.items)
-	if n == 0 {
-		return 0, false
-	}
-	idx := d.items[n-1]
-	d.items = d.items[:n-1]
-	return idx, true
-}
-
-func (d *workDeque) popTop() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return 0, false
-	}
-	idx := d.items[0]
-	d.items = d.items[1:]
-	return idx, true
 }

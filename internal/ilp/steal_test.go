@@ -1,11 +1,15 @@
 package ilp
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
-// TestStealStatsDeterministicFields: every StealStats field except
-// Steals is part of the deterministic schedule (epoch count, scheduled
-// items, bound broadcasts), so it must be identical at any worker
-// count; Steals alone may vary with timing.
+// TestStealStatsDeterministicFields: every StealStats field (epoch
+// count, scheduled items, bound broadcasts) is part of the
+// deterministic schedule, so the whole struct must be identical at
+// any worker count.
 func TestStealStatsDeterministicFields(t *testing.T) {
 	p := HardOverlap(8, 12, 6)
 	var serial StealStats
@@ -16,9 +20,49 @@ func TestStealStatsDeterministicFields(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		var got StealStats
 		Solve(p, Options{MaxNodes: 50000, Workers: workers, Stats: &got})
-		if got.Epochs != serial.Epochs || got.Broadcasts != serial.Broadcasts || got.Items != serial.Items {
+		if got != serial {
 			t.Fatalf("workers=%d: stats %+v != serial %+v", workers, got, serial)
 		}
+	}
+}
+
+// TestRunStealWorkerPanicReachesCaller: a panic in Run on one item,
+// with several workers, is raised again on the goroutine that called
+// RunSteal once the other workers have stopped, so a recover there
+// sees it and no worker goroutine outlives the call.
+func TestRunStealWorkerPanicReachesCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	items := make([]int, 64)
+	for i := range items {
+		items[i] = i
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		RunSteal(StealConfig[int, struct{}]{
+			Groups:   1,
+			GroupOf:  func(int) int { return 0 },
+			Items:    items,
+			Bound:    []float64{inf},
+			MaxNodes: 1 << 30,
+			Workers:  3,
+			Run: func(_ int, it int, _ float64, _ int) ChunkOut[int, struct{}] {
+				if it == 17 {
+					panic("item 17")
+				}
+				return ChunkOut[int, struct{}]{Nodes: 1}
+			},
+		})
+	}()
+	if got != "item 17" {
+		t.Fatalf("recovered %v, want the worker's panic", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }
 

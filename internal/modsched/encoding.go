@@ -168,8 +168,10 @@ func EncodingCost(s *Schedule, regOf []int, regN, diffN, restarts int, seed int6
 	}
 	// Wraparound: the next iteration follows the last access.
 	edges = append(edges, adjacency.Edge{From: int32(seq[len(seq)-1]), To: int32(seq[0]), W: 1})
+	// One worker: RunVLIW and SolveJoint already run one EncodingCost
+	// per loop on every core.
 	res := remap.Greedy(adjacency.FromEdges(regN, edges), remap.Options{
-		RegN: regN, DiffN: diffN, Restarts: restarts, Seed: seed,
+		RegN: regN, DiffN: diffN, Restarts: restarts, Seed: seed, Workers: 1,
 	})
 	// Count violated adjacent pairs under the best permutation.
 	cost := 0

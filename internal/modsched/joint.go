@@ -8,7 +8,7 @@ package modsched
 // branch-and-bound whose objective is lexicographic
 // (cycles, set_last_reg count), seeded with the phased result as the
 // warm incumbent so it can never do worse, and run on the
-// deterministic work-stealing engine from internal/ilp — the standing
+// deterministic epoch engine from internal/ilp — the standing
 // stress test for that engine, because a loop instance is one
 // connected problem that component decomposition cannot split.
 //
@@ -28,7 +28,7 @@ package modsched
 // force every chain), and the partial set_last_reg count only grows as
 // registers are assigned. Candidate ENUMERATION is bound-independent —
 // pruning happens at descent — so a suspended chunk's frontier means
-// the same thing in any epoch, which the steal engine's determinism
+// the same thing in any epoch, which the epoch engine's determinism
 // argument requires.
 
 import (
@@ -63,7 +63,7 @@ type JointOptions struct {
 	// any worker count.
 	Workers int
 	Cancel  func() bool
-	// Stats accumulates work-stealing scheduler telemetry.
+	// Stats accumulates epoch scheduler telemetry.
 	Stats *ilp.StealStats
 	// Trace, when non-nil, receives a "joint" child span carrying the
 	// search effort and outcome (nil-safe, like all span handles).
@@ -100,7 +100,7 @@ func (r *JointResult) Cost() int64 {
 	return int64(r.Cycles)*jointScale + int64(r.Enc)
 }
 
-// jointSol is the incumbent payload carried through the steal engine.
+// jointSol is the incumbent payload carried through the epoch engine.
 type jointSol struct {
 	ii   int
 	time []int

@@ -193,7 +193,7 @@ func TestJointMatchesExhaustive(t *testing.T) {
 }
 
 // TestJointParallelMatchesSerial is the determinism contract for the
-// joint solver on the work-stealing engine: full-struct equality at
+// joint solver on the epoch engine: full-struct equality at
 // workers 1/2/8, including node and prune counts.
 func TestJointParallelMatchesSerial(t *testing.T) {
 	m := vliw.Default()
@@ -253,7 +253,7 @@ func TestJointImprovesConstructedLoop(t *testing.T) {
 	}
 }
 
-// TestJointStatsFlow: the steal-engine telemetry surface reaches the
+// TestJointStatsFlow: the epoch engine's telemetry surface reaches the
 // caller through JointOptions.Stats.
 func TestJointStatsFlow(t *testing.T) {
 	m := vliw.Default()

@@ -91,8 +91,8 @@ type Stats struct {
 	ILPPruned int
 	// Cancelled is true when the solve was aborted by a Cancel hook.
 	Cancelled bool
-	// Steal reports the solver's work-stealing scheduler behaviour
-	// (epochs, scheduled items, bound broadcasts, steals).
+	// Steal reports the solver's epoch scheduler behaviour (epochs,
+	// scheduled items, bound broadcasts).
 	Steal ilp.StealStats
 }
 
@@ -253,7 +253,6 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	ilpSpan.Add("steal_epochs", st.Steal.Epochs)
 	ilpSpan.Add("steal_items", st.Steal.Items)
 	ilpSpan.Add("steal_broadcasts", st.Steal.Broadcasts)
-	ilpSpan.Add("steals", st.Steal.Steals)
 	ilpSpan.SetAttr("optimal", st.ILPOptimal)
 	ilpSpan.SetAttr("cancelled", st.Cancelled)
 	ilpSpan.End()
@@ -262,14 +261,11 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		// visible in `diffra -metrics` output instead.
 		telemetry.Default.Counter("spill_nonoptimal").Inc()
 	}
-	// Work-stealing scheduler health: epochs/items/broadcasts are
-	// deterministic per workload (a drift signals a search change);
-	// steals are the one timing-dependent number and the only direct
-	// evidence in production that the dynamic splitter is balancing.
+	// Epoch scheduler health: epochs/items/broadcasts are
+	// deterministic per workload (a drift signals a search change).
 	telemetry.Default.Counter("ilp_steal_epochs").Add(st.Steal.Epochs)
 	telemetry.Default.Counter("ilp_steal_items").Add(st.Steal.Items)
 	telemetry.Default.Counter("ilp_steal_broadcasts").Add(st.Steal.Broadcasts)
-	telemetry.Default.Counter("ilp_steals").Add(st.Steal.Steals)
 	if st.Cancelled || (opts.Cancel != nil && opts.Cancel()) {
 		return nil, nil, nil, ErrCancelled
 	}

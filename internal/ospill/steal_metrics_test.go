@@ -31,7 +31,7 @@ func overPressureFunc() *ir.Func {
 	return ir.MustParse(b.String())
 }
 
-// TestStealStatsReachMetrics: the work-stealing scheduler's behaviour
+// TestStealStatsReachMetrics: the epoch scheduler's behaviour
 // must be observable in production — Stats.Steal filled per allocation,
 // the ilp span annotated, and the process-wide ilp_steal_* counters
 // (rendered by `diffra -metrics` and the Prometheus endpoint) ticking.
@@ -76,7 +76,7 @@ func TestStealStatsReachMetrics(t *testing.T) {
 	var text, prom strings.Builder
 	telemetry.Default.WriteText(&text)
 	telemetry.Default.WritePrometheus(&prom)
-	for _, name := range []string{"ilp_steal_epochs", "ilp_steal_items", "ilp_steal_broadcasts", "ilp_steals"} {
+	for _, name := range []string{"ilp_steal_epochs", "ilp_steal_items", "ilp_steal_broadcasts"} {
 		if !strings.Contains(text.String(), name) {
 			t.Errorf("metrics text output missing %s:\n%s", name, text.String())
 		}

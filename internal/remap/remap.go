@@ -13,13 +13,13 @@
 //
 // The greedy multi-start search is parallel and deterministic: every
 // restart derives its own RNG stream from (Seed, restart index), so
-// restarts are independent work items sharded across Options.Workers
-// goroutines, and the best permutation — ties broken by lowest restart
-// index — is bit-identical at any worker count. Each descent step
-// re-probes only the swap pairs whose delta a committed swap could
-// have changed (pair invalidation), each in O(1) against a
-// register-cost matrix a[p][r]: up to a per-row constant, the violated
-// weight of p's incident edges if p held register r.
+// restarts are independent work items that par.For hands out to
+// Options.Workers goroutines, and the best permutation — ties broken
+// by lowest restart index — is bit-identical at any worker count.
+// Each descent step re-probes only the swap pairs whose delta a
+// committed swap could have changed (pair invalidation), each in O(1)
+// against a register-cost matrix a[p][r]: up to a per-row constant,
+// the violated weight of p's incident edges if p held register r.
 //
 // The descent runs in exact int64 fixed point. Each search scales all
 // edge weights by one power of two, chosen from the heaviest total
@@ -50,10 +50,9 @@ package remap
 import (
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"diffra/internal/adjacency"
+	"diffra/internal/par"
 	"diffra/internal/telemetry"
 )
 
@@ -187,8 +186,9 @@ func Exhaustive(c *adjacency.CSR, opts Options) *Result {
 // Restarts are independent: restart r shuffles with an RNG seeded by
 // mixing Options.Seed with r, so they can run on Options.Workers
 // goroutines with a deterministic outcome (see Options.Workers). A
-// zero-cost restart stops the search — every worker quits as soon as
-// its next restart index exceeds the lowest zero-cost index found.
+// zero-cost restart stops the search: par.For hands restarts out in
+// ascending order, so every lower restart index has already been
+// handed out and runs.
 func Greedy(c *adjacency.CSR, opts Options) *Result {
 	restarts := opts.Restarts
 	if restarts == 0 {
@@ -200,63 +200,37 @@ func Greedy(c *adjacency.CSR, opts Options) *Result {
 	}
 	e := newEngine(c, opts)
 
-	var (
-		next   atomic.Int64 // next restart index to claim
-		stopAt atomic.Int64 // lowest zero-cost restart index found
-		costs  = make([]float64, restarts)
-		done   = make([]bool, restarts)
-		bests  = make([]workerBest, workers)
-	)
-	stopAt.Store(math.MaxInt64)
-
-	run := func(b *workerBest) {
-		b.index = -1
-		s := e.newScratch()
-		for {
-			r := int(next.Add(1)) - 1
-			if r >= restarts || int64(r) > stopAt.Load() {
-				return
-			}
-			// Restart 0 always completes, so a cancelled search still
-			// returns a usable permutation.
-			if r > 0 && opts.Cancel != nil && opts.Cancel() {
-				return
-			}
-			cost := e.descend(s, r)
-			costs[r] = cost
-			done[r] = true
-			b.evaluated += s.evaluated
-			s.evaluated = 0
-			b.performed++
-			if b.index < 0 || cost < b.cost {
-				b.cost = cost
-				b.index = r
-				b.perm = append(b.perm[:0], s.perm...)
-			}
-			if cost == 0 {
-				for {
-					cur := stopAt.Load()
-					if int64(r) >= cur || stopAt.CompareAndSwap(cur, int64(r)) {
-						break
-					}
-				}
-			}
-		}
+	costs := make([]float64, restarts)
+	done := make([]bool, restarts)
+	bests := make([]workerBest, workers)
+	for w := range bests {
+		bests[w].index = -1
 	}
-
-	if workers == 1 {
-		run(&bests[0])
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(b *workerBest) {
-				defer wg.Done()
-				run(b)
-			}(&bests[w])
+	cancel := opts.Cancel
+	par.For(workers, restarts, func(w, r int) bool {
+		// Restart 0 always completes, so a cancelled search still
+		// returns a usable permutation.
+		if r > 0 && cancel != nil && cancel() {
+			return false
 		}
-		wg.Wait()
-	}
+		b := &bests[w]
+		if b.s == nil {
+			b.s = e.newScratch()
+		}
+		s := b.s
+		cost := e.descend(s, r)
+		costs[r] = cost
+		done[r] = true
+		b.evaluated += s.evaluated
+		s.evaluated = 0
+		b.performed++
+		if b.index < 0 || cost < b.cost {
+			b.cost = cost
+			b.index = r
+			b.perm = append(b.perm[:0], s.perm...)
+		}
+		return cost != 0
+	})
 
 	// Reduce: lowest cost wins, ties broken by lowest restart index —
 	// exactly the order a serial run encounters them in.
@@ -303,11 +277,13 @@ func Greedy(c *adjacency.CSR, opts Options) *Result {
 	return best
 }
 
-// workerBest accumulates one worker's share of the search. Workers
-// claim monotonically increasing restart indices, so keeping the first
-// strictly-better cost reproduces serial tie-breaking within a worker;
-// the cross-worker tie-break happens in the final reduce.
+// workerBest accumulates one worker's share of the search and holds
+// its descent scratch. A worker receives restart indices in increasing
+// order, so keeping the first strictly-better cost reproduces serial
+// tie-breaking within a worker; the cross-worker tie-break happens in
+// the final reduce.
 type workerBest struct {
+	s         *scratch
 	cost      float64
 	index     int
 	perm      []int

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,21 +15,28 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatalf("Workers() = %d, want 3", p.Workers())
 	}
 	var cur, peak atomic.Int64
-	err := p.Map(context.Background(), 20, func(int) error {
-		n := cur.Add(1)
-		for {
-			old := peak.Load()
-			if n <= old || peak.CompareAndSwap(old, n) {
-				break
+	var wg sync.WaitGroup
+	for i := 0; i < 20; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := p.Do(context.Background(), func() {
+				n := cur.Add(1)
+				for {
+					old := peak.Load()
+					if n <= old || peak.CompareAndSwap(old, n) {
+						break
+					}
+				}
+				time.Sleep(time.Millisecond)
+				cur.Add(-1)
+			})
+			if err != nil {
+				t.Error(err)
 			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		}()
 	}
+	wg.Wait()
 	if peak.Load() > 3 {
 		t.Fatalf("observed %d concurrent tasks, bound is 3", peak.Load())
 	}
@@ -50,33 +58,5 @@ func TestPoolDoHonoursContextWhileQueued(t *testing.T) {
 	err := p.Do(ctx, func() { t.Error("fn ran despite expired context") })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-func TestPoolMapFirstErrorWins(t *testing.T) {
-	p := NewPool(2)
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	err := p.Map(context.Background(), 100, func(i int) error {
-		ran.Add(1)
-		if i == 5 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if ran.Load() >= 100 {
-		t.Fatal("error did not short-circuit remaining work")
-	}
-}
-
-func TestPoolMapEmpty(t *testing.T) {
-	if err := NewPool(0).Map(context.Background(), 0, func(int) error {
-		t.Error("fn called for n=0")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,10 +6,6 @@
 // cancellation propagate through diffra.CompileFuncContext into the
 // long-running searches (the optimal-spill ILP above all), so an
 // abandoned request stops burning CPU instead of leaking a goroutine.
-//
-// The same Pool drives the experiments harness
-// (internal/experiments), so regenerating the paper's tables exploits
-// every core through one concurrency bound.
 package service
 
 import (
@@ -304,8 +300,8 @@ func (s *Server) Trace(id int64) *TraceRecord {
 	return s.traces.get(id)
 }
 
-// Pool exposes the server's worker pool so other subsystems (the
-// experiments harness, batch drivers) share its concurrency bound.
+// Pool exposes the server's admission semaphore and its concurrency
+// bound.
 func (s *Server) Pool() *Pool { return s.pool }
 
 // Registry exposes the metrics registry the server records into.

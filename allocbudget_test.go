@@ -13,6 +13,7 @@ import (
 	"diffra/internal/pipeline"
 	"diffra/internal/regalloc"
 	"diffra/internal/scratch"
+	"diffra/internal/service"
 	"diffra/internal/ssaalloc"
 	"diffra/internal/workloads"
 )
@@ -34,6 +35,8 @@ const (
 	interpBudget      = 13   // measured 10 (crc32, K=8)
 	refineBudget      = 50   // measured 38 (susan, RegN=12, DiffN=8)
 	coalesceBudget    = 1460 // measured 1124 (susan, RegN=DiffN=8)
+	parseBudget       = 77   // measured 59 (adpcm, the most blocks)
+	cacheKeyBudget    = 2    // measured 1 (every §8 kernel)
 )
 
 func assertAllocBudget(t *testing.T, name string, budget float64, body func()) {
@@ -169,4 +172,32 @@ func TestAllocBudgetInterp(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAllocBudgetParse pins the IR front end every request pays, hit
+// or miss: instructions, operands and block lists come from slabs, so
+// parsing allocates per function and per block, never per token.
+func TestAllocBudgetParse(t *testing.T) {
+	for _, k := range workloads.Kernels() {
+		src := k.F.String()
+		assertAllocBudget(t, "Parse/"+k.Name, parseBudget, func() {
+			if _, err := ir.Parse(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAllocBudgetCacheKey pins the cache key to its one result string:
+// the printing and the options are hashed from a stack buffer.
+func TestAllocBudgetCacheKey(t *testing.T) {
+	opts, err := diffra.Options{}.Resolved()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range workloads.Kernels() {
+		assertAllocBudget(t, "CacheKey/"+k.Name, cacheKeyBudget, func() {
+			service.CacheKey(k.F, opts, false, false)
+		})
+	}
 }

@@ -31,6 +31,7 @@ import (
 	"diffra/internal/pipeline"
 	"diffra/internal/remap"
 	"diffra/internal/scratch"
+	"diffra/internal/service"
 	"diffra/internal/ssaalloc"
 	"diffra/internal/telemetry"
 	"diffra/internal/vliw"
@@ -216,6 +217,45 @@ func BenchmarkRemapGreedy(b *testing.B) {
 			evals += remap.Greedy(g, opts).Evaluated
 		}
 		b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
+	})
+}
+
+// BenchmarkParse measures the IR front end that every request to the
+// daemon or the router pays, hit or miss: one op parses the text of
+// all ten §8 kernels.
+func BenchmarkParse(b *testing.B) {
+	var texts []string
+	for _, k := range workloads.Kernels() {
+		texts = append(texts, k.F.String())
+	}
+	b.Run("kernels", func(b *testing.B) {
+		benchPrimed(b, func() error {
+			for _, src := range texts {
+				if _, err := ir.Parse(src); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// BenchmarkCacheKey measures the content address every request is
+// looked up and routed under: one op keys all ten §8 kernels at the
+// default options.
+func BenchmarkCacheKey(b *testing.B) {
+	opts, err := diffra.Options{}.Resolved()
+	if err != nil {
+		b.Fatal(err)
+	}
+	kernels := workloads.Kernels()
+	b.Run("kernels", func(b *testing.B) {
+		benchPrimed(b, func() error {
+			for _, k := range kernels {
+				service.CacheKey(k.F, opts, false, false)
+			}
+			return nil
+		})
 	})
 }
 

@@ -203,9 +203,11 @@ func (f *Func) Verify() error {
 			if in.Op.HasDef() != (len(in.Defs) == 1) && in.Op != OpSetLastReg {
 				return fmt.Errorf("ir: %s/%s instr %d (%s): def count", f.Name, b.Name, ii, in)
 			}
-			for _, r := range append(append([]Reg(nil), in.Defs...), in.Uses...) {
-				if r < 0 || int(r) >= f.numRegs {
-					return fmt.Errorf("ir: %s/%s instr %d (%s): register v%d out of range [0,%d)", f.Name, b.Name, ii, in, r, f.numRegs)
+			for _, ops := range [2][]Reg{in.Defs, in.Uses} {
+				for _, r := range ops {
+					if r < 0 || int(r) >= f.numRegs {
+						return fmt.Errorf("ir: %s/%s instr %d (%s): register v%d out of range [0,%d)", f.Name, b.Name, ii, in, r, f.numRegs)
+					}
 				}
 			}
 		}

@@ -5,17 +5,32 @@ import (
 	"testing"
 )
 
+// fuzzParseSeeds and fuzzNeverPanicsSeeds seed the two parser fuzz
+// targets; TestParseGolden also pins their parse outcomes.
+var (
+	fuzzParseSeeds = []string{
+		loopSrc,
+		"func f() {\nentry:\n  ret\n}",
+		"func f(v0) {\nentry:\n  v1 = li 3\n  store v1, v0, 0\n  ret v1\n}",
+		"func f(v0) {\nentry:\n  br v0 -> a, b\na:\n  jmp b\nb:\n  ret\n}",
+		"func f(v0) {\nentry:\n  set_last_reg 3, 1\n  ret v0\n}",
+		"garbage",
+		"func f( {",
+	}
+	fuzzNeverPanicsSeeds = []string{
+		"func f() {\n" + strings.Repeat("x:\n", 100) + "}",
+		"func \x00() {}",
+		"func f(v999999999999999999) {\nentry:\n ret\n}",
+	}
+)
+
 // FuzzParse hardens the IR parser: arbitrary input must either be
 // rejected with an error or produce a function that verifies and
 // round-trips through the printer.
 func FuzzParse(f *testing.F) {
-	f.Add(loopSrc)
-	f.Add("func f() {\nentry:\n  ret\n}")
-	f.Add("func f(v0) {\nentry:\n  v1 = li 3\n  store v1, v0, 0\n  ret v1\n}")
-	f.Add("func f(v0) {\nentry:\n  br v0 -> a, b\na:\n  jmp b\nb:\n  ret\n}")
-	f.Add("func f(v0) {\nentry:\n  set_last_reg 3, 1\n  ret v0\n}")
-	f.Add("garbage")
-	f.Add("func f( {")
+	for _, s := range fuzzParseSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		fn, err := Parse(src)
 		if err != nil {
@@ -38,9 +53,9 @@ func FuzzParse(f *testing.F) {
 // FuzzParseNeverPanics feeds hostile fragments with control characters
 // and long lines.
 func FuzzParseNeverPanics(f *testing.F) {
-	f.Add("func f() {\n" + strings.Repeat("x:\n", 100) + "}")
-	f.Add("func \x00() {}")
-	f.Add("func f(v999999999999999999) {\nentry:\n ret\n}")
+	for _, s := range fuzzNeverPanicsSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		_, _ = Parse(src) // must not panic
 	})

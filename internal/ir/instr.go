@@ -1,6 +1,6 @@
 package ir
 
-import "fmt"
+import "strconv"
 
 // Reg is a register operand. Before allocation it names a virtual
 // register (live range); after allocation the assignment maps each Reg
@@ -53,48 +53,64 @@ func (in *Instr) RegFields() []Reg {
 }
 
 func (in *Instr) String() string {
+	var buf [48]byte
+	return string(in.appendTo(buf[:0]))
+}
+
+// appendTo appends the instruction's String form to b. Operands are
+// read in the order they print, so an instruction missing one panics
+// at the first absent operand; Verify's messages embed that panic
+// text, and TestParseGolden pins it.
+func (in *Instr) appendTo(b []byte) []byte {
 	switch in.Op {
 	case OpLI:
-		return fmt.Sprintf("v%d = li %d", in.Defs[0], in.Imm)
+		b = append(appendReg(b, in.Defs[0]), " = li "...)
+		return strconv.AppendInt(b, in.Imm, 10)
 	case OpLoad:
-		return fmt.Sprintf("v%d = load v%d, %d", in.Defs[0], in.Uses[0], in.Imm)
+		b = append(appendReg(b, in.Defs[0]), " = load "...)
+		b = append(appendReg(b, in.Uses[0]), ", "...)
+		return strconv.AppendInt(b, in.Imm, 10)
 	case OpStore:
-		return fmt.Sprintf("store v%d, v%d, %d", in.Uses[0], in.Uses[1], in.Imm)
+		b = append(appendReg(append(b, "store "...), in.Uses[0]), ", "...)
+		b = append(appendReg(b, in.Uses[1]), ", "...)
+		return strconv.AppendInt(b, in.Imm, 10)
 	case OpSpillLoad:
-		return fmt.Sprintf("v%d = spill_load %d", in.Defs[0], in.Imm)
+		b = append(appendReg(b, in.Defs[0]), " = spill_load "...)
+		return strconv.AppendInt(b, in.Imm, 10)
 	case OpSpillStore:
-		return fmt.Sprintf("spill_store v%d, %d", in.Uses[0], in.Imm)
+		b = append(appendReg(append(b, "spill_store "...), in.Uses[0]), ", "...)
+		return strconv.AppendInt(b, in.Imm, 10)
 	case OpSetLastReg:
+		b = strconv.AppendInt(append(b, "set_last_reg "...), in.Imm, 10)
 		if in.Imm2 >= 0 {
-			return fmt.Sprintf("set_last_reg %d, %d", in.Imm, in.Imm2)
+			b = strconv.AppendInt(append(b, ", "...), in.Imm2, 10)
 		}
-		return fmt.Sprintf("set_last_reg %d", in.Imm)
+		return b
 	case OpCall:
-		s := ""
 		if len(in.Defs) > 0 {
-			s = fmt.Sprintf("v%d = ", in.Defs[0])
+			b = append(appendReg(b, in.Defs[0]), " = "...)
 		}
-		s += "call " + in.Sym
+		b = append(append(b, "call "...), in.Sym...)
 		for _, u := range in.Uses {
-			s += fmt.Sprintf(", v%d", u)
+			b = appendReg(append(b, ", "...), u)
 		}
-		return s
+		return b
 	case OpRet:
+		b = append(b, "ret"...)
 		if len(in.Uses) > 0 {
-			return fmt.Sprintf("ret v%d", in.Uses[0])
+			b = appendReg(append(b, ' '), in.Uses[0])
 		}
-		return "ret"
+		return b
 	}
-	s := ""
 	if len(in.Defs) > 0 {
-		s = fmt.Sprintf("v%d = ", in.Defs[0])
+		b = append(appendReg(b, in.Defs[0]), " = "...)
 	}
-	s += in.Op.String()
+	b = append(b, in.Op.String()...)
 	for i, u := range in.Uses {
 		if i > 0 {
-			s += ","
+			b = append(b, ',')
 		}
-		s += fmt.Sprintf(" v%d", u)
+		b = appendReg(append(b, ' '), u)
 	}
-	return s
+	return b
 }

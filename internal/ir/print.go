@@ -1,44 +1,57 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // String renders the function in the textual IR format accepted by
 // Parse. Branch successors are printed after "->" since edges live on
 // blocks, not instructions.
 func (f *Func) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s(", f.Name)
+	// Holds a §8 kernel's printing, so the string is the one allocation.
+	var buf [1024]byte
+	return string(f.AppendTo(buf[:0]))
+}
+
+// AppendTo appends f's String form to b and returns the extended
+// buffer, so a caller that only hashes or writes the text (the service
+// cache key) needs no string of it.
+func (f *Func) AppendTo(b []byte) []byte {
+	b = append(b, "func "...)
+	b = append(b, f.Name...)
+	b = append(b, '(')
 	for i, p := range f.Params {
 		if i > 0 {
-			sb.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&sb, "v%d", p)
+		b = appendReg(b, p)
 	}
-	sb.WriteString(") {\n")
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "%s:\n", b.Name)
-		for _, in := range b.Instrs {
-			sb.WriteString("  ")
-			sb.WriteString(in.String())
-			if in.Op.IsTerminator() && len(b.Succs) > 0 {
+	b = append(b, ") {\n"...)
+	for _, blk := range f.Blocks {
+		b = append(b, blk.Name...)
+		b = append(b, ":\n"...)
+		for _, in := range blk.Instrs {
+			b = append(b, "  "...)
+			b = in.appendTo(b)
+			if in.Op.IsTerminator() && len(blk.Succs) > 0 {
 				if in.Op == OpJmp {
-					sb.WriteString(" " + b.Succs[0].Name)
+					b = append(b, ' ')
+					b = append(b, blk.Succs[0].Name...)
 				} else {
-					sb.WriteString(" -> ")
-					for i, s := range b.Succs {
+					b = append(b, " -> "...)
+					for i, s := range blk.Succs {
 						if i > 0 {
-							sb.WriteString(", ")
+							b = append(b, ", "...)
 						}
-						sb.WriteString(s.Name)
+						b = append(b, s.Name...)
 					}
 				}
 			}
-			sb.WriteString("\n")
+			b = append(b, '\n')
 		}
 	}
-	sb.WriteString("}\n")
-	return sb.String()
+	return append(b, "}\n"...)
+}
+
+// appendReg appends the "vN" spelling of r.
+func appendReg(b []byte, r Reg) []byte {
+	return strconv.AppendInt(append(b, 'v'), int64(r), 10)
 }

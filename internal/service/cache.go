@@ -4,8 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"io"
+	"strconv"
 	"time"
 
 	"diffra"
@@ -32,11 +31,22 @@ import (
 // disk tier adds cache.SchemaVersion on top of this key, so persisted
 // entries from an incompatible binary can never satisfy it.
 func CacheKey(f *ir.Func, opts diffra.Options, listing, explain bool) string {
-	h := sha256.New()
-	io.WriteString(h, f.String())
-	fmt.Fprintf(h, "\x00%s\x00%d\x00%d\x00%d\x00%t\x00%t\x00%s",
-		opts.Scheme, opts.RegN, opts.DiffN, opts.Restarts, listing, explain, opts.Alloc)
-	return hex.EncodeToString(h.Sum(nil))
+	// The printing, then each option after a NUL, in one buffer hashed
+	// once. Disk entries and the router's ring placement are keyed by
+	// exactly these bytes; TestCacheKeyGolden pins them.
+	var buf [2048]byte
+	b := f.AppendTo(buf[:0])
+	b = append(append(b, 0), opts.Scheme...)
+	b = strconv.AppendInt(append(b, 0), int64(opts.RegN), 10)
+	b = strconv.AppendInt(append(b, 0), int64(opts.DiffN), 10)
+	b = strconv.AppendInt(append(b, 0), int64(opts.Restarts), 10)
+	b = strconv.AppendBool(append(b, 0), listing)
+	b = strconv.AppendBool(append(b, 0), explain)
+	b = append(append(b, 0), opts.Alloc...)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // resultCache is the two-level compile-result cache: the per-node

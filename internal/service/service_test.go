@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"diffra/internal/telemetry"
 )
@@ -172,6 +173,47 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	if m := reg.Counter("service_cache_misses").Value(); m != 1 {
 		t.Fatalf("cache misses = %d, want 1", m)
 	}
+}
+
+// TestRetainedNamesDoNotPinRequest: the cache and the trace ring
+// outlive the request, so the function name they keep must be its own
+// copy, not a substring of the request's IR — or every retained entry
+// keeps its whole request body alive.
+func TestRetainedNamesDoNotPinRequest(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	req := Request{IR: strings.Repeat(" ", 4096) + tinyIR, Scheme: "select"}
+	pins := func(what, s string) {
+		t.Helper()
+		if s == "" {
+			t.Fatalf("%s is empty", what)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(req.IR)))
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		if p >= lo && p < lo+uintptr(len(req.IR)) {
+			t.Errorf("%s %q points into the request source", what, s)
+		}
+	}
+	miss := srv.Compile(context.Background(), req)
+	if miss.Error != "" || miss.Cached {
+		t.Fatalf("first compile: cached=%v err=%q", miss.Cached, miss.Error)
+	}
+	hit := srv.Compile(context.Background(), req)
+	if !hit.Cached {
+		t.Fatal("repeat was not a cache hit")
+	}
+	pins("cached Response.Func", hit.Func)
+	var compiled *TraceRecord
+	for _, rec := range srv.Traces() {
+		pins("TraceRecord.Func", rec.Func)
+		if rec.Root() != nil {
+			compiled = rec
+		}
+	}
+	if compiled == nil {
+		t.Fatal("no retained trace carries a span tree")
+	}
+	name, _ := compiled.Root().Attr("func").(string)
+	pins("root span func attr", name)
 }
 
 // TestCacheKeyResolvesDefaults: spelling out the defaults and leaving

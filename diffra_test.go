@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +260,55 @@ func TestCompileEmitsSpanTree(t *testing.T) {
 				t.Fatalf("%s: no ilp span under allocate", s)
 			}
 		}
+	}
+}
+
+// TestCoalesceILPSpanCarriesStealCounters: differential coalesce
+// decides its spills through the same reported ILP decision as the
+// optimal spilling scheme, so a coalesce compile's
+// compile/allocate/ilp span carries the epoch scheduler's counters and
+// the cancelled attribute, and the ilp_steal_* registry counters tick.
+func TestCoalesceILPSpanCarriesStealCounters(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "altsum.ir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := telemetry.Default.Counter("ilp_steal_epochs").Value()
+	sink := &telemetry.CollectSink{}
+	if _, err := Compile(string(src), Options{
+		Scheme: Coalesce, RegN: 6, DiffN: 4, Restarts: 10, Telemetry: telemetry.New(sink),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var ilp *telemetry.Span
+	if root := sink.Last(); root != nil && root.Name == "compile" && root.Find("allocate") != nil {
+		for _, c := range root.Find("allocate").Children {
+			if c.Name == "ilp" {
+				ilp = c
+			}
+		}
+	}
+	if ilp == nil {
+		t.Fatal("no compile/allocate/ilp span")
+	}
+	for _, name := range []string{"steal_epochs", "steal_items", "steal_broadcasts"} {
+		found := false
+		for _, c := range ilp.Counters {
+			found = found || c.Name == name
+		}
+		if !found {
+			t.Errorf("ilp span has no %s counter: %v", name, ilp.Counters)
+		}
+	}
+	epochs := ilp.Counter("steal_epochs")
+	if epochs == 0 || ilp.Counter("steal_items") == 0 {
+		t.Fatalf("no scheduler activity on the ilp span: %v", ilp.Counters)
+	}
+	if got := ilp.Attr("cancelled"); got != false {
+		t.Errorf("cancelled attr = %v, want false", got)
+	}
+	if got := telemetry.Default.Counter("ilp_steal_epochs").Value() - before; float64(got) < epochs {
+		t.Errorf("ilp_steal_epochs rose by %d, span reports %v", got, epochs)
 	}
 }
 

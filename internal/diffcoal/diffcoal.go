@@ -32,15 +32,10 @@ type Options struct {
 	RegN int
 	// DiffN is the encodable difference count (condition (3)).
 	DiffN int
-	// MaxNodes caps the spill ILP per independently-solved work item
-	// (0: solver default).
-	MaxNodes int
 	// SpillWorkers is the goroutine count for the spill ILP's
 	// deterministic parallel search (0 or 1: serial). The spill set is
 	// bit-identical at any worker count.
 	SpillWorkers int
-	// MaxRounds bounds fallback spill rounds (0: 16).
-	MaxRounds int
 	// Trace, when non-nil, is the allocator's phase span: the ILP spill
 	// decision and the coalescing loop report on it. Allocate does not
 	// End it; the caller owns it.
@@ -74,6 +69,9 @@ type Stats struct {
 	FinalDiffCost float64
 }
 
+// maxRounds bounds the fallback spill rounds of one allocation.
+const maxRounds = 16
+
 // Allocate runs optimal spilling followed by differential coalescing
 // and coloring with differential select. The returned function has
 // spill code inserted, coalesced moves removed, and every vreg colored
@@ -82,28 +80,15 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	if opts.RegN < 2 {
 		return nil, nil, nil, fmt.Errorf("diffcoal: RegN = %d", opts.RegN)
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 16
-	}
 	st := &Stats{}
 
 	work := f.Clone()
-	ilpSpan := opts.Trace.Child("ilp")
-	spills, spillStats := ospill.DecideSpillsCancel(work, opts.RegN, opts.MaxNodes, opts.SpillWorkers, opts.Cancel)
-	ilpSpan.Add("constraints", int64(spillStats.Constraints))
-	ilpSpan.Add("nodes", int64(spillStats.ILPNodes))
-	ilpSpan.Add("components", int64(spillStats.ILPComponents))
-	ilpSpan.Add("reductions", int64(spillStats.ILPReductions))
-	ilpSpan.Add("pruned", int64(spillStats.ILPPruned))
-	ilpSpan.Add("spilled_ranges", int64(spillStats.ILPSpilled))
-	ilpSpan.SetAttr("optimal", spillStats.ILPOptimal)
-	ilpSpan.End()
+	spills, _, spillStats := ospill.Decide(work, ospill.Options{
+		K: opts.RegN, Workers: opts.SpillWorkers, DisableLoopSpills: true,
+		Trace: opts.Trace, Cancel: opts.Cancel,
+	})
 	if spillStats.Cancelled {
 		return nil, nil, nil, ErrCancelled
-	}
-	if !spillStats.ILPOptimal {
-		telemetry.Default.Counter("spill_nonoptimal").Inc()
 	}
 	st.Spill = spillStats
 	slots := regalloc.NewSlotAssigner()

@@ -285,7 +285,7 @@ func (s *bbState) branch(cur float64) {
 // may be summed; constraints overlapping an already-summed one only
 // contribute through the max single completion. The returned bound is
 // max(disjoint sum, max completion) — both admissible, and strictly
-// stronger than the legacy per-constraint max whenever any two unmet
+// stronger than the max completion alone whenever any two unmet
 // constraints are disjoint. Deficits and free counts are maintained
 // incrementally by fix/unwind, so each call touches only the unmet
 // constraints' variable lists. Returns ok=false when some constraint

@@ -51,22 +51,6 @@ func TestCancelStopsSearch(t *testing.T) {
 	assertFeasible(t, p, sol.X)
 }
 
-func TestLegacyCancelStopsSearch(t *testing.T) {
-	// HardDisjoint is trivial for Solve (it decomposes) but hard for
-	// the retained legacy baseline, whose cancellation contract must
-	// also keep working.
-	p := HardDisjoint(8, 12, 6)
-	full := LegacySolve(p, Options{MaxNodes: 50000})
-	if full.Nodes < 10000 {
-		t.Fatalf("instance too easy to observe cancellation: %d nodes", full.Nodes)
-	}
-	sol := LegacySolve(p, Options{MaxNodes: 50000, Cancel: func() bool { return true }})
-	if !sol.Cancelled || sol.Optimal || sol.Nodes > 256 {
-		t.Fatalf("legacy cancel ignored: %+v", sol)
-	}
-	assertFeasible(t, p, sol.X)
-}
-
 // TestParallelCancelPollingBound: every worker polls Cancel before
 // each claimed work item and about every 64 nodes inside a search, so
 // after the hook starts returning true the whole solve stops within

@@ -22,8 +22,8 @@
 // barriers, so the item population adapts to where the instance is
 // hard — including connected instances decomposition cannot split —
 // while X, Cost, Optimal, Nodes and Pruned stay bit-identical at any
-// Options.Workers. The pre-decomposition solver is retained as
-// LegacySolve (benchmark baseline and quality oracle).
+// Options.Workers. The tests check it against brute-force enumeration
+// on small instances.
 package ilp
 
 import (
@@ -131,7 +131,7 @@ func Solve(p Problem, opts Options) Solution {
 	}
 	if pre.infeasible {
 		// Preprocessing proved no assignment satisfies the constraints
-		// under the exclusivity groups; match LegacySolve's contract.
+		// under the exclusivity groups.
 		sol.Cost = inf
 		sol.Optimal = false
 		return sol

@@ -292,8 +292,8 @@ func bruteForceExclusive(p Problem) float64 {
 	n := len(p.Costs)
 	cons := sanitize(p, n)
 	best := -1.0
+	x := make([]bool, n)
 	for mask := 0; mask < 1<<n; mask++ {
-		x := make([]bool, n)
 		for v := 0; v < n; v++ {
 			x[v] = mask&(1<<v) != 0
 		}

@@ -5,12 +5,11 @@ import "math/rand"
 // Seeded instance families shared by benchmarks and tests.
 
 // HardDisjoint builds `groups` disjoint width-variable constraints
-// with near-uniform costs. The legacy per-constraint max bound is
-// loose across groups (it sees only one group at a time), so
-// LegacySolve burns nodes re-deriving each group's optimum in every
-// branch of the others; the decomposed solver splits it into
-// single-constraint components and solves each at the root. This is
-// the benchmark family behind BENCH_ilp.json's speedup_legacy_serial.
+// with near-uniform costs. A search over the whole instance with a
+// per-constraint max bound, which sees one group at a time, re-derives
+// each group's optimum in every branch of the others; the decomposed
+// solver splits it into single-constraint components and solves each
+// at the root.
 func HardDisjoint(groups, width, need int) Problem {
 	rng := rand.New(rand.NewSource(7))
 	n := groups * width
@@ -32,7 +31,7 @@ func HardDisjoint(groups, width, need int) Problem {
 // chain of half-overlapping width-variable windows (window g shares
 // width/2 variables with window g+1), one connected component with no
 // small separator. Near-uniform costs make window-boundary sharing
-// decisions nearly tied, so both solvers must search; this is the
+// decisions nearly tied, so the solver must search; this is the
 // family for cancellation tests and honest search-throughput
 // benchmarks, where the speedup is per-node efficiency and worker
 // scaling rather than decomposition.

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -71,23 +72,27 @@ func TestParallelSolveMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesLegacyOptimum: both solvers are exact, so whenever
-// both finish within budget they must agree on the optimal cost —
-// LegacySolve is the retained quality oracle.
-func TestSolveMatchesLegacyOptimum(t *testing.T) {
+// TestSolveMatchesBruteForce: Solve is exact, so on instances small
+// enough to enumerate it must return the brute-force optimum, and on
+// instances the exclusivity groups make infeasible it must return no
+// assignment.
+func TestSolveMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		p := randomInstance(rng, 6+rng.Intn(12), 2+rng.Intn(8), trial%3 == 0)
 		sol := Solve(p, Options{})
-		leg := LegacySolve(p, Options{})
-		if !sol.Optimal || !leg.Optimal {
+		want := bruteForceExclusive(p)
+		if want < 0 {
+			if sol.X != nil || sol.Optimal {
+				t.Fatalf("trial %d: infeasible instance returned %+v", trial, sol)
+			}
 			continue
 		}
-		if (sol.X == nil) != (leg.X == nil) {
-			t.Fatalf("trial %d: feasibility disagreement: new %v legacy %v", trial, sol.X, leg.X)
+		if !sol.Optimal || sol.Cost != want {
+			t.Fatalf("trial %d: optimum %v (optimal=%v), brute force %v (%+v)", trial, sol.Cost, sol.Optimal, want, p)
 		}
-		if sol.Cost != leg.Cost {
-			t.Fatalf("trial %d: new optimum %v != legacy optimum %v (%+v)", trial, sol.Cost, leg.Cost, p)
+		if !feasible(sanitize(p, len(p.Costs)), sol.X) || !exclusiveOK(p, sol.X) {
+			t.Fatalf("trial %d: infeasible assignment %v", trial, sol.X)
 		}
 	}
 }
@@ -108,9 +113,21 @@ func TestDecompositionCollapsesDisjoint(t *testing.T) {
 	if sol.Nodes > 1000 {
 		t.Fatalf("decomposition missed: %d nodes", sol.Nodes)
 	}
-	leg := LegacySolve(p, Options{MaxNodes: 50000})
-	if cost := leg.Cost; sol.Cost > cost {
-		t.Fatalf("decomposed optimum %v worse than legacy incumbent %v", sol.Cost, cost)
+	// Each group is one need-of-width constraint over its own
+	// variables, so the optimum takes each group's need cheapest costs.
+	want := 0.0
+	for _, c := range p.Constraints {
+		costs := make([]float64, 0, len(c.Vars))
+		for _, v := range c.Vars {
+			costs = append(costs, p.Costs[v])
+		}
+		sort.Float64s(costs)
+		for _, cost := range costs[:c.Need] {
+			want += cost
+		}
+	}
+	if sol.Cost != want {
+		t.Fatalf("decomposed optimum %v, closed form %v", sol.Cost, want)
 	}
 }
 
@@ -141,8 +158,8 @@ func TestReductionsFixForcedVariables(t *testing.T) {
 	}
 }
 
-// TestInfeasibleByExclusivity: preprocessing + search must report the
-// LegacySolve contract for infeasible instances (nil X, +Inf cost).
+// TestInfeasibleByExclusivity: preprocessing + search must report an
+// infeasible instance as nil X and +Inf cost.
 func TestInfeasibleByExclusivity(t *testing.T) {
 	p := Problem{
 		Costs: []float64{1, 2},

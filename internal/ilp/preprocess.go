@@ -364,9 +364,10 @@ func (c *comp) buildCSR() {
 	}
 }
 
-// compGreedy is greedyExclusive restricted to one component: the
-// cheapest-per-coverage heuristic produces the incumbent each work
-// item starts from. Returns (nil, +Inf) when exclusivity strands a
+// compGreedy builds one component's greedy incumbent, the one each
+// work item starts from: it repeatedly sets the variable with the best
+// deficit coverage per cost, skipping variables whose exclusivity
+// peer is already set. Returns (nil, +Inf) when exclusivity strands a
 // constraint.
 func compGreedy(c *comp) ([]bool, float64) {
 	nv := len(c.vars)

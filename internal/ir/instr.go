@@ -57,28 +57,30 @@ func (in *Instr) String() string {
 	return string(in.appendTo(buf[:0]))
 }
 
-// appendTo appends the instruction's String form to b. Operands are
-// read in the order they print, so an instruction missing one panics
-// at the first absent operand; Verify's messages embed that panic
-// text, and TestParseGolden pins it.
+// appendTo appends the instruction's String form to b. It prints the
+// operands the instruction has, so a malformed one (a def-less li, a
+// load without its base) prints what is there instead of panicking;
+// Verify's messages embed this form.
 func (in *Instr) appendTo(b []byte) []byte {
 	switch in.Op {
-	case OpLI:
-		b = append(appendReg(b, in.Defs[0]), " = li "...)
-		return strconv.AppendInt(b, in.Imm, 10)
-	case OpLoad:
-		b = append(appendReg(b, in.Defs[0]), " = load "...)
-		b = append(appendReg(b, in.Uses[0]), ", "...)
-		return strconv.AppendInt(b, in.Imm, 10)
-	case OpStore:
-		b = append(appendReg(append(b, "store "...), in.Uses[0]), ", "...)
-		b = append(appendReg(b, in.Uses[1]), ", "...)
-		return strconv.AppendInt(b, in.Imm, 10)
-	case OpSpillLoad:
-		b = append(appendReg(b, in.Defs[0]), " = spill_load "...)
-		return strconv.AppendInt(b, in.Imm, 10)
-	case OpSpillStore:
-		b = append(appendReg(append(b, "spill_store "...), in.Uses[0]), ", "...)
+	case OpStore, OpSpillStore, OpSetLastReg, OpRet:
+		// These forms print no def.
+	default:
+		if len(in.Defs) > 0 {
+			b = append(appendReg(b, in.Defs[0]), " = "...)
+		}
+	}
+	switch in.Op {
+	case OpLI, OpLoad, OpStore, OpSpillLoad, OpSpillStore:
+		// The form's uses, each followed by ", ", then the immediate.
+		info := &opTable[in.Op]
+		b = append(append(b, info.name...), ' ')
+		for i, u := range in.Uses {
+			if i == info.nUses {
+				break
+			}
+			b = append(appendReg(b, u), ", "...)
+		}
 		return strconv.AppendInt(b, in.Imm, 10)
 	case OpSetLastReg:
 		b = strconv.AppendInt(append(b, "set_last_reg "...), in.Imm, 10)
@@ -87,9 +89,6 @@ func (in *Instr) appendTo(b []byte) []byte {
 		}
 		return b
 	case OpCall:
-		if len(in.Defs) > 0 {
-			b = append(appendReg(b, in.Defs[0]), " = "...)
-		}
 		b = append(append(b, "call "...), in.Sym...)
 		for _, u := range in.Uses {
 			b = appendReg(append(b, ", "...), u)
@@ -101,9 +100,6 @@ func (in *Instr) appendTo(b []byte) []byte {
 			b = appendReg(append(b, ' '), in.Uses[0])
 		}
 		return b
-	}
-	if len(in.Defs) > 0 {
-		b = append(appendReg(b, in.Defs[0]), " = "...)
 	}
 	b = append(b, in.Op.String()...)
 	for i, u := range in.Uses {

@@ -1,8 +1,10 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 const loopSrc = `
@@ -80,6 +82,61 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q): expected error", src)
 		}
+	}
+}
+
+// blocksSrc is a function of blocks b0, b1, ... whose bodies body(i)
+// supplies, grown until the source reaches limit bytes.
+func blocksSrc(limit int, body func(i int) string) (src string, blocks int) {
+	var b strings.Builder
+	b.WriteString("func big() {\n")
+	for ; b.Len() < limit; blocks++ {
+		fmt.Fprintf(&b, "b%d:\n%s", blocks, body(blocks))
+	}
+	b.WriteString("}\n")
+	return b.String(), blocks
+}
+
+// TestParseManyBlocksLinear: labels resolve through a hash index, so a
+// 1 MiB function of tens of thousands of blocks, inside the daemon's
+// default request limit, parses in linear time. A linear scan per label
+// took seconds here.
+func TestParseManyBlocksLinear(t *testing.T) {
+	const limit = 1 << 20
+	rets, n := blocksSrc(limit, func(int) string { return "  ret\n" })
+	jmps, m := blocksSrc(limit, func(i int) string { return fmt.Sprintf("  jmp b%d\n", i+1) })
+	jmps = strings.Replace(jmps, fmt.Sprintf("jmp b%d\n", m), "ret\n", 1) // the last block returns
+	for _, c := range []struct {
+		src    string
+		blocks int
+		chain  bool // block i jumps to block i+1
+	}{{rets, n, false}, {jmps, m, true}} {
+		start := time.Now()
+		f, err := Parse(c.src)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed > 2*time.Second {
+			t.Errorf("%d blocks parsed in %v", c.blocks, elapsed)
+		}
+		if len(f.Blocks) != c.blocks {
+			t.Fatalf("parsed %d blocks, want %d", len(f.Blocks), c.blocks)
+		}
+		for i, b := range f.Blocks[:c.blocks-1] {
+			if c.chain && (len(b.Succs) != 1 || b.Succs[0] != f.Blocks[i+1]) {
+				t.Fatalf("%s does not jump to b%d", b.Name, i+1)
+			}
+		}
+	}
+	// The index finds duplicates and missing labels after it grows.
+	dup := strings.Replace(rets, "}\n", "b100:\n  ret\n}\n", 1)
+	if _, err := Parse(dup); err == nil || !strings.Contains(err.Error(), `duplicate label "b100"`) {
+		t.Errorf("duplicate label: %v", err)
+	}
+	missing := strings.Replace(rets, "b5:\n  ret\n", "b5:\n  jmp nowhere\n", 1)
+	if _, err := Parse(missing); err == nil || !strings.Contains(err.Error(), `undefined label "nowhere"`) {
+		t.Errorf("undefined label: %v", err)
 	}
 }
 
@@ -252,11 +309,27 @@ func TestInstrStringForms(t *testing.T) {
 		"v3 = add v1, v2":     {Op: OpAdd, Defs: []Reg{3}, Uses: []Reg{1, 2}},
 		"v1 = call f, v2, v3": {Op: OpCall, Defs: []Reg{1}, Uses: []Reg{2, 3}, Sym: "f"},
 		"ret v1":              {Op: OpRet, Uses: []Reg{1}},
+		// Malformed instructions print the operands they have.
+		"li 0":          {Op: OpLI},
+		"load v0, 4":    {Op: OpLoad, Uses: []Reg{0}, Imm: 4},
+		"v1 = load 4":   {Op: OpLoad, Defs: []Reg{1}, Imm: 4},
+		"store v2, 4":   {Op: OpStore, Uses: []Reg{2}, Imm: 4},
+		"spill_load 8":  {Op: OpSpillLoad, Imm: 8},
+		"spill_store 8": {Op: OpSpillStore, Imm: 8},
 	}
 	for want, in := range checks {
 		if got := in.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
 		}
+	}
+	_, err := Parse("func f() {\nentry:\n  li 0\n  ret\n}\n")
+	if want := "ir: f/entry instr 0 (li 0): def count"; err == nil || err.Error() != want {
+		t.Errorf("def-less li: %v, want %s", err, want)
+	}
+	f := MustParse(loopSrc)
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(10, func() { buf = f.AppendTo(buf[:0]) }); n != 0 {
+		t.Errorf("AppendTo allocates %v times", n)
 	}
 }
 

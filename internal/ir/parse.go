@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
 )
@@ -31,7 +32,9 @@ import (
 // slabs, as Func.Clone does. Block names and labels stay substrings of
 // src; the function name and call symbols are copied, because they
 // outlive the request in cached responses and retained traces and
-// would otherwise keep all of src alive.
+// would otherwise keep all of src alive. Labels resolve through a hash
+// index of the block names, so the parse stays linear in the block
+// count.
 func Parse(src string) (*Func, error) {
 	// The first chunks are sized from the line count, which bounds the
 	// instruction count; the slabChunk cap bounds what a body of blank
@@ -43,6 +46,7 @@ func Parse(src string) (*Func, error) {
 		ops:    make([]Reg, 0, 2*n),
 		ptrs:   make([]*Instr, 0, n),
 	}
+	p.blocks.seed = maphash.MakeSeed()
 	return p.parse()
 }
 
@@ -70,6 +74,60 @@ type parser struct {
 	start  int      // first slot of the open block in ptrs
 	labels []string // every pending edge's labels, back to back
 	edges  []pendingEdge
+	blocks blockIndex
+}
+
+// blockIndex finds a block by name in O(1): an open-addressing table
+// of block index+1 (0: empty slot), kept at most half full. The table
+// starts in the fixed array, so a function of up to 32 blocks indexes
+// its labels without allocating; past that it moves to the heap and
+// doubles as it fills. The hash seed is random per parse, as a Go
+// map's is, so an input cannot aim its names at one probe chain.
+type blockIndex struct {
+	seed  maphash.Seed
+	small [64]int32
+	big   []int32
+}
+
+func (x *blockIndex) table() []int32 {
+	if x.big != nil {
+		return x.big
+	}
+	return x.small[:]
+}
+
+// find returns the block of f named name, or nil.
+func (x *blockIndex) find(f *Func, name string) *Block {
+	t := x.table()
+	mask := uint64(len(t) - 1)
+	for i := maphash.String(x.seed, name) & mask; t[i] != 0; i = (i + 1) & mask {
+		if b := f.Blocks[t[i]-1]; b.Name == name {
+			return b
+		}
+	}
+	return nil
+}
+
+// add indexes f's newest block, growing the table first if that block
+// would fill more than half of it.
+func (x *blockIndex) add(f *Func) {
+	if n := len(x.table()); 2*len(f.Blocks) > n {
+		big := make([]int32, 2*n)
+		for _, b := range f.Blocks[:len(f.Blocks)-1] {
+			x.put(big, b)
+		}
+		x.big = big
+	}
+	x.put(x.table(), f.Blocks[len(f.Blocks)-1])
+}
+
+func (x *blockIndex) put(t []int32, b *Block) {
+	mask := uint64(len(t) - 1)
+	i := maphash.String(x.seed, b.Name) & mask
+	for t[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t[i] = int32(b.Index + 1)
 }
 
 // pendingEdge is a branch whose targets resolve at the closing brace:
@@ -117,7 +175,7 @@ func (p *parser) parse() (*Func, error) {
 			p.closeBlock(cur)
 			for _, e := range p.edges {
 				for _, lbl := range p.labels[e.lo:e.hi] {
-					t := f.BlockByName(lbl)
+					t := p.blocks.find(f, lbl)
 					if t == nil {
 						return nil, p.errf("undefined label %q", lbl)
 					}
@@ -130,11 +188,12 @@ func (p *parser) parse() (*Func, error) {
 				return nil, p.errf("label outside func")
 			}
 			name := strings.TrimSuffix(line, ":")
-			if f.BlockByName(name) != nil {
+			if p.blocks.find(f, name) != nil {
 				return nil, p.errf("duplicate label %q", name)
 			}
 			p.closeBlock(cur)
 			cur = f.NewBlock(name)
+			p.blocks.add(f)
 		default:
 			if cur == nil {
 				return nil, p.errf("instruction outside block")

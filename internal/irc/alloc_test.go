@@ -7,12 +7,10 @@ import (
 	"diffra/internal/scratch"
 )
 
-// TestPredicatePathDoesNotAllocate pins the fix for the two hot-loop
-// predicates the legacy allocator paid allocations for on every
-// main-loop turn: moveRelated (legacy: materialize nodeMoves into a
-// fresh slice just to test emptiness) and haveWorklistMoves (legacy:
-// rescan all of mstate). Both must now be allocation-free, as must the
-// adjacent() neighbor walk they gate.
+// TestPredicatePathDoesNotAllocate pins the two predicates the main
+// loop asks on every turn, moveRelated (a walk of the node's move
+// chain) and haveWorklistMoves (a counter), as allocation-free, along
+// with the adjacent() neighbor walk they gate.
 func TestPredicatePathDoesNotAllocate(t *testing.T) {
 	f := ir.MustParse(`
 func f(v0, v1) {
@@ -26,7 +24,7 @@ entry:
 }
 `)
 	ar := new(scratch.Arena)
-	a := newAllocState(f, Options{K: 4, Picker: FirstAvailable}, nil, ar, f.BlockFreqs())
+	a := newAllocState(f, 4, nil, ar, f.BlockFreqs())
 	sink := false
 	n := testing.AllocsPerRun(100, func() {
 		for v := 0; v < a.n; v++ {

@@ -12,13 +12,13 @@
 //
 // The allocator's inner machinery runs on flat, reusable state carved
 // from a scratch.Arena: bitset worklists with a min-index cursor
-// (exact minKey pop order at O(n/64)), a dense adjacency bit matrix
+// (lowest-index pop at O(n/64)), a dense adjacency bit matrix
 // with CSR neighbor lists, move incidence as spliceable linked lists,
 // and a maintained worklist-move set so the main loop never rescans
-// move states. LegacyAllocate in legacy.go keeps the original
-// map-based formulation; the two must produce identical assignments on
-// every input (see the equivalence tests), so every pop here follows
-// the legacy tie-break: lowest node id, lowest move index.
+// move states. Every choice has one deterministic tie-break: worklists
+// pop their lowest node id, the coalesce step takes the lowest move
+// index, and move lists keep insertion order. TestIRCGolden (in the
+// root package) pins the resulting assignments.
 package irc
 
 import (
@@ -48,24 +48,20 @@ func FirstAvailable(_ int, okColors []int, _ func(int) int) int { return okColor
 // merged live ranges on the adjacency graph.
 type PickerFactory func(f *ir.Func, aliasOf func(int) int) ColorPicker
 
+// maxRounds bounds the spill-rewrite iterations of one allocation.
+const maxRounds = 32
+
 // Options configures the allocator.
 type Options struct {
 	// K is the number of machine registers available for coloring.
 	K int
-	// Picker selects among legal colors (nil: FirstAvailable).
-	Picker ColorPicker
-	// PickerFactory, when set, overrides Picker with a per-round picker
-	// built against the round's rewritten function.
+	// PickerFactory, when set, builds each round's picker against the
+	// round's rewritten function. Nil: FirstAvailable.
 	PickerFactory PickerFactory
-	// MaxRounds bounds spill-rewrite iterations (0: 32).
-	MaxRounds int
 	// Slots supplies the stack-slot assigner; callers that already
 	// inserted spill code (e.g. the optimal spilling allocator) pass
 	// theirs so slot numbers stay disjoint. Nil: a fresh assigner.
 	Slots *regalloc.SlotAssigner
-	// KeepMoves disables the final removal of same-color moves; used
-	// by tests that inspect the allocator's raw output.
-	KeepMoves bool
 	// Trace, when non-nil, is the allocator's phase span: Allocate adds
 	// per-round child spans with simplify/coalesce/freeze/spill counters
 	// under it. Allocate does not End it; the caller owns it.
@@ -81,18 +77,10 @@ type Options struct {
 // Allocate colors f with opts.K registers, spilling as needed. It
 // returns the rewritten function (a clone of f with spill code and
 // with coalesced moves deleted) and the assignment for every vreg of
-// the returned function. Allocate and LegacyAllocate produce identical
-// assignments; only the machinery differs.
+// the returned function.
 func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) {
 	if opts.K < 2 {
 		return nil, nil, fmt.Errorf("irc: need at least 2 registers, have %d", opts.K)
-	}
-	if opts.Picker == nil {
-		opts.Picker = FirstAvailable
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 32
 	}
 	ar := opts.Scratch
 	if ar == nil {
@@ -124,9 +112,9 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 		// the only state carried across rounds lives on the heap (work,
 		// asn, unspillable, the spilled list).
 		ar.Reset()
-		a := newAllocState(work, opts, rs, ar, freq)
+		a := newAllocState(work, opts.K, rs, ar, freq)
 		if opts.PickerFactory != nil {
-			a.opts.Picker = opts.PickerFactory(work, a.getAlias)
+			a.picker = opts.PickerFactory(work, a.getAlias)
 		}
 		for v := range unspillable {
 			if int(v) < len(a.cost) {
@@ -146,9 +134,7 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 				asn.Color[v] = a.color[a.getAlias(v)]
 			}
 			asn.CoalescedMoves += a.numCoalesced
-			if !opts.KeepMoves {
-				substituteAliases(work, a.getAlias)
-			}
+			substituteAliases(work, a.getAlias)
 			opts.Trace.Add("spilled_vregs", int64(asn.SpilledVRegs))
 			opts.Trace.Add("spill_instrs", int64(asn.SpillInstrs))
 			opts.Trace.Add("coalesced_moves", int64(asn.CoalescedMoves))
@@ -202,8 +188,8 @@ func substituteAliases(f *ir.Func, alias func(int) int) {
 // Node/move worklist states. nodeState is a byte alias so state
 // vectors carve straight from the arena; the two removed states
 // (nsStack, nsCoalesced) are the enum's top values so adjacent() skips
-// them with a single compare. Both this file and legacy.go use only
-// equality on these, so the ordering is free to serve that one test.
+// them with a single compare. Nothing else orders these states, so the
+// ordering is free to serve that one test.
 type nodeState = uint8
 
 const (
@@ -229,8 +215,7 @@ const (
 
 // idxSet is a dense index set that pops its minimum element in
 // O(n/64) with zero allocation: a bitset plus a cursor that lower-
-// bounds the first non-empty word. It reproduces exactly the
-// minKey-over-map pop order of the legacy allocator.
+// bounds the first non-empty word.
 type idxSet struct {
 	words []uint64
 	cur   int // index of the lowest possibly non-empty word
@@ -297,11 +282,11 @@ func (s *idxSet) forEach(fn func(i int)) {
 }
 
 type allocState struct {
-	f    *ir.Func
-	opts Options
-	k    int
-	n    int
-	ar   *scratch.Arena
+	f      *ir.Func
+	picker ColorPicker
+	k      int
+	n      int
+	ar     *scratch.Arena
 
 	// Interference: a dense bit matrix (n rows of adjW words) for O(1)
 	// membership, with per-node neighbor lists carved as one CSR flat
@@ -320,8 +305,8 @@ type allocState struct {
 
 	// Moves: mstate per move, plus per-node incidence as linked entry
 	// chains (entMove/entNext indexed by entry, head/tail per node) so
-	// combine() splices v's chain onto u's in O(1), preserving the
-	// legacy append order u-then-v.
+	// combine() splices v's chain onto u's in O(1): u's entries first,
+	// then v's.
 	moves   []*ir.Instr
 	mstate  []moveState
 	entMove []int
@@ -354,15 +339,15 @@ type allocState struct {
 	numPotential  int64
 }
 
-func newAllocState(f *ir.Func, opts Options, span *telemetry.Span, ar *scratch.Arena, freq []float64) *allocState {
+func newAllocState(f *ir.Func, k int, span *telemetry.Span, ar *scratch.Arena, freq []float64) *allocState {
 	n := f.NumRegs()
 	a := &allocState{
-		trace: span,
-		f:     f,
-		opts:  opts,
-		k:     opts.K,
-		n:     n,
-		ar:    ar,
+		trace:  span,
+		f:      f,
+		picker: FirstAvailable,
+		k:      k,
+		n:      n,
+		ar:     ar,
 	}
 	a.adjW = (n + 63) / 64
 	a.adjBits = ar.Uint64s(n * a.adjW)
@@ -376,8 +361,8 @@ func newAllocState(f *ir.Func, opts Options, span *telemetry.Span, ar *scratch.A
 	}
 	a.seenMark = ar.Ints(n)
 	a.stack = ar.Ints(n)[:0]
-	a.okBuf = ar.Ints(opts.K)[:0]
-	a.forbBuf = ar.Bools(opts.K)
+	a.okBuf = ar.Ints(k)[:0]
+	a.forbBuf = ar.Bools(k)
 	a.simplifyWL.init(ar, n)
 	a.freezeWL.init(ar, n)
 	a.spillWL.init(ar, n)
@@ -386,9 +371,9 @@ func newAllocState(f *ir.Func, opts Options, span *telemetry.Span, ar *scratch.A
 	return a
 }
 
-// build constructs interference edges and move lists from liveness
-// through regalloc.Interferences, with the rule and move order
-// regalloc.Build uses. Edges land in the bit matrix first
+// build constructs interference edges and the move list from liveness
+// through regalloc.Interferences, the rule every graph builder applies;
+// moves are indexed in its walk order. Edges land in the bit matrix first
 // (deduplicating), then one pass per row emits the CSR neighbor lists
 // in ascending order — a neighbor order the main loop is provably
 // insensitive to.
@@ -432,8 +417,8 @@ func (a *allocState) build() {
 		off += a.degree[u]
 	}
 
-	// Move incidence chains, in the legacy insertion order: per move,
-	// destination first, then source if distinct.
+	// Move incidence chains in move order: per move, destination
+	// first, then source if distinct.
 	a.entMove = a.ar.Ints(2 * nm)[:0]
 	a.entNext = a.ar.Ints(2 * nm)[:0]
 	a.mlHead = a.ar.Ints(a.n)
@@ -536,9 +521,8 @@ func (a *allocState) makeWorklist() {
 	}
 }
 
-// moveRelated reports whether v has an active or worklist move — the
-// predicate the legacy code answered by materializing nodeMoves into a
-// fresh slice. This walk allocates nothing.
+// moveRelated reports whether v has an active or worklist move. The
+// walk allocates nothing.
 func (a *allocState) moveRelated(v int) bool {
 	for e := a.mlHead[v]; e >= 0; e = a.entNext[e] {
 		if st := a.mstate[a.entMove[e]]; st == mvActive || st == mvWorklist {
@@ -549,8 +533,7 @@ func (a *allocState) moveRelated(v int) bool {
 }
 
 // haveWorklistMoves is O(1): wlMoves tracks exactly the moves in
-// mvWorklist state, where the legacy code rescanned all of mstate on
-// every main-loop turn (quadratic in moves).
+// mvWorklist state, so no main-loop turn rescans mstate.
 func (a *allocState) haveWorklistMoves() bool { return a.wlMoves.count > 0 }
 
 // adjacent yields current neighbors: adjList minus stack/coalesced —
@@ -618,8 +601,8 @@ func (a *allocState) addWorkList(v int) {
 }
 
 // conservative is the Briggs test: coalescing is safe if the combined
-// node has fewer than K neighbors of significant degree. Dedup is an
-// epoch mark per node instead of the legacy's per-call map.
+// node has fewer than K neighbors of significant degree. A neighbor of
+// both is counted once, deduplicated by an epoch mark per node.
 func (a *allocState) conservative(u, v int) bool {
 	a.epoch++
 	epoch := a.epoch
@@ -643,7 +626,7 @@ func (a *allocState) conservative(u, v int) bool {
 }
 
 func (a *allocState) coalesce() {
-	m := a.wlMoves.popMin() // the lowest move index, like the legacy scan
+	m := a.wlMoves.popMin() // the lowest move index
 	if m < 0 {
 		return
 	}
@@ -678,10 +661,9 @@ func (a *allocState) combine(u, v int) {
 	}
 	a.state[v] = nsCoalesced
 	a.alias[v] = u
-	// Splice v's move chain onto u's: u's entries first, then v's —
-	// the same order the legacy append produced. v keeps its head (it
-	// is never merged again), so enableMoves(v) still walks exactly
-	// v's own entries.
+	// Splice v's move chain onto u's: u's entries first, then v's.
+	// v keeps its head (it is never merged again), so enableMoves(v)
+	// still walks exactly v's own entries.
 	if a.mlHead[v] >= 0 {
 		if a.mlHead[u] < 0 {
 			a.mlHead[u] = a.mlHead[v]
@@ -712,10 +694,9 @@ func (a *allocState) freeze() {
 }
 
 func (a *allocState) freezeMoves(u int) {
-	// Snapshot u's active/worklist moves first, exactly like the
-	// legacy nodeMoves slice: the body mutates move states, and a
-	// duplicate entry (u merged from both endpoints of one move) must
-	// still be visited twice.
+	// Snapshot u's active/worklist moves first: the body mutates move
+	// states, and a duplicate entry (u merged from both endpoints of
+	// one move) must still be visited twice.
 	buf := a.nmBuf[:0]
 	for e := a.mlHead[u]; e >= 0; e = a.entNext[e] {
 		m := a.entMove[e]
@@ -747,7 +728,7 @@ func (a *allocState) freezeMoves(u int) {
 
 // selectSpill picks the spill-worklist node with minimal cost/degree,
 // the classic heuristic; spill temporaries carry infinite cost. The
-// ascending scan makes the lowest id win score ties, matching minKey.
+// ascending scan makes the lowest node id win score ties.
 func (a *allocState) selectSpill() {
 	a.numPotential++
 	best, bestScore := -1, math.Inf(1)
@@ -801,7 +782,7 @@ func (a *allocState) assignColors() []int {
 			continue
 		}
 		a.state[v] = nsColored
-		a.color[v] = a.opts.Picker(v, ok, colorOf)
+		a.color[v] = a.picker(v, ok, colorOf)
 	}
 	if len(spilled) > 0 {
 		return spilled

@@ -125,7 +125,7 @@ entry:
 }
 `
 	f := ir.MustParse(src)
-	out, asn, err := Allocate(f, Options{K: 4, KeepMoves: true})
+	out, asn, err := Allocate(f, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,8 @@ func TestPickerReceivesChoices(t *testing.T) {
 		return ok[len(ok)-1] // highest color
 	}
 	f := ir.MustParse(loopSrc)
-	out, asn, err := Allocate(f, Options{K: 8, Picker: picker})
+	factory := func(*ir.Func, func(int) int) ColorPicker { return picker }
+	out, asn, err := Allocate(f, Options{K: 8, PickerFactory: factory})
 	if err != nil {
 		t.Fatal(err)
 	}

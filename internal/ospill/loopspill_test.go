@@ -88,7 +88,7 @@ func TestLoopSpillCandidates(t *testing.T) {
 
 func TestExtendedProblemPrefersLoopSpills(t *testing.T) {
 	f := ir.MustParse(liveThroughSrc)
-	spills, chosen, st := DecideSpillsExtended(f, ltK, 0)
+	spills, chosen, st := DecideSpillsExtended(f, ltK, 0, 0, nil)
 	if !st.ILPOptimal {
 		t.Fatal("expected optimal solve")
 	}

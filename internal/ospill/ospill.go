@@ -9,9 +9,8 @@
 //
 // The second phase — coalescing and coloring the now low-pressure
 // interference graph — is delegated to the iterated register
-// coalescing allocator, whose select stage remains pluggable so that
-// differential select (§6) and differential coalesce (§7) can reuse
-// this allocator's spilling phase.
+// coalescing allocator. Differential coalesce (§7) reuses the spilling
+// phase through Decide and colors with its own loop.
 package ospill
 
 import (
@@ -33,10 +32,6 @@ import (
 type Options struct {
 	// K is the number of machine registers.
 	K int
-	// Picker / PickerFactory configure the coloring phase's select
-	// stage (see irc.Options).
-	Picker        irc.ColorPicker
-	PickerFactory irc.PickerFactory
 	// MaxNodes caps the ILP search per independently-solved work item
 	// (0: solver default).
 	MaxNodes int
@@ -148,17 +143,14 @@ func conKey(vars []int, need int) string {
 	return sb.String()
 }
 
-// DecideSpills runs the optimal spill phase on f (without rewriting):
-// it returns the chosen spill set and whether it is provably optimal.
-func DecideSpills(f *ir.Func, k, maxNodes int) (map[ir.Reg]bool, Stats) {
-	return DecideSpillsCancel(f, k, maxNodes, 0, nil)
-}
-
-// DecideSpillsCancel is DecideSpills with a solver worker count and a
-// cancellation hook polled by the ILP solver; when the hook fires, the
-// returned Stats report Cancelled and the spill set is the best
-// incumbent found so far.
-func DecideSpillsCancel(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, Stats) {
+// DecideSpills runs the optimal spill phase on f (without rewriting)
+// over whole live ranges: it returns the chosen spill set, and Stats
+// say whether it is provably optimal. maxNodes and workers are the ILP
+// solver's budget and goroutine count (0: defaults); cancel, when
+// non-nil, is polled by the solver, and when it fires the returned
+// Stats report Cancelled and the spill set is the best incumbent found
+// so far.
+func DecideSpills(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, Stats) {
 	prob := SpillProblem(f, k)
 	st := Stats{Constraints: len(prob.Constraints)}
 	spills := make(map[ir.Reg]bool)
@@ -183,16 +175,11 @@ func DecideSpillsCancel(f *ir.Func, k, maxNodes, workers int, cancel func() bool
 }
 
 // DecideSpillsExtended runs the optimal phase with loop-granularity
-// candidates. It returns the full-range spill set and the chosen loop
-// spills. When the extended program yields no feasible solution within
-// budget, it falls back to the whole-range model (always feasible).
-func DecideSpillsExtended(f *ir.Func, k, maxNodes int) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
-	return DecideSpillsExtendedCancel(f, k, maxNodes, 0, nil)
-}
-
-// DecideSpillsExtendedCancel is DecideSpillsExtended with a solver
-// worker count and a cancellation hook polled by the ILP solver.
-func DecideSpillsExtendedCancel(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
+// candidates, taking DecideSpills' arguments. It returns the
+// full-range spill set and the chosen loop spills. When the extended
+// program yields no feasible solution within budget, it falls back to
+// the whole-range model (always feasible).
+func DecideSpillsExtended(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
 	prob, cands := ExtendedSpillProblem(f, k)
 	st := Stats{Constraints: len(prob.Constraints)}
 	spills := make(map[ir.Reg]bool)
@@ -203,7 +190,7 @@ func DecideSpillsExtendedCancel(f *ir.Func, k, maxNodes, workers int, cancel fun
 	sol := ilp.Solve(prob, ilp.Options{MaxNodes: maxNodes, Workers: workers, Cancel: cancel, Stats: &st.Steal})
 	if sol.X == nil {
 		extended := st.Steal
-		spills, st = DecideSpillsCancel(f, k, maxNodes, workers, cancel)
+		spills, st = DecideSpills(f, k, maxNodes, workers, cancel)
 		st.Steal.Merge(extended) // keep the abandoned extended solve's effort visible
 		return spills, nil, st
 	}
@@ -230,18 +217,20 @@ func DecideSpillsExtendedCancel(f *ir.Func, k, maxNodes, workers int, cancel fun
 	return spills, chosen, st
 }
 
-// Allocate runs both phases and returns the rewritten function, the
-// assignment, and spill statistics.
-func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats, error) {
-	work := f.Clone()
+// Decide makes the spill decision for f under opts, over loop spills
+// unless opts.DisableLoopSpills, and reports it: an "ilp" child span of
+// opts.Trace with the solver's counters, the spill_nonoptimal counter
+// when a budget cut the search short, and the ilp_steal_* registry
+// counters. Allocate and differential coalesce both decide through it.
+func Decide(f *ir.Func, opts Options) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
 	var spills map[ir.Reg]bool
 	var loopChosen []LoopSpillCandidate
 	var st Stats
 	ilpSpan := opts.Trace.Child("ilp")
 	if opts.DisableLoopSpills {
-		spills, st = DecideSpillsCancel(work, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
+		spills, st = DecideSpills(f, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
 	} else {
-		spills, loopChosen, st = DecideSpillsExtendedCancel(work, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
+		spills, loopChosen, st = DecideSpillsExtended(f, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
 	}
 	ilpSpan.Add("constraints", int64(st.Constraints))
 	ilpSpan.Add("nodes", int64(st.ILPNodes))
@@ -266,6 +255,14 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	telemetry.Default.Counter("ilp_steal_epochs").Add(st.Steal.Epochs)
 	telemetry.Default.Counter("ilp_steal_items").Add(st.Steal.Items)
 	telemetry.Default.Counter("ilp_steal_broadcasts").Add(st.Steal.Broadcasts)
+	return spills, loopChosen, st
+}
+
+// Allocate runs both phases and returns the rewritten function, the
+// assignment, and spill statistics.
+func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats, error) {
+	work := f.Clone()
+	spills, loopChosen, st := Decide(work, opts)
 	if st.Cancelled || (opts.Cancel != nil && opts.Cancel()) {
 		return nil, nil, nil, ErrCancelled
 	}
@@ -291,11 +288,9 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 
 	colorSpan := opts.Trace.Child("color")
 	out, asn, err := irc.Allocate(work, irc.Options{
-		K:             opts.K,
-		Picker:        opts.Picker,
-		PickerFactory: opts.PickerFactory,
-		Slots:         slots,
-		Trace:         colorSpan,
+		K:     opts.K,
+		Slots: slots,
+		Trace: colorSpan,
 	})
 	colorSpan.End()
 	if err != nil {

@@ -60,7 +60,7 @@ func TestSpillProblemShape(t *testing.T) {
 
 func TestDecideSpillsReducesPressure(t *testing.T) {
 	f := ir.MustParse(pressure6)
-	spills, st := DecideSpills(f, 4, 0)
+	spills, st := DecideSpills(f, 4, 0, 0, nil)
 	if !st.ILPOptimal {
 		t.Error("small instance must solve to optimality")
 	}
@@ -101,7 +101,7 @@ exit:
 }
 `
 	f := ir.MustParse(src)
-	spills, st := DecideSpills(f, 4, 0)
+	spills, st := DecideSpills(f, 4, 0, 0, nil)
 	if !st.ILPOptimal {
 		t.Fatal("must be optimal")
 	}
@@ -255,7 +255,7 @@ func BenchmarkOspillDecide(b *testing.B) {
 		b.ReportAllocs()
 		nodes := 0
 		for i := 0; i < b.N; i++ {
-			_, _, st := DecideSpillsExtended(f, 6, 0)
+			_, _, st := DecideSpillsExtended(f, 6, 0, 0, nil)
 			nodes += st.ILPNodes
 		}
 		b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")

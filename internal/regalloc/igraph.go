@@ -13,14 +13,13 @@ import (
 )
 
 // Graph is an interference graph over the virtual registers of one
-// function, with the move instructions recorded for coalescing.
+// function.
 type Graph struct {
 	N int // node count == f.NumRegs()
 	// AdjList[u] lists u's neighbors, each once, in the order
 	// Interferences first reports the pair. The rows share one backing
 	// array.
 	AdjList [][]int
-	Moves   []*ir.Instr // register-to-register copies
 }
 
 // Build constructs the interference graph with the standard
@@ -50,7 +49,7 @@ func Build(f *ir.Func, info *liveness.Info) *Graph {
 	for u := range g.AdjList {
 		g.AdjList[u] = flat[off[u]:off[u]:off[u+1]]
 	}
-	Interferences(f, info, func(in *ir.Instr) { g.Moves = append(g.Moves, in) }, func(u, v int) {
+	Interferences(f, info, nil, func(u, v int) {
 		if u != v {
 			g.AdjList[u] = append(g.AdjList[u], v)
 			g.AdjList[v] = append(g.AdjList[v], u)

@@ -71,9 +71,6 @@ entry:
 	if interferes(g, 0, 1) {
 		t.Error("move dst/src should not interfere")
 	}
-	if len(g.Moves) != 1 {
-		t.Errorf("moves = %d, want 1", len(g.Moves))
-	}
 }
 
 func TestParamsEntryClique(t *testing.T) {

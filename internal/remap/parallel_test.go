@@ -226,20 +226,19 @@ func FuzzRemap(f *testing.F) {
 	})
 }
 
-// TestGreedyNoWorseThanLegacy: the rewritten search must stay within
-// the quality envelope of the retained legacy implementation — on small
-// instances both multi-starts should find the same best cost.
-func TestGreedyNoWorseThanLegacy(t *testing.T) {
+// TestGreedyFindsExhaustiveOptimum: on small register files §5's
+// exhaustive search proves the optimum, and the multi-start must reach
+// it.
+func TestGreedyFindsExhaustiveOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 25; trial++ {
 		regN := 4 + rng.Intn(6)
 		diffN := 1 + rng.Intn(regN)
 		g := seededGraph(int64(trial)+500, regN, 2+rng.Intn(4*regN))
 		opts := Options{RegN: regN, DiffN: diffN, Restarts: 150, Seed: int64(trial)}
-		newCost := Greedy(g, opts).Cost
-		legacyCost := LegacyGreedy(g, opts).Cost
-		if newCost != legacyCost {
-			t.Errorf("trial %d (RegN=%d DiffN=%d): greedy %v, legacy %v", trial, regN, diffN, newCost, legacyCost)
+		got, want := Greedy(g, opts).Cost, Exhaustive(g, opts).Cost
+		if got != want {
+			t.Errorf("trial %d (RegN=%d DiffN=%d): greedy %v, exhaustive %v", trial, regN, diffN, got, want)
 		}
 	}
 }

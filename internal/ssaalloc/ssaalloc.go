@@ -63,11 +63,6 @@ type Options struct {
 	// cheapest wins. The zero value keeps the plain lowest-color rule
 	// (and the allocation-free hot path).
 	Diff diffsel.Params
-	// MaxRounds bounds spill-rewrite iterations (0: 32).
-	MaxRounds int
-	// Slots supplies the stack-slot assigner; callers that already
-	// inserted spill code pass theirs so slot numbers stay disjoint.
-	Slots *regalloc.SlotAssigner
 	// Trace, when non-nil, is the allocator's phase span: Allocate adds
 	// per-round counters (pressure spills, hazards, fallback rounds)
 	// under it. Allocate does not End it; the caller owns it.
@@ -77,6 +72,9 @@ type Options struct {
 	// of every round. Never changes the result. Nil: a private arena.
 	Scratch *scratch.Arena
 }
+
+// maxRounds bounds the spill-rewrite iterations of one allocation.
+const maxRounds = 32
 
 // Allocate colors f with opts.K registers, spilling as needed, and
 // returns the allocated function plus the assignment for every vreg.
@@ -91,10 +89,6 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 	if opts.K < 2 {
 		return nil, nil, fmt.Errorf("ssaalloc: need at least 2 registers, have %d", opts.K)
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 32
-	}
 	ar := opts.Scratch
 	if ar == nil {
 		ar = new(scratch.Arena)
@@ -108,7 +102,7 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 		}
 		return asn.StackParams
 	}
-	slots := opts.Slots
+	var slots *regalloc.SlotAssigner // created at the first spill rewrite
 	var unspillable map[ir.Reg]bool
 
 	for round := 0; ; round++ {
@@ -852,7 +846,7 @@ func (s *scanState) matrixColor() []int {
 // matrixVictim picks what to spill when v has no free color: v itself
 // if spillable, else its cheapest spillable neighbor. Spill temps are
 // unspillable but their ranges span single instructions, so a
-// neighborhood always contains a spillable range before MaxRounds.
+// neighborhood always contains a spillable range before maxRounds.
 func (s *scanState) matrixVictim(v int, mat []uint64, w int) int {
 	if !s.unspillable[v] {
 		return v

@@ -30,6 +30,7 @@ const (
 	ircAllocateBudget = 200  // measured ~137 (susan, K=8)
 	ssaAllocateBudget = 8    // measured 3 (susan, K=32, spill-free scan)
 	diffEncodeBudget  = 80   // measured ~26 (sha, RegN=12, DiffN=8)
+	checkBudget       = 64   // measured 16-25 (every §8 kernel, select/irc, RegN=12)
 	compileFuncBudget = 1100 // measured ~864 (crc32, remapping, 8 restarts)
 	simulateBudget    = 22   // measured 17 (crc32, K=8; constant per run)
 	interpBudget      = 13   // measured 10 (crc32, K=8)
@@ -88,6 +89,35 @@ func TestAllocBudgetDiffEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAllocBudgetCheck pins the encoding checker: it decodes through
+// one Decoder over flat per-block rows, so it allocates per function,
+// never per instruction or per fixpoint round.
+func TestAllocBudgetCheck(t *testing.T) {
+	for _, k := range workloads.Kernels() {
+		res, err := diffra.CompileFunc(k.F, diffra.Options{Scheme: diffra.Select, Alloc: diffra.AllocIRC, RegN: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Back to the function as Encode saw it: the plan's sets are in
+		// pre-insertion coordinates.
+		for _, b := range res.F.Blocks {
+			kept := b.Instrs[:0]
+			for _, in := range b.Instrs {
+				if in.Op != ir.OpSetLastReg {
+					kept = append(kept, in)
+				}
+			}
+			b.Instrs = kept
+		}
+		enc := res.Encoding
+		assertAllocBudget(t, "Check/"+k.Name, checkBudget, func() {
+			if err := diffenc.Check(res.F, res.Assignment.RegOf, enc.Cfg, enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 func TestAllocBudgetCompileFunc(t *testing.T) {

@@ -112,6 +112,10 @@ func TestSequenceFacade(t *testing.T) {
 			t.Fatalf("roundtrip %v != %v", back, regs)
 		}
 	}
+	// A negative code names no difference; the decoder rejects it.
+	if regs, err := DecodeSequence([]int{-1, 2}, nil, 8, 4); err == nil {
+		t.Fatalf("DecodeSequence accepted code -1: %v", regs)
+	}
 }
 
 func TestAdjacencyCost(t *testing.T) {

@@ -2,234 +2,160 @@ package diffenc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"diffra/internal/ir"
 )
 
-// Check verifies an encoding result by abstract interpretation,
-// independently of the encoder's own join analysis: it propagates the
-// set of possible last_reg values per class along every CFG path,
-// applies the planned set_last_reg instructions, decodes every field,
-// and confirms the decoded register equals the allocated one. Any
-// ambiguity (a field decoded under two possible last_reg values) or
-// mismatch is an error. This is the package's ground-truth test that
-// the hardware decoder of §2 would reproduce the program exactly.
+// Check verifies an encoding result independently of the encoder's own
+// join analysis: it decodes every reached block through a Decoder, from
+// an in-state that is the meet of its predecessors' last_reg rows (a
+// class whose incoming paths disagree is -1, and decoding it fails),
+// feeds the block's planned set_last_reg instructions in at their
+// OrderSets decode positions, and confirms every decoded register
+// equals the allocated one. This is the package's ground-truth test
+// that the hardware decoder of §2 would reproduce the program exactly
+// on every CFG path.
+//
+// A delayed set still waiting when control leaves a block lands in the
+// successor, where the stream decoder would land it.
 func Check(f *ir.Func, regOf func(ir.Reg) int, cfg Config, res *Result) error {
-	if err := cfg.Validate(); err != nil {
+	d, err := NewDecoder(cfg)
+	if err != nil {
 		return err
 	}
+	nb := len(f.Blocks)
 
-	// Codes per block, aligned with the access walk.
-	codeIdx := 0
-	blockCodes := make([][]int, len(f.Blocks))
+	// codeAt[b] is block b's offset into the code stream.
+	codeAt := make([]int, nb+1)
+	maxFields := 0
 	for _, b := range f.Blocks {
 		n := 0
 		for _, in := range b.Instrs {
-			n += len(fieldsOf(in, cfg))
+			k := fieldCount(in)
+			n += k
+			maxFields = max(maxFields, k)
 		}
-		if codeIdx+n > len(res.Codes) {
-			return fmt.Errorf("diffenc: code stream too short")
-		}
-		blockCodes[b.Index] = res.Codes[codeIdx : codeIdx+n]
-		codeIdx += n
+		codeAt[b.Index+1] = codeAt[b.Index] + n
 	}
-	if codeIdx != len(res.Codes) {
-		return fmt.Errorf("diffenc: code stream has %d extra codes", len(res.Codes)-codeIdx)
+	if total := codeAt[nb]; total > len(res.Codes) {
+		return fmt.Errorf("diffenc: code stream too short")
+	} else if total < len(res.Codes) {
+		return fmt.Errorf("diffenc: code stream has %d extra codes", len(res.Codes)-total)
 	}
 
-	// Sets per block, in the shared decode order (OrderSets) — the
-	// same order ApplyToIR lays them out in the instruction stream.
-	blockSets := make([][]SetPoint, len(f.Blocks))
+	// Sets grouped by block (a stable counting sort), each group in
+	// OrderSets decode order, the order ApplyToIR lays them out in.
+	setAt := make([]int, nb+1)
 	for _, s := range res.Sets {
-		blockSets[s.Block.Index] = append(blockSets[s.Block.Index], s)
+		if b := f.Blocks[s.Block.Index]; s.Before < 0 || s.Before >= len(b.Instrs) {
+			return fmt.Errorf("diffenc: set_last_reg at %s:%d outside the block's %d instructions",
+				b.Name, s.Before, len(b.Instrs))
+		}
+		setAt[s.Block.Index+1]++
 	}
-	for _, sets := range blockSets {
-		OrderSets(sets)
+	for i := 0; i < nb; i++ {
+		setAt[i+1] += setAt[i]
+	}
+	sets := make([]SetPoint, len(res.Sets))
+	next := append([]int(nil), setAt[:nb]...)
+	for _, s := range res.Sets {
+		sets[next[s.Block.Index]] = s
+		next[s.Block.Index]++
+	}
+	for i := 0; i < nb; i++ {
+		if setAt[i+1]-setAt[i] > 1 {
+			OrderSets(sets[setAt[i]:setAt[i+1]])
+		}
 	}
 
-	type state map[int]map[int]bool // class -> possible last_reg values
-	cloneState := func(s state) state {
-		c := make(state, len(s))
-		for cls, vals := range s {
-			cv := make(map[int]bool, len(vals))
-			for v := range vals {
-				cv[v] = true
-			}
-			c[cls] = cv
-		}
-		return c
+	// A block's in-state is one variant per distinct list of delayed
+	// sets waiting on entry (none waiting, unless a set precedes a
+	// jump), each with its own row: the meet of the last_reg rows that
+	// reach the block with those sets waiting. The entry starts at the
+	// reset value 0 in every class with nothing waiting.
+	type inState struct {
+		row  []int
+		pend []pendingSet
+		next *inState
 	}
-	mergeInto := func(dst, src state) bool {
-		changed := false
-		for cls, vals := range src {
-			dv := dst[cls]
-			if dv == nil {
-				dv = map[int]bool{}
-				dst[cls] = dv
-			}
-			for v := range vals {
-				if !dv[v] {
-					dv[v] = true
-					changed = true
-				}
-			}
-		}
-		return changed
-	}
+	nc := len(d.last)
+	rows := make([]int, nb*nc)
+	ins := make([]inState, nb)
+	ins[f.Entry().Index].row = rows[f.Entry().Index*nc:][:nc]
+	classes := make([]int, 3*maxFields)
+	want, got := classes[maxFields:2*maxFields], classes[2*maxFields:]
 
-	// walk decodes one block from in-state; returns out-state.
-	walk := func(b *ir.Block, in state) (state, error) {
-		s := cloneState(in)
-		sets := blockSets[b.Index]
-		si := 0
-		var base map[int]int // per-instruction mode: class -> base value
-		applySets := func(instr, field int) {
-			for si < len(sets) && sets[si].Before == instr && sets[si].EffectiveField() == field {
-				v := sets[si].Value
-				s[cfg.classOf(v)] = map[int]bool{v: true}
-				if base != nil {
-					base[cfg.classOf(v)] = v
-				}
-				si++
+	// walk decodes b from d's state, leaving b's out-state in d.
+	walk := func(b *ir.Block) error {
+		bs := sets[setAt[b.Index]:setAt[b.Index+1]]
+		ci := codeAt[b.Index]
+		for ii, instr := range b.Instrs {
+			for ; len(bs) > 0 && bs[0].Before == ii; bs = bs[1:] {
+				d.SetLastRegDelayed(bs[0].Value, bs[0].Delay)
 			}
+			n := 0
+			forEachField(instr, cfg, func(k int, vr ir.Reg) {
+				want[k] = regOf(vr)
+				classes[k] = cfg.classOf(want[k])
+				n++
+			})
+			if err := d.decode(res.Codes[ci:ci+n], classes[:n], got[:n], false); err != nil {
+				return fmt.Errorf("%w (at %s instr %d)", err, b.Name, ii)
+			}
+			for k := 0; k < n; k++ {
+				if got[k] != want[k] {
+					return fmt.Errorf("diffenc: %s instr %d field %d: decoded R%d, want R%d (code %d)",
+						b.Name, ii, k, got[k], want[k], res.Codes[ci+k])
+				}
+			}
+			ci += n
 		}
-		ci := 0
-		for ii, in2 := range b.Instrs {
-			flds := fieldsOf(in2, cfg)
-			if cfg.PerInstruction {
-				base = map[int]int{}
-			}
-			instrLast := map[int]int{}
-			for k := range flds {
-				applySets(ii, k)
-				expected := regOf(flds[k])
-				code := blockCodes[b.Index][ci]
-				ci++
-				if rc, ok := cfg.reservedCode(expected); ok {
-					if code != rc {
-						return nil, fmt.Errorf("diffenc: %s instr %d field %d: reserved R%d encoded as %d, want %d",
-							b.Name, ii, k, expected, code, rc)
-					}
-					continue
-				}
-				if code >= cfg.DiffN {
-					return nil, fmt.Errorf("diffenc: %s instr %d field %d: code %d is a reserved slot but R%d is not reserved",
-						b.Name, ii, k, code, expected)
-				}
-				cls := cfg.classOf(expected)
-				var prev int
-				if cfg.PerInstruction {
-					if v, ok := base[cls]; ok {
-						prev = v
-					} else {
-						vals := s[cls]
-						if len(vals) == 0 {
-							vals = map[int]bool{0: true}
-						}
-						if len(vals) > 1 {
-							return nil, fmt.Errorf("diffenc: %s instr %d field %d: ambiguous last_reg %v",
-								b.Name, ii, k, keys(vals))
-						}
-						for v := range vals {
-							prev = v
-						}
-						base[cls] = prev
-					}
-				} else {
-					vals := s[cls]
-					if len(vals) == 0 {
-						vals = map[int]bool{0: true} // hardware reset value
-					}
-					if len(vals) > 1 {
-						return nil, fmt.Errorf("diffenc: %s instr %d field %d: ambiguous last_reg %v (multi-path inconsistency unrepaired)",
-							b.Name, ii, k, keys(vals))
-					}
-					for v := range vals {
-						prev = v
-					}
-				}
-				got := Step(prev, code, cfg.RegN)
-				if got != expected {
-					return nil, fmt.Errorf("diffenc: %s instr %d field %d: decoded R%d, want R%d (prev=%d code=%d)",
-						b.Name, ii, k, got, expected, prev, code)
-				}
-				if cfg.PerInstruction {
-					instrLast[cls] = got
-				} else {
-					s[cls] = map[int]bool{got: true}
-				}
-			}
-			// Per-instruction mode: last_reg advances to the class's
-			// final field now that the instruction is fully decoded.
-			for cls, v := range instrLast {
-				s[cls] = map[int]bool{v: true}
-			}
-			// Sets scheduled after all fields of this instruction (a
-			// delay equal to the field count) take effect now.
-			applySets(ii, len(flds))
+		if d.err != nil {
+			return fmt.Errorf("%w (at %s)", d.err, b.Name)
 		}
-		// Any remaining head sets of later instruction indexes with no
-		// fields: apply them in order.
-		for si < len(sets) {
-			v := sets[si].Value
-			s[cfg.classOf(v)] = map[int]bool{v: true}
-			si++
+		if len(d.pending) > len(res.Sets) {
+			return fmt.Errorf("diffenc: delayed set_last_reg waits forever on a cycle without register fields through %s", b.Name)
 		}
-		return s, nil
+		return nil
 	}
-
-	// Fixpoint over the CFG.
-	inStates := make([]state, len(f.Blocks))
-	for i := range inStates {
-		inStates[i] = state{}
-	}
-	entryState := state{}
-	// Reset: every class starts at 0.
-	entryState[0] = map[int]bool{0: true}
-	if cfg.ClassOf != nil {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, r := range in.RegFields() {
-					entryState[cfg.classOf(regOf(r))] = map[int]bool{0: true}
-				}
-			}
-		}
-	}
-	inStates[f.Entry().Index] = entryState
 
 	rpo := f.ReversePostorder()
-	reached := make([]bool, len(f.Blocks))
-	reached[f.Entry().Index] = true
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
-			if !reached[b.Index] {
-				continue
-			}
-			out, err := walk(b, inStates[b.Index])
-			if err != nil {
-				return err
-			}
-			for _, succ := range b.Succs {
-				if !reached[succ.Index] {
-					reached[succ.Index] = true
-					changed = true
+			for v := &ins[b.Index]; v != nil && v.row != nil; v = v.next {
+				copy(d.last, v.row)
+				d.pending = append(d.pending[:0], v.pend...)
+				if err := walk(b); err != nil {
+					return err
 				}
-				if mergeInto(inStates[succ.Index], out) {
-					changed = true
+				for _, s := range b.Succs {
+					sv := &ins[s.Index]
+					if sv.row == nil {
+						sv.row = rows[s.Index*nc : (s.Index+1)*nc]
+						copy(sv.row, d.last)
+						sv.pend = slices.Clone(d.pending)
+						changed = true
+						continue
+					}
+					for sv.next != nil && !slices.Equal(sv.pend, d.pending) {
+						sv = sv.next
+					}
+					if !slices.Equal(sv.pend, d.pending) {
+						sv.next = &inState{row: slices.Clone(d.last), pend: slices.Clone(d.pending)}
+						changed = true
+						continue
+					}
+					for c, x := range d.last {
+						if sv.row[c] != x && sv.row[c] != -1 {
+							sv.row[c] = -1
+							changed = true
+						}
+					}
 				}
 			}
 		}
 	}
 	return nil
-}
-
-func keys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

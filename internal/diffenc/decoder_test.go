@@ -1,6 +1,7 @@
 package diffenc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,7 +66,9 @@ func TestDecoderReservedBypassesAdder(t *testing.T) {
 
 // TestQuickParallelEqualsSequential is §2.1's correctness claim: the
 // prefix-adder parallel decode is observationally identical to the
-// sequential decode, across instructions, classes and reserved codes.
+// sequential decode, across instructions, classes, reserved codes, the
+// per-instruction update of §9.4 and set_last_reg in both forms, with
+// delayed sets landing anywhere from the first field to past the last.
 func TestQuickParallelEqualsSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -78,13 +81,21 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		if multiClass {
 			cfg.ClassOf = func(r int) int { return r % 2 }
 		}
+		cfg.PerInstruction = rng.Intn(2) == 0
 		seqD, err := NewDecoder(cfg)
 		if err != nil {
 			return false
 		}
 		parD, _ := NewDecoder(cfg)
 		for instr := 0; instr < 20; instr++ {
-			n := 1 + rng.Intn(3)
+			n := rng.Intn(4)
+			// Interleave set_last_reg on both decoders: immediate, or
+			// delayed by 0 to n+1 fields.
+			for rng.Intn(3) == 0 {
+				v, delay := rng.Intn(cfg.RegN), rng.Intn(n+3)-1
+				seqD.SetLastRegDelayed(v, delay)
+				parD.SetLastRegDelayed(v, delay)
+			}
 			codes := make([]int, n)
 			var classes []int
 			if multiClass {
@@ -98,28 +109,124 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 			}
 			a, err1 := seqD.DecodeInstr(codes, classes)
 			b, err2 := parD.DecodeInstrParallel(codes, classes)
-			if (err1 == nil) != (err2 == nil) {
+			if err1 != nil || err2 != nil {
 				return false
-			}
-			if err1 != nil {
-				continue
 			}
 			for i := range a {
 				if a[i] != b[i] {
 					return false
 				}
 			}
-			// Occasionally interleave a set_last_reg on both decoders.
-			if rng.Intn(4) == 0 {
-				v := rng.Intn(cfg.RegN)
-				seqD.SetLastReg(v)
-				parD.SetLastReg(v)
+			for c := 0; c < 2; c++ {
+				if seqD.LastReg(c) != parD.LastReg(c) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDelayedSetLanding pins where set_last_reg(value, delay) lands:
+// after delay fields of the next instruction with register fields, at
+// its end when delay reaches the field count, and never on an
+// instruction without fields. Per field and per instruction (§9.4),
+// under both adders.
+func TestDelayedSetLanding(t *testing.T) {
+	type step struct {
+		value, delay int // a set_last_reg when value >= 0
+		codes        []int
+		classes      []int
+		want         []int
+	}
+	for _, c := range []struct {
+		name                 string
+		perInstr, twoClasses bool
+		steps                []step
+		last                 int // class 0's last_reg at the end
+	}{
+		{name: "mid-instruction", steps: []step{
+			{value: 5, delay: 1},
+			{value: -1, codes: []int{1, 0, 2}, want: []int{1, 5, 7}},
+		}, last: 7},
+		{name: "at the field count", steps: []step{
+			{value: 5, delay: 2},
+			{value: -1, codes: []int{1, 2}, want: []int{1, 3}},
+			{value: -1, codes: []int{1}, want: []int{6}},
+		}, last: 6},
+		{name: "beyond the field count", steps: []step{
+			{value: 5, delay: 7},
+			{value: -1, codes: []int{1, 2}, want: []int{1, 3}},
+		}, last: 5},
+		{name: "across a field-less instruction", steps: []step{
+			{value: 5, delay: 1},
+			{value: -1, codes: nil, want: []int{}},
+			{value: -1, codes: []int{1, 0}, want: []int{1, 5}},
+		}, last: 5},
+		{name: "immediate and delayed at one point", steps: []step{
+			{value: 5, delay: 0},
+			{value: 3, delay: -1},
+			{value: -1, codes: []int{0}, want: []int{5}},
+		}, last: 5},
+		{name: "per-instruction mid-instruction", perInstr: true, steps: []step{
+			{value: 5, delay: 1},
+			{value: -1, codes: []int{1, 0, 2}, want: []int{1, 5, 7}},
+		}, last: 7},
+		{name: "per-instruction at the field count", perInstr: true, steps: []step{
+			{value: 5, delay: 1},
+			{value: -1, codes: []int{2}, want: []int{2}},
+		}, last: 5},
+		// Classes r%2: the set for class 0 lands at field 1, after
+		// class 0's only field, which still sets last_reg at the end.
+		{name: "per-instruction final field outlasts a set", perInstr: true, twoClasses: true, steps: []step{
+			{value: 4, delay: 1},
+			{value: -1, codes: []int{2, 1}, classes: []int{0, 1}, want: []int{2, 1}},
+		}, last: 2},
+		{name: "per-field set after the class's last field", twoClasses: true, steps: []step{
+			{value: 4, delay: 1},
+			{value: -1, codes: []int{2, 1}, classes: []int{0, 1}, want: []int{2, 1}},
+		}, last: 4},
+	} {
+		for _, parallel := range []bool{false, true} {
+			cfg := Config{RegN: 8, DiffN: 4, PerInstruction: c.perInstr}
+			if c.twoClasses {
+				cfg.ClassOf = func(r int) int { return r % 2 }
+			}
+			d, _ := NewDecoder(cfg)
+			for i, s := range c.steps {
+				if s.value >= 0 {
+					d.SetLastRegDelayed(s.value, s.delay)
+					continue
+				}
+				decode := d.DecodeInstr
+				if parallel {
+					decode = d.DecodeInstrParallel
+				}
+				got, err := decode(s.codes, s.classes)
+				if err != nil {
+					t.Fatalf("%s (parallel=%v) step %d: %v", c.name, parallel, i, err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(s.want) {
+					t.Errorf("%s (parallel=%v) step %d: decoded %v, want %v", c.name, parallel, i, got, s.want)
+				}
+			}
+			if d.LastReg(0) != c.last {
+				t.Errorf("%s (parallel=%v): last_reg %d, want %d", c.name, parallel, d.LastReg(0), c.last)
+			}
+		}
+	}
+}
+
+// TestDecoderRejectsBadSetValue: a set_last_reg naming no register is
+// reported by the next decode, field-less or not.
+func TestDecoderRejectsBadSetValue(t *testing.T) {
+	d, _ := NewDecoder(Config{RegN: 8, DiffN: 4})
+	d.SetLastRegDelayed(8, 0)
+	if _, err := d.DecodeInstr(nil, nil); err == nil {
+		t.Fatal("set_last_reg 8 with RegN=8 was accepted")
 	}
 }
 

@@ -78,6 +78,20 @@ func (c Config) classOf(reg int) int {
 	return c.ClassOf(reg)
 }
 
+// numClasses is the size of the dense per-class rows the encoder and
+// the Decoder keep: one more than the largest class of any register.
+func (c Config) numClasses() int {
+	n := 1
+	if c.ClassOf != nil {
+		for r := 0; r < c.RegN; r++ {
+			if k := c.classOf(r) + 1; k > n {
+				n = k
+			}
+		}
+	}
+	return n
+}
+
 func (c Config) reservedCode(reg int) (int, bool) {
 	for i, r := range c.Reserved {
 		if r == reg {
@@ -155,35 +169,31 @@ func EncodeSequence(regs []int, cfg Config) (codes []int, repairs map[int]int, e
 	return codes, repairs, nil
 }
 
-// DecodeSequence inverts EncodeSequence. classes[i] names the register
-// class of access i; in hardware the class of an operand slot is known
-// from the opcode before the register number is decoded (§9.1). Pass
-// nil for single-class configurations.
+// DecodeSequence inverts EncodeSequence through a Decoder, one access
+// per instruction. classes[i] names the register class of access i; in
+// hardware the class of an operand slot is known from the opcode before
+// the register number is decoded (§9.1). Pass nil for single-class
+// configurations.
 func DecodeSequence(codes []int, repairs map[int]int, classes []int, cfg Config) ([]int, error) {
-	if err := cfg.Validate(); err != nil {
+	d, err := NewDecoder(cfg)
+	if err != nil {
 		return nil, err
 	}
-	regs := make([]int, 0, len(codes))
-	last := make(map[int]int) // per-class last_reg, initially 0
-	for i, code := range codes {
-		if code >= cfg.DiffN {
-			idx := code - cfg.DiffN
-			if idx >= len(cfg.Reserved) {
-				return nil, fmt.Errorf("diffenc: code %d out of range", code)
-			}
-			regs = append(regs, cfg.Reserved[idx])
-			continue
-		}
+	if classes != nil && len(classes) != len(codes) {
+		return nil, fmt.Errorf("diffenc: %d classes for %d codes", len(classes), len(codes))
+	}
+	regs := make([]int, len(codes))
+	for i := range codes {
 		if v, ok := repairs[i]; ok {
-			last[cfg.classOf(v)] = v
+			d.SetLastReg(v)
 		}
-		cls := 0
+		var cls []int
 		if classes != nil {
-			cls = classes[i]
+			cls = classes[i : i+1]
 		}
-		r := Step(last[cls], code, cfg.RegN)
-		regs = append(regs, r)
-		last[cls] = r
+		if err := d.decode(codes[i:i+1], cls, regs[i:i+1], false); err != nil {
+			return nil, err
+		}
 	}
 	return regs, nil
 }

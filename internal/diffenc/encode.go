@@ -238,17 +238,9 @@ func EncodeScratch(f *ir.Func, regOf func(ir.Reg) int, cfg Config, ar *scratch.A
 		return nil, verr
 	}
 
-	// The class space is dense: rows of ncls ints replace the old
-	// class-keyed maps. Values are machine registers (>= 0) or the
-	// lattice sentinels.
-	ncls := 1
-	if cfg.ClassOf != nil {
-		for r := 0; r < cfg.RegN; r++ {
-			if c := cfg.classOf(r) + 1; c > ncls {
-				ncls = c
-			}
-		}
-	}
+	// Rows of ncls ints hold machine registers (>= 0) or the lattice
+	// sentinels.
+	ncls := cfg.numClasses()
 	nb := len(f.Blocks)
 	// lastIn[b*ncls+cls] is the reaching last_reg; needsSet rows record
 	// planned head sets (-1 absent), pinning the class's in-value.

@@ -429,7 +429,8 @@ entry:
 `)
 	cfg := Config{RegN: 4, DiffN: 2}
 	res := mustEncode(t, f, cfg)
-	out := Listing(f, identity, cfg, res)
+	res.ApplyToIR(f)
+	out := AppliedListing(f, identity, cfg, res)
 	for _, want := range []string{
 		"RegN=4 DiffN=2",
 		"R1 = add R0, R2",
@@ -458,7 +459,8 @@ func TestListingRegisterNameNoPrefixClobber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Listing(f, identity, cfg, res)
+	res.ApplyToIR(f)
+	out := AppliedListing(f, identity, cfg, res)
 	if !strings.Contains(out, "R12 = add R1, R12") {
 		t.Errorf("bad operand rewrite:\n%s", out)
 	}

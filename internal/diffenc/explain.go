@@ -79,12 +79,15 @@ func ExplainString(fname string, res *Result) string {
 	return sb.String()
 }
 
-// AppliedListing is Listing for a function to which the plan has
-// already been applied (set_last_reg instructions present in the
-// instruction stream): the repairs print from the stream itself, and
-// the code annotations consume the same code sequence, which
-// set_last_reg instructions do not perturb (they have no register
-// fields).
+// AppliedListing renders a disassembler-style view of an encoded
+// function to which the plan has already been applied (set_last_reg
+// instructions present in the instruction stream): each instruction
+// with its machine registers and, in a second column, the differential
+// field codes the decoder will see. The repairs print from the stream
+// itself, and the code annotations consume the same code sequence,
+// which set_last_reg instructions do not perturb (they have no register
+// fields). Intended for humans inspecting what the encoder did
+// (cmd/diffra -listing).
 func AppliedListing(f *ir.Func, regOf func(ir.Reg) int, cfg Config, res *Result) string {
 	var sb strings.Builder
 	ci := 0
@@ -117,4 +120,24 @@ func AppliedListing(f *ir.Func, regOf func(ir.Reg) int, cfg Config, res *Result)
 		}
 	}
 	return sb.String()
+}
+
+// machineString prints an instruction with machine register names.
+// Distinct vregs are rewritten longest-number-first so that v1 never
+// clobbers the prefix of v12.
+func machineString(in *ir.Instr, regOf func(ir.Reg) int) string {
+	s := in.String()
+	seen := map[ir.Reg]bool{}
+	var regs []ir.Reg
+	for _, r := range append(append([]ir.Reg(nil), in.Defs...), in.Uses...) {
+		if !seen[r] {
+			seen[r] = true
+			regs = append(regs, r)
+		}
+	}
+	sort.Slice(regs, func(i, j int) bool { return regs[i] > regs[j] })
+	for _, r := range regs {
+		s = strings.ReplaceAll(s, fmt.Sprintf("v%d", r), fmt.Sprintf("R%d", regOf(r)))
+	}
+	return s
 }

@@ -1,6 +1,9 @@
 package diffenc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // FuzzSequenceRoundtrip: any register sequence under any in-range
 // configuration must encode, decode back exactly, and stay within the
@@ -40,28 +43,50 @@ func FuzzSequenceRoundtrip(f *testing.F) {
 }
 
 // FuzzDecoderRobust: the hardware decoder model must reject (not
-// panic on) arbitrary code streams.
+// panic on) arbitrary code streams, negative codes included, and
+// DecodeSequence, which decodes through it, must fail exactly when it
+// fails and agree with it otherwise.
 func FuzzDecoderRobust(f *testing.F) {
 	f.Add([]byte{1, 2, 5}, uint8(16), uint8(8))
 	f.Add([]byte{255}, uint8(4), uint8(2))
+	f.Add([]byte{255, 2}, uint8(6), uint8(4))
 	f.Fuzz(func(t *testing.T, raw []byte, regNRaw, diffNRaw uint8) {
 		regN := 2 + int(regNRaw)%62
 		diffN := 1 + int(diffNRaw)%regN
-		d, err := NewDecoder(Config{RegN: regN, DiffN: diffN})
+		cfg := Config{RegN: regN, DiffN: diffN}
+		d, err := NewDecoder(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp, _ := NewDecoder(Config{RegN: regN, DiffN: diffN})
-		for _, b := range raw {
-			code := int(b)
+		dp, _ := NewDecoder(cfg)
+		codes := make([]int, len(raw))
+		var want []int
+		var failed bool
+		for i, b := range raw {
+			code := int(int8(b))
+			codes[i] = code
 			a, err1 := d.DecodeInstr([]int{code}, nil)
 			p, err2 := dp.DecodeInstrParallel([]int{code}, nil)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("decoders disagree on error for code %d", code)
 			}
-			if err1 == nil && a[0] != p[0] {
+			if err1 != nil {
+				failed = true
+				continue
+			}
+			if a[0] != p[0] {
 				t.Fatalf("decoders disagree: %d vs %d", a[0], p[0])
 			}
+			if !failed {
+				want = append(want, a[0])
+			}
+		}
+		got, err := DecodeSequence(codes, nil, nil, cfg)
+		if (err != nil) != failed {
+			t.Fatalf("DecodeSequence(%v) error %v, Decoder failed: %v", codes, err, failed)
+		}
+		if err == nil && fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("DecodeSequence(%v) = %v, Decoder decoded %v", codes, got, want)
 		}
 	})
 }

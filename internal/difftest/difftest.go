@@ -13,7 +13,8 @@
 // interpreter's fetch loop (interp.Resolver) and decodes each
 // instruction as it is fetched, exactly as the hardware of §2 would:
 // per-class last_reg state, reserved codes bypassing the adders, and
-// set_last_reg instructions applied at their decode delays.
+// set_last_reg instructions applied at their decode delays, all in
+// diffenc.Decoder, the one decode rule diffenc.Check also runs on.
 //
 // Every decoded field is additionally checked against the register the
 // allocator assigned; a mismatch is reported immediately rather than
@@ -60,24 +61,14 @@ type instrCode struct {
 	expect  []int
 }
 
-// pendingSet is a fetched set_last_reg waiting for its decode delay:
-// it takes effect after eff register fields of the next field-bearing
-// instruction have been decoded.
-type pendingSet struct {
-	value int
-	eff   int
-}
-
 // StreamDecoder decodes an allocated, encoded function instruction by
-// instruction as the interpreter fetches it. It implements
-// interp.Resolver.
+// instruction as the interpreter fetches it, through one
+// diffenc.Decoder. It implements interp.Resolver.
 type StreamDecoder struct {
-	cfg     diffenc.Config
-	model   Model
-	dec     *diffenc.Decoder // nil in PerInstruction mode
-	last    map[int]int      // PerInstruction mode: class -> last_reg
-	static  map[*ir.Instr]*instrCode
-	pending []pendingSet
+	cfg    diffenc.Config
+	model  Model
+	dec    *diffenc.Decoder
+	static map[*ir.Instr]*instrCode
 }
 
 // NewStreamDecoder prepares a decoder for f (the function *after*
@@ -88,33 +79,26 @@ type StreamDecoder struct {
 // maps each operand to its machine register (the allocation the stream
 // must reproduce).
 func NewStreamDecoder(f *ir.Func, regOf func(ir.Reg) int, cfg diffenc.Config, codes []int, model Model) (*StreamDecoder, error) {
-	if err := cfg.Validate(); err != nil {
+	dec, err := diffenc.NewDecoder(cfg)
+	if err != nil {
 		return nil, err
 	}
 	d := &StreamDecoder{
 		cfg:    cfg,
 		model:  model,
+		dec:    dec,
 		static: make(map[*ir.Instr]*instrCode),
-	}
-	if cfg.PerInstruction {
-		d.last = map[int]int{}
-	} else {
-		dec, err := diffenc.NewDecoder(cfg)
-		if err != nil {
-			return nil, err
-		}
-		d.dec = dec
 	}
 	ci := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			fields := cfg.FieldsOf(in)
-			if len(fields) == 0 {
+			if in.Op == ir.OpSetLastReg {
 				continue
 			}
 			if _, dup := d.static[in]; dup {
 				return nil, fmt.Errorf("difftest: instruction %q appears twice in %s", in, f.Name)
 			}
+			fields := cfg.FieldsOf(in)
 			if ci+len(fields) > len(codes) {
 				return nil, fmt.Errorf("difftest: code stream too short for %s (%d codes)", f.Name, len(codes))
 			}
@@ -138,27 +122,13 @@ func NewStreamDecoder(f *ir.Func, regOf func(ir.Reg) int, cfg diffenc.Config, co
 	return d, nil
 }
 
-// Resolve decodes one fetched instruction. set_last_reg fetches update
-// decoder state (immediately or as a pending delayed set) and resolve
-// to no registers; every other instruction's fields are decoded from
-// its static codes under the current dynamic state.
+// Resolve decodes one fetched instruction. A set_last_reg fetch hands
+// its value and delay to the decoder and resolves to no registers;
+// every other instruction's fields are decoded from its static codes
+// under the current dynamic state.
 func (d *StreamDecoder) Resolve(in *ir.Instr) (uses, defs []int, err error) {
 	if in.Op == ir.OpSetLastReg {
-		v, delay := int(in.Imm), int(in.Imm2)
-		if v < 0 || v >= d.cfg.RegN {
-			return nil, nil, fmt.Errorf("difftest: set_last_reg value %d outside [0, %d)", v, d.cfg.RegN)
-		}
-		if delay < 0 {
-			d.applySet(v)
-		} else {
-			d.pending = append(d.pending, pendingSet{value: v, eff: delay})
-		}
-		return nil, nil, nil
-	}
-	nf := len(d.cfg.FieldsOf(in))
-	if nf == 0 {
-		// No register fields (jmp, void ret): nothing to decode, and
-		// pending sets keep waiting for the next field-bearing fetch.
+		d.dec.SetLastRegDelayed(int(in.Imm), int(in.Imm2))
 		return nil, nil, nil
 	}
 	ic := d.static[in]
@@ -166,10 +136,10 @@ func (d *StreamDecoder) Resolve(in *ir.Instr) (uses, defs []int, err error) {
 		return nil, nil, fmt.Errorf("difftest: fetched instruction %q is not in the decoded function", in)
 	}
 	var regs []int
-	if d.cfg.PerInstruction {
-		regs, err = d.decodePerInstr(ic)
+	if d.model == Parallel {
+		regs, err = d.dec.DecodeInstrParallel(ic.codes, ic.classes)
 	} else {
-		regs, err = d.decodeClassed(ic)
+		regs, err = d.dec.DecodeInstr(ic.codes, ic.classes)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -184,121 +154,4 @@ func (d *StreamDecoder) Resolve(in *ir.Instr) (uses, defs []int, err error) {
 		return regs[len(in.Defs):], regs[:len(in.Defs)], nil
 	}
 	return regs[:len(in.Uses)], regs[len(in.Uses):], nil
-}
-
-// applySet is the immediate form: value is written into the last_reg
-// of value's class right now.
-func (d *StreamDecoder) applySet(v int) {
-	if d.cfg.PerInstruction {
-		d.last[d.cfg.Class(v)] = v
-	} else {
-		d.dec.SetLastReg(v)
-	}
-}
-
-// takePending removes and returns the pending sets effective at field
-// position pos of an nf-field instruction. Position nf (after the last
-// field) collects every remaining set: a delay can never exceed the
-// field count of the instruction it precedes.
-func (d *StreamDecoder) takePending(pos, nf int) []pendingSet {
-	var fire, rest []pendingSet
-	for _, p := range d.pending {
-		if p.eff == pos || (pos == nf && p.eff >= nf) {
-			fire = append(fire, p)
-		} else {
-			rest = append(rest, p)
-		}
-	}
-	d.pending = rest
-	return fire
-}
-
-// decodeClassed decodes one instruction through the hardware Decoder,
-// splitting the field list into segments wherever a pending set fires
-// mid-instruction. Splitting is exact for both models: sequential
-// decode carries last_reg field to field anyway, and the parallel
-// prefix sums are associative, so a segment boundary commits exactly
-// the value the unsplit prefix network would have used.
-func (d *StreamDecoder) decodeClassed(ic *instrCode) ([]int, error) {
-	nf := len(ic.codes)
-	regs := make([]int, 0, nf)
-	decode := func(a, b int) error {
-		if a == b {
-			return nil
-		}
-		var seg []int
-		var err error
-		if d.model == Parallel {
-			seg, err = d.dec.DecodeInstrParallel(ic.codes[a:b], ic.classes[a:b])
-		} else {
-			seg, err = d.dec.DecodeInstr(ic.codes[a:b], ic.classes[a:b])
-		}
-		if err != nil {
-			return err
-		}
-		regs = append(regs, seg...)
-		return nil
-	}
-	start := 0
-	for pos := 0; pos <= nf; pos++ {
-		fire := d.takePending(pos, nf)
-		if len(fire) == 0 {
-			continue
-		}
-		// Fields before the firing position decode under the old state.
-		if err := decode(start, pos); err != nil {
-			return nil, err
-		}
-		start = pos
-		for _, p := range fire {
-			d.dec.SetLastReg(p.value)
-		}
-	}
-	if err := decode(start, nf); err != nil {
-		return nil, err
-	}
-	return regs, nil
-}
-
-// decodePerInstr decodes one instruction under the per-instruction
-// update alternative (§9.4): every field diffs against the class's
-// last_reg as of instruction start (or a mid-instruction set), and
-// last_reg advances to the class's final field only after the whole
-// instruction is decoded — mirroring diffenc.Check's model exactly.
-func (d *StreamDecoder) decodePerInstr(ic *instrCode) ([]int, error) {
-	nf := len(ic.codes)
-	regs := make([]int, nf)
-	base := map[int]int{}
-	instrLast := map[int]int{}
-	for k := 0; k < nf; k++ {
-		for _, p := range d.takePending(k, nf) {
-			cls := d.cfg.Class(p.value)
-			d.last[cls] = p.value
-			base[cls] = p.value
-		}
-		code := ic.codes[k]
-		if code < 0 || code >= d.cfg.DiffN+len(d.cfg.Reserved) {
-			return nil, fmt.Errorf("diffenc: field code %d out of range", code)
-		}
-		if code >= d.cfg.DiffN {
-			regs[k] = d.cfg.Reserved[code-d.cfg.DiffN]
-			continue
-		}
-		cls := ic.classes[k]
-		prev, ok := base[cls]
-		if !ok {
-			prev = d.last[cls]
-			base[cls] = prev
-		}
-		r := diffenc.Step(prev, code, d.cfg.RegN)
-		regs[k] = r
-		instrLast[cls] = r
-	}
-	for cls, r := range instrLast {
-		d.last[cls] = r
-	}
-	for _, p := range d.takePending(nf, nf) {
-		d.last[d.cfg.Class(p.value)] = p.value
-	}
-	return regs, nil
 }

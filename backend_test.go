@@ -139,22 +139,26 @@ func TestPhaseErrorAttribution(t *testing.T) {
 // TestPhaseErrorNamesRemap: cancelling mid-way through a long
 // remapping search attributes the timeout to the remap phase —
 // allocation on this kernel is microseconds, the 3M-restart search
-// runs far past the 30ms cancel point.
+// runs far past the 30ms cancel point. Under select the refine
+// post-pass follows remap; it must not run once the deadline has
+// fired, so the error still names remap.
 func TestPhaseErrorNamesRemap(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err := CompileContext(ctx, sample, Options{Scheme: Remapping, RegN: 8, DiffN: 4, Restarts: 3_000_000})
-	if err == nil {
-		t.Skip("search finished inside the deadline on this host")
-	}
-	var pe *PhaseError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error is not a PhaseError: %v", err)
-	}
-	if pe.Phase != "remap" {
-		t.Errorf("phase = %q, want remap", pe.Phase)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("PhaseError does not unwrap to DeadlineExceeded: %v", err)
+	for _, scheme := range []Scheme{Remapping, Select} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		_, err := CompileContext(ctx, sample, Options{Scheme: scheme, RegN: 8, DiffN: 4, Restarts: 3_000_000})
+		cancel()
+		if err == nil {
+			t.Skipf("%s: search finished inside the deadline on this host", scheme)
+		}
+		var pe *PhaseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%s: error is not a PhaseError: %v", scheme, err)
+		}
+		if pe.Phase != "remap" {
+			t.Errorf("%s: phase = %q, want remap", scheme, pe.Phase)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: PhaseError does not unwrap to DeadlineExceeded: %v", scheme, err)
+		}
 	}
 }

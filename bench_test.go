@@ -201,23 +201,35 @@ func BenchmarkDiffEncode(b *testing.B) {
 
 // BenchmarkRemapGreedy measures the §5 permutation search on one
 // worker; the search is deterministic at any worker count, and the
-// determinism tests cover the parallel path.
+// determinism tests cover the parallel path. The lanes cover both
+// forms of the descent's cost-matrix windows: 12/8 keeps the violated
+// window (4 wide), 12/4 and 16/8 the satisfied one (4 and 8 wide).
 func BenchmarkRemapGreedy(b *testing.B) {
 	k := workloads.KernelByName("bitcount")
-	out, asn, err := irc.Allocate(k.F, irc.Options{K: 12})
-	if err != nil {
-		b.Fatal(err)
+	lanes := []struct {
+		name        string
+		regN, diffN int
+	}{
+		{"bitcount", 12, 8},
+		{"bitcount-12x4", 12, 4},
+		{"bitcount-16x8", 16, 8},
 	}
-	g := adjacency.BuildReg(out, func(r ir.Reg) int { return asn.Color[r] }, 12)
-	opts := remap.Options{RegN: 12, DiffN: 8, Restarts: 100, Seed: 1, Workers: 1}
-	b.Run("bitcount", func(b *testing.B) {
-		b.ReportAllocs()
-		var evals int
-		for i := 0; i < b.N; i++ {
-			evals += remap.Greedy(g, opts).Evaluated
+	for _, lane := range lanes {
+		out, asn, err := irc.Allocate(k.F, irc.Options{K: lane.regN})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
-	})
+		g := adjacency.BuildReg(out, func(r ir.Reg) int { return asn.Color[r] }, lane.regN)
+		opts := remap.Options{RegN: lane.regN, DiffN: lane.diffN, Restarts: 100, Seed: 1, Workers: 1}
+		b.Run(lane.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var evals int
+			for i := 0; i < b.N; i++ {
+				evals += remap.Greedy(g, opts).Evaluated
+			}
+			b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
+		})
+	}
 }
 
 // BenchmarkParse measures the IR front end that every request to the

@@ -358,8 +358,10 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 		case Select, Coalesce:
 			phase = "remap"
 			applyRemap(out, asn, opts, root, cancelled)
-			phase = "refine"
-			refineTraced(out, asn, opts, root)
+			if ctx.Err() == nil {
+				phase = "refine"
+				refineTraced(out, asn, opts, root, cancelled)
+			}
 		}
 	}
 	if ce := ctx.Err(); ce != nil {
@@ -487,10 +489,10 @@ func applyRemap(out *ir.Func, asn *regalloc.Assignment, opts Options, parent *te
 	}
 }
 
-func refineTraced(out *ir.Func, asn *regalloc.Assignment, opts Options, parent *telemetry.Span) {
+func refineTraced(out *ir.Func, asn *regalloc.Assignment, opts Options, parent *telemetry.Span, cancel func() bool) {
 	span := parent.Child("refine")
 	defer span.End()
-	changed := diffsel.Refine(out, asn, diffsel.Params{RegN: opts.RegN, DiffN: opts.DiffN})
+	changed := diffsel.Refine(out, asn, diffsel.Params{RegN: opts.RegN, DiffN: opts.DiffN, Cancel: cancel})
 	span.Add("recolored", int64(changed))
 }
 

@@ -24,6 +24,11 @@ type Params struct {
 	// Trace, when non-nil, accumulates picker counters (picks,
 	// candidates scored, total chosen cost) across all rounds.
 	Trace *telemetry.Span
+	// Cancel, when non-nil, is polled by RefineProfile once per round
+	// and every refineCancelStride vregs; returning true stops the
+	// refinement with the moves made so far, each of them legal. Nil
+	// never cancels.
+	Cancel func() bool
 }
 
 // NewFactory returns an irc.PickerFactory implementing differential

@@ -21,8 +21,14 @@ func Refine(f *ir.Func, asn *regalloc.Assignment, p Params) int {
 	return RefineProfile(f, asn, p, nil)
 }
 
+// refineCancelStride is how many vregs RefineProfile visits between
+// Params.Cancel polls within a round.
+const refineCancelStride = 256
+
 // RefineProfile is Refine with measured block frequencies driving the
 // adjacency edge weights (nil falls back to the static estimate).
+// Params.Cancel can stop it between vregs; every move it made by then
+// is legal, so the assignment stays a valid coloring.
 func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq map[*ir.Block]float64) int {
 	g := adjacency.BuildVRegProfile(f, freq)
 	ig := regalloc.Build(f, liveness.Compute(f))
@@ -37,10 +43,17 @@ func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq map[*ir.
 	members := []int{0}
 	forbidden := make([]bool, p.RegN)
 
+	cancelled := func() bool { return p.Cancel != nil && p.Cancel() }
 	moves := 0
 	for round := 0; round < 8; round++ {
+		if cancelled() {
+			return moves
+		}
 		improved := false
 		for v := 0; v < f.NumRegs(); v++ {
+			if v > 0 && v%refineCancelStride == 0 && cancelled() {
+				return moves
+			}
 			cur := asn.Color[v]
 			if cur < 0 {
 				continue

@@ -1,6 +1,8 @@
 package diffsel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"diffra/internal/adjacency"
@@ -102,5 +104,51 @@ func TestRefineSkipsUnusedColors(t *testing.T) {
 	Refine(f, asn, p)
 	if asn.Color[5] != -1 {
 		t.Error("refine touched an unallocated vreg")
+	}
+}
+
+// TestRefineCancelStopsEarly: a Cancel that fires on its Nth poll stops
+// Refine at that poll, short of the moves a full run makes, and the
+// coloring it leaves still passes regalloc.Verify. The chain has 1001
+// vregs, so each round polls at its start and at vregs 256, 512 and
+// 768.
+func TestRefineCancelStopsEarly(t *testing.T) {
+	const n = 1000
+	var src strings.Builder
+	src.WriteString("func chain(v0) {\nentry:\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&src, "  v%d = neg v%d\n", i, i-1)
+	}
+	fmt.Fprintf(&src, "  ret v%d\n}\n", n)
+	f := ir.MustParse(src.String())
+	// Each step goes backward by 1, violated at DiffN=2 (see
+	// TestRefineImprovesBadColoring).
+	adversarial := func() *regalloc.Assignment {
+		color := make([]int, f.NumRegs())
+		for v := range color {
+			color[v] = (n - v) % 8
+		}
+		return &regalloc.Assignment{K: 8, Color: color}
+	}
+	polls := 0
+	p := Params{RegN: 8, DiffN: 2, Cancel: func() bool { polls++; return false }}
+	full := Refine(f, adversarial(), p)
+	if full == 0 || polls < 5 {
+		t.Fatalf("test premise: full refine made %d moves over %d polls", full, polls)
+	}
+	for _, stop := range []int{1, 2, 4} {
+		polls = 0
+		p.Cancel = func() bool { polls++; return polls >= stop }
+		asn := adversarial()
+		moves := Refine(f, asn, p)
+		if polls != stop {
+			t.Errorf("stop at poll %d: polled %d times", stop, polls)
+		}
+		if moves >= full || (stop == 1) != (moves == 0) {
+			t.Errorf("stop at poll %d: %d moves, full run %d", stop, moves, full)
+		}
+		if err := regalloc.Verify(f, asn); err != nil {
+			t.Fatalf("stop at poll %d: coloring fails Verify: %v", stop, err)
+		}
 	}
 }

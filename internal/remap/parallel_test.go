@@ -1,7 +1,9 @@
 package remap
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -13,6 +15,10 @@ import (
 // RegN some nodes lie outside the register file, and with n below it
 // some registers have no node.
 func seededGraph(seed int64, n, edges int) *adjacency.CSR {
+	return adjacency.FromEdges(n, seededEdges(seed, n, edges))
+}
+
+func seededEdges(seed int64, n, edges int) []adjacency.Edge {
 	rng := rand.New(rand.NewSource(seed))
 	es := make([]adjacency.Edge, edges)
 	for e := range es {
@@ -20,7 +26,7 @@ func seededGraph(seed int64, n, edges int) *adjacency.CSR {
 		// so cross-worker cost comparisons are bitwise meaningful.
 		es[e] = adjacency.Edge{From: int32(rng.Intn(n)), To: int32(rng.Intn(n)), W: 0.25 * float64(1+rng.Intn(20))}
 	}
-	return adjacency.FromEdges(n, es)
+	return es
 }
 
 // TestParallelGreedyMatchesSerial is the determinism contract of the
@@ -69,91 +75,186 @@ func TestParallelGreedyMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelTrajectoryDeterministic: the telemetry the workers
-// aggregate (best-cost trajectory, reconstructed in restart order)
-// must also be worker-count independent.
+// TestParallelTrajectoryDeterministic: the best-cost trajectory Greedy
+// rebuilds from its workers' improving lists equals the rule applied
+// to every restart in order — the first restart, then each whose cost
+// is below the last recorded — at workers 1, 2 and 8. Non-finite
+// weights reach the costs: a NaN-weighted edge that the identity
+// satisfies makes every restart that violates it cost NaN, and an
+// infinite edge between two pinned registers makes every restart cost
+// +Inf.
 func TestParallelTrajectoryDeterministic(t *testing.T) {
-	g := seededGraph(3, 12, 50)
-	read := func(workers int) []float64 {
-		tr := telemetry.New(&telemetry.CollectSink{})
-		span := tr.Start("remap")
-		Greedy(g, Options{RegN: 12, DiffN: 4, Restarts: 40, Seed: 9, Workers: workers, Trace: span})
-		span.End()
-		traj, _ := span.Attr("trajectory").([]float64)
-		return traj
+	nanEdges := append(seededEdges(3, 12, 50), adjacency.Edge{From: 0, To: 1, W: math.NaN()})
+	infEdges := append(seededEdges(3, 12, 50), adjacency.Edge{From: 0, To: 11, W: math.Inf(1)})
+	cases := []struct {
+		name string
+		g    *adjacency.CSR
+		opts Options
+	}{
+		{"finite", seededGraph(3, 12, 50), Options{RegN: 12, DiffN: 4, Restarts: 40, Seed: 9}},
+		{"nan", adjacency.FromEdges(12, nanEdges), Options{RegN: 12, DiffN: 4, Restarts: 40, Seed: 9}},
+		{"inf", adjacency.FromEdges(12, infEdges), Options{RegN: 12, DiffN: 4, Restarts: 40, Seed: 9, Pinned: map[int]bool{0: true, 11: true}}},
 	}
-	want := read(1)
-	if len(want) == 0 {
-		t.Fatal("serial run recorded no trajectory")
-	}
-	for _, workers := range []int{2, 8} {
-		got := read(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: trajectory %v != serial %v", workers, got, want)
+	for _, tc := range cases {
+		// The rule over every restart's cost, run serially; like Greedy
+		// it stops after the first zero-cost restart.
+		e := newEngine(tc.g, tc.opts)
+		s := e.newScratch()
+		var want []float64
+		nans := 0
+		for r := 0; r < tc.opts.Restarts; r++ {
+			cost := e.descend(s, r)
+			if math.IsNaN(cost) {
+				nans++
+			}
+			if r == 0 || cost < want[len(want)-1] {
+				want = append(want, cost)
+			}
+			if cost == 0 {
+				break
+			}
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: trajectory %v != serial %v", workers, got, want)
+		switch {
+		case tc.name == "nan" && (nans == 0 || math.IsNaN(want[0])):
+			t.Fatalf("%s: %d NaN restarts, trajectory %v: want NaN costs after a finite first one", tc.name, nans, want)
+		case tc.name == "inf" && !math.IsInf(want[0], 1):
+			t.Fatalf("%s: trajectory %v, want +Inf", tc.name, want)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			tr := telemetry.New(&telemetry.CollectSink{})
+			span := tr.Start("remap")
+			opts := tc.opts
+			opts.Workers, opts.Trace = workers, span
+			Greedy(tc.g, opts)
+			span.End()
+			got, _ := span.Attr("trajectory").([]float64)
+			if !slices.EqualFunc(got, want, sameBits) {
+				t.Fatalf("%s workers=%d: trajectory %v, want %v", tc.name, workers, got, want)
 			}
 		}
 	}
 }
 
-// descendRescan is the un-cached reference descent: identical restart
-// seeding, but every step freshly re-probes all free pairs with
-// CSR.SwapDelta on the float64 weights. The engine's cached descent —
-// O(1) fixed-point probes against the incrementally maintained
-// register-cost matrix, invalidated only for pairs a committed swap
-// could have changed — must match it move for move whenever the
-// weights are exact: on quarter-integer weights every float sum is
-// exact too, so the two arithmetics must agree on every sign and every
-// tie, not just in quality.
-func descendRescan(e *engine, r int) ([]int, float64) {
-	perm := Identity(e.regN)
+// TestTrajectoryFromWorkerLists feeds random restart costs, NaN and
+// ±Inf among them, to random splits of the restarts across workers
+// (each worker seeing its indices in ascending order, as par.For hands
+// them out) and requires the rebuilt trajectory to equal the rule
+// applied to all costs in restart order.
+func TestTrajectoryFromWorkerLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	for trial := 0; trial < 2000; trial++ {
+		costs := make([]float64, 1+rng.Intn(24))
+		for r := range costs {
+			costs[r] = float64(rng.Intn(8))
+			if rng.Intn(4) == 0 {
+				costs[r] = special[rng.Intn(len(special))]
+			}
+		}
+		var want []float64
+		for r, c := range costs {
+			if r == 0 || c < want[len(want)-1] {
+				want = append(want, c)
+			}
+		}
+		bests := make([]workerBest, 1+rng.Intn(4))
+		for r, c := range costs {
+			bests[rng.Intn(len(bests))].note(r, c)
+		}
+		if got := trajectory(bests); !slices.EqualFunc(got, want, sameBits) {
+			t.Fatalf("costs %v: trajectory %v, want %v", costs, got, want)
+		}
+	}
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// descendRescan is the reference descent: identical restart seeding,
+// but every step scores all free pairs with CSR.SwapDelta on the
+// float64 weights. The engine's descent — O(1) fixed-point probes
+// against the incrementally maintained register-cost matrix — must
+// match it move for move whenever the weights are exact: on
+// quarter-integer weights every float sum is exact too, so the two
+// arithmetics must agree on every sign and every tie, not just in
+// quality.
+//
+// It also counts Result.Evaluated's share of the restart from its
+// definition: every pair on the first step; on each later step the
+// pairs with an endpoint that the previous swap of (i, j) touched, in
+// {i, j} ∪ N(i) ∪ N(j) read off the CSR; and one re-score.
+func descendRescan(e *engine, r int) (perm []int, cost float64, evaluated int) {
+	perm = Identity(e.regN)
 	e.shuffleFree(perm, r)
 	free := e.free
+	var touched map[int]bool // nil on the first step: every pair counts
 	for {
 		bi, bj := -1, -1
 		bestDelta := 0.0
 		for ii := 0; ii < len(free); ii++ {
 			for jj := ii + 1; jj < len(free); jj++ {
+				if touched == nil || touched[free[ii]] || touched[free[jj]] {
+					evaluated++
+				}
 				if d := e.csr.SwapDelta(perm, free[ii], free[jj], e.regN, e.diffN); d < bestDelta {
 					bestDelta, bi, bj = d, ii, jj
 				}
 			}
 		}
 		if bi < 0 {
-			return perm, e.csr.PermCost(perm, e.regN, e.diffN)
+			return perm, e.csr.PermCost(perm, e.regN, e.diffN), evaluated + 1
 		}
 		perm[free[bi]], perm[free[bj]] = perm[free[bj]], perm[free[bi]]
-	}
-}
-
-// assertDescentMatchesRescan runs restarts 0..restarts-1 of the cached
-// descent and of descendRescan and fails on the first difference.
-func assertDescentMatchesRescan(t *testing.T, c *adjacency.CSR, opts Options, restarts int) {
-	t.Helper()
-	e := newEngine(c, opts)
-	s := e.newScratch()
-	for r := 0; r < restarts; r++ {
-		cost := e.descend(s, r)
-		wantPerm, wantCost := descendRescan(e, r)
-		if cost != wantCost {
-			t.Fatalf("%+v restart %d: cached cost %v, rescan %v", opts, r, cost, wantCost)
-		}
-		for i := range wantPerm {
-			if s.perm[i] != wantPerm[i] {
-				t.Fatalf("%+v restart %d: cached perm %v, rescan %v", opts, r, s.perm, wantPerm)
+		touched = map[int]bool{free[bi]: true, free[bj]: true}
+		for _, v := range []int{free[bi], free[bj]} {
+			if v >= e.csr.N {
+				continue
+			}
+			from, to, _ := e.csr.Inc(v)
+			for k := range from {
+				u := int(from[k])
+				if u == v {
+					u = int(to[k])
+				}
+				if slices.Contains(free, u) {
+					touched[u] = true
+				}
 			}
 		}
 	}
 }
 
-// TestPairInvalidationMatchesFullRescan covers both window forms of the
-// cost matrix (DiffN <= RegN-DiffN keeps the satisfied window, wider
-// DiffN the violated one) including their edges DiffN 1 and
-// DiffN == RegN, graphs with nodes at or above RegN and graphs smaller
-// than the register file, and no, one or several pinned registers.
+// assertDescentMatchesRescan runs restarts 0..restarts-1 of the
+// engine's descent and of descendRescan and fails on the first
+// difference in permutation, cost or evaluation count.
+func assertDescentMatchesRescan(t *testing.T, c *adjacency.CSR, opts Options, restarts int) {
+	t.Helper()
+	e := newEngine(c, opts)
+	s := e.newScratch()
+	for r := 0; r < restarts; r++ {
+		s.evaluated = 0
+		cost := e.descend(s, r)
+		wantPerm, wantCost, wantEvaluated := descendRescan(e, r)
+		if cost != wantCost {
+			t.Fatalf("%+v restart %d: engine cost %v, rescan %v", opts, r, cost, wantCost)
+		}
+		for i := range wantPerm {
+			if s.perm[i] != wantPerm[i] {
+				t.Fatalf("%+v restart %d: engine perm %v, rescan %v", opts, r, s.perm, wantPerm)
+			}
+		}
+		if s.evaluated != wantEvaluated {
+			t.Fatalf("%+v restart %d: engine evaluated %d, rescan counts %d", opts, r, s.evaluated, wantEvaluated)
+		}
+	}
+}
+
+// TestPairInvalidationMatchesFullRescan holds the engine's descent to
+// descendRescan's moves, costs and Evaluated count (which counts the
+// pairs a swap invalidates) on both window forms of the cost matrix
+// (DiffN <= RegN-DiffN keeps the satisfied window, wider DiffN the
+// violated one) including their edges DiffN 1 and DiffN == RegN, graphs
+// with nodes at or above RegN and graphs smaller than the register
+// file, and no, one or several pinned registers.
 func TestPairInvalidationMatchesFullRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	forms := map[bool]int{} // satisfied form -> cases seen
@@ -189,11 +290,12 @@ func TestPairInvalidationMatchesFullRescan(t *testing.T) {
 }
 
 // FuzzRemap checks the greedy engine against its two references on
-// fuzzer-chosen graphs: the cached fixed-point descent matches the
-// CSR.SwapDelta rescan move for move (quarter-integer weights, so
-// every float sum is exact), every result reports its own PermCost,
-// and with at most 7 free registers Greedy never beats Exhaustive. The
-// seed corpus is checked in under testdata/fuzz/FuzzRemap.
+// fuzzer-chosen graphs: the fixed-point descent matches the
+// CSR.SwapDelta rescan move for move and in its Evaluated count
+// (quarter-integer weights, so every float sum is exact), every result
+// reports its own PermCost, and with at most 7 free registers Greedy
+// never beats Exhaustive. The seed corpus is checked in under
+// testdata/fuzz/FuzzRemap.
 func FuzzRemap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, regN, diffN uint8, pinMask uint16, extra uint8, edges []byte) {
 		rn := 2 + int(regN)%15

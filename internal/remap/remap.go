@@ -16,10 +16,11 @@
 // restarts are independent work items that par.For hands out to
 // Options.Workers goroutines, and the best permutation — ties broken
 // by lowest restart index — is bit-identical at any worker count.
-// Each descent step re-probes only the swap pairs whose delta a
-// committed swap could have changed (pair invalidation), each in O(1)
-// against a register-cost matrix a[p][r]: up to a per-row constant,
-// the violated weight of p's incident edges if p held register r.
+// Each descent step probes every free pair in one pass, each probe in
+// O(1) against a register-cost matrix a[p][r]: up to a per-row
+// constant, the violated weight of p's incident edges if p held
+// register r. A committed swap of (i, j) changes the rows of N(i) and
+// N(j) only, which the engine repairs in place.
 //
 // The descent runs in exact int64 fixed point. Each search scales all
 // edge weights by one power of two, chosen from the heaviest total
@@ -48,8 +49,10 @@
 package remap
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 
 	"diffra/internal/adjacency"
 	"diffra/internal/par"
@@ -99,10 +102,15 @@ type Result struct {
 	Perm []int
 	// Cost is the adjacency-graph cost of Perm.
 	Cost float64
-	// Evaluated counts cost evaluations performed (search effort). With
-	// several workers it can exceed the serial count — workers may probe
-	// restarts beyond the first zero-cost one before learning of it —
-	// but Perm and Cost never depend on the worker count.
+	// Evaluated measures search effort. Exhaustive counts the
+	// permutations it scored. Greedy counts, per descent step, the swap
+	// deltas that the step's committed swap could have changed (every
+	// pair on a restart's first step), plus one re-score per restart; it
+	// does not count the arithmetic done, since each step probes every
+	// pair. With several workers it can exceed the serial count —
+	// workers may run restarts beyond the first zero-cost one before
+	// learning of it — but Perm and Cost never depend on the worker
+	// count.
 	Evaluated int
 }
 
@@ -200,13 +208,12 @@ func Greedy(c *adjacency.CSR, opts Options) *Result {
 	}
 	e := newEngine(c, opts)
 
-	costs := make([]float64, restarts)
-	done := make([]bool, restarts)
 	bests := make([]workerBest, workers)
 	for w := range bests {
 		bests[w].index = -1
 	}
 	cancel := opts.Cancel
+	traced := opts.Trace != nil
 	par.For(workers, restarts, func(w, r int) bool {
 		// Restart 0 always completes, so a cancelled search still
 		// returns a usable permutation.
@@ -219,8 +226,9 @@ func Greedy(c *adjacency.CSR, opts Options) *Result {
 		}
 		s := b.s
 		cost := e.descend(s, r)
-		costs[r] = cost
-		done[r] = true
+		if traced {
+			b.note(r, cost)
+		}
 		b.evaluated += s.evaluated
 		s.evaluated = 0
 		b.performed++
@@ -251,30 +259,36 @@ func Greedy(c *adjacency.CSR, opts Options) *Result {
 		}
 	}
 
-	if opts.Trace != nil {
-		// The improving-restart trajectory, reconstructed in restart
-		// order so it reads the same at any worker count.
-		var trajectory []float64
-		seen := false
-		lowest := 0.0
-		for r := 0; r < restarts; r++ {
-			if !done[r] {
-				continue
-			}
-			if !seen || costs[r] < lowest {
-				seen = true
-				lowest = costs[r]
-				trajectory = append(trajectory, lowest)
-			}
-		}
+	if traced {
 		opts.Trace.SetAttr("method", "greedy")
 		opts.Trace.SetAttr("best_cost", best.Cost)
-		opts.Trace.SetAttr("trajectory", trajectory)
+		opts.Trace.SetAttr("trajectory", trajectory(bests))
 		opts.Trace.SetAttr("workers", workers)
 		opts.Trace.Add("restarts", int64(performed))
 		opts.Trace.Add("evaluated", int64(best.Evaluated))
 	}
 	return best
+}
+
+// trajectory is the improving-restart trajectory: in restart order,
+// the first restart performed and every later one whose cost is below
+// the last recorded, so it reads the same at any worker count. It is
+// rebuilt from the workers' improving lists, which hold every restart
+// it can contain: a restart below every cost performed before it is
+// below every cost its own worker performed before it.
+func trajectory(bests []workerBest) []float64 {
+	var kept []restartCost
+	for w := range bests {
+		kept = append(kept, bests[w].improving...)
+	}
+	slices.SortFunc(kept, func(x, y restartCost) int { return cmp.Compare(x.index, y.index) })
+	var traj []float64
+	for i, rc := range kept {
+		if i == 0 || rc.cost < traj[len(traj)-1] {
+			traj = append(traj, rc.cost)
+		}
+	}
+	return traj
 }
 
 // workerBest accumulates one worker's share of the search and holds
@@ -289,6 +303,24 @@ type workerBest struct {
 	perm      []int
 	evaluated int
 	performed int
+	// improving lists, when the search is traced, the worker's restarts
+	// whose cost is not at or above the last one listed.
+	improving []restartCost
+}
+
+type restartCost struct {
+	index int
+	cost  float64
+}
+
+// note appends restart r to the worker's improving list unless its
+// cost is at or above the last one listed. A NaN cost is listed, and
+// so is everything after it: a worker whose first restart costs NaN
+// must still list the later restarts that may set the trajectory.
+func (b *workerBest) note(r int, cost float64) {
+	if n := len(b.improving); n == 0 || !(cost >= b.improving[n-1].cost) {
+		b.improving = append(b.improving, restartCost{index: r, cost: cost})
+	}
 }
 
 // engine is the read-only shared state of one greedy search: the
@@ -316,6 +348,12 @@ type engine struct {
 	// directions) between free[ii] and free[jj]: the direct-edge
 	// correction term of a swap-delta probe.
 	pairW []int64
+	// swapViol[RegN+rq-rp] is violInd(rp, rq) + violInd(rq, rp): how
+	// many directions of a direct edge between registers rp and rq the
+	// swapped assignment violates. It depends only on rq-rp.
+	swapViol []int64
+	// wrap[k] is k mod RegN, for k up to a window's end.
+	wrap []int
 }
 
 // incEdge is one edge of a free register's flat incidence. Row pp of
@@ -401,8 +439,17 @@ func newEngine(c *adjacency.CSR, opts Options) *engine {
 		_, hexp := math.Frexp(heaviest) // heaviest < 2^hexp
 		shift = maxIncidentLog2 - exp - hexp
 	}
+	e.wrap = make([]int, 2*regN+e.width)
+	for k := range e.wrap {
+		e.wrap[k] = k % regN
+	}
 	e.inc = make([]incEdge, e.incOff[m])
 	e.pairW = make([]int64, m*m)
+	e.swapViol = make([]int64, 2*regN)
+	for d := 1 - regN; d < regN; d++ {
+		rp, rq := max(0, -d), max(0, d)
+		e.swapViol[regN+d] = int64(violInd(rp, rq, regN, e.diffN) + violInd(rq, rp, regN, e.diffN))
+	}
 	k := 0
 	for pp := range e.free {
 		e.edges(pp, func(u int, fromSide bool, w float64) {
@@ -434,7 +481,7 @@ const maxIncidentLog2 = 58
 // register (< RegN), in incidence order, with the neighbor, whether
 // free[pp] is the edge's from endpoint, and the weight under the
 // non-finite rule of finiteWeight. Zero weights are included: the
-// invalidation schedule (which positions a swap dirties) follows graph
+// Evaluated count (which positions a swap touches) follows graph
 // adjacency, not weight.
 func (e *engine) edges(pp int, fn func(u int, fromSide bool, w float64)) {
 	v := e.free[pp]
@@ -476,14 +523,19 @@ type scratch struct {
 	perm []int
 	// reg[pp] caches perm[free[pp]], the register each free position
 	// holds, so probes index the cost matrix without the indirection.
-	reg   []int
-	delta []int64 // delta[ii*m+jj], ii < jj: scaled cost change of swapping free[ii], free[jj]
-	dirty []bool  // free positions whose cached deltas are stale
+	reg []int
 	// a[pp*regN+r] is the register-cost matrix the O(1) probes read:
 	// up to a per-row constant, the scaled violated incident weight of
 	// free[pp] if it were renumbered to r, all other registers as in
 	// perm. Maintained incrementally across swaps.
-	a         []int64
+	a []int64
+	// diff is buildCostMatrix's difference array for one row: RegN
+	// entries plus a window's overhang past the row's end.
+	diff []int64
+	// stamp[pp] == gen marks the free positions the last committed swap
+	// touched (see touched).
+	stamp     []int
+	gen       int
 	evaluated int
 }
 
@@ -492,9 +544,9 @@ func (e *engine) newScratch() *scratch {
 	return &scratch{
 		perm:  make([]int, e.regN),
 		reg:   make([]int, m),
-		delta: make([]int64, m*m),
-		dirty: make([]bool, m),
 		a:     make([]int64, m*e.regN),
+		diff:  make([]int64, e.regN+e.width),
+		stamp: make([]int, m),
 	}
 }
 
@@ -542,15 +594,18 @@ func (e *engine) shuffleFree(perm []int, r int) {
 }
 
 // descend runs one restart: shuffle (restart 0 keeps the identity),
-// then steepest descent on pairwise swaps. The pairwise deltas are
-// cached; after committing a swap of registers (i, j), only pairs
-// whose delta could have changed — those with a position in
-// {i, j} ∪ neighbors(i) ∪ neighbors(j) — are re-probed, each probe in
-// O(1) against the register-cost matrix (see reprobe), and the same pass
-// picks the next swap. Every committed swap strictly lowers the
-// integer cost, which is bounded below, so the descent terminates.
-// Returns the float64 cost of s.perm, re-scored from the original
-// weights.
+// then steepest descent on pairwise swaps. Each step probes every free
+// pair in O(1) against the register-cost matrix (see bestSwap) and
+// commits the best swap, then repairs the matrix rows the swap
+// changed. Every committed swap strictly lowers the integer cost,
+// which is bounded below, so the descent terminates. Returns the
+// float64 cost of s.perm, re-scored from the original weights.
+//
+// s.evaluated grows by the pairs whose delta a step cannot take as
+// known: all of them on the first step, and after a swap of (i, j)
+// those with an endpoint in {i, j} ∪ N(i) ∪ N(j) — the only pairs whose
+// delta the swap can have changed, since a delta depends on the
+// registers of its two positions and their graph neighbors.
 func (e *engine) descend(s *scratch, r int) float64 {
 	perm := s.perm
 	for i := range perm {
@@ -561,11 +616,11 @@ func (e *engine) descend(s *scratch, r int) float64 {
 		s.reg[pp] = perm[f]
 	}
 	e.buildCostMatrix(s)
-	for pp := range s.dirty {
-		s.dirty[pp] = true
-	}
+	m := len(e.free)
+	pairs := m * (m - 1) / 2
+	s.evaluated += pairs
 	for {
-		bi, bj := e.reprobe(s)
+		bi, bj := e.bestSwap(s)
 		if bi < 0 {
 			break // local minimum
 		}
@@ -574,18 +629,8 @@ func (e *engine) descend(s *scratch, r int) float64 {
 		perm[e.free[bi]], perm[e.free[bj]] = rj, ri
 		e.updateCostMatrix(s, bi, ri, rj)
 		e.updateCostMatrix(s, bj, rj, ri)
-
-		// Invalidate: a cached delta(p, q) depends on the registers of
-		// p, q and their graph neighbors, so it is stale iff p or q is
-		// i, j, or adjacent to either. (Equivalently: rows of the
-		// register-cost matrix change only for neighbors of i and j.)
-		for pp := range s.dirty {
-			s.dirty[pp] = false
-		}
-		s.dirty[bi] = true
-		s.dirty[bj] = true
-		e.markNeighbors(s, bi)
-		e.markNeighbors(s, bj)
+		rest := m - e.touched(s, bi, bj)
+		s.evaluated += pairs - rest*(rest-1)/2
 	}
 	// Score the local minimum from the original float64 weights, so
 	// Result.Cost never depends on the fixed-point scale.
@@ -593,39 +638,35 @@ func (e *engine) descend(s *scratch, r int) float64 {
 	return e.csr.PermCost(perm, e.regN, e.diffN)
 }
 
-// reprobe re-probes every cached pair with a dirty position and
-// returns the first pair, in (ii, jj) order, with the most negative
-// delta, or (-1, -1) at a local minimum.
+// bestSwap probes every free pair and returns the first pair, in
+// (ii, jj) order, with the most negative delta, or (-1, -1) at a local
+// minimum.
 //
 // Each probe is O(1): renumbering p from rp to rq moves p's incident
 // cost from a[p][rp] to a[p][rq] (and symmetrically for q), which
 // misstates only the edges directly between p and q — those see both
 // endpoints change at once. Since diff(r, r) = 0 is always satisfied,
 // the correction reduces to the pair's total edge weight times the
-// violation indicators of the swapped assignment in both directions.
-// A probe equals CSR.SwapDelta on the scaled weights, exactly.
-func (e *engine) reprobe(s *scratch) (bi, bj int) {
-	m, regN, diffN := len(e.free), e.regN, e.diffN
+// violation indicators of the swapped assignment in both directions
+// (swapViol). A probe equals CSR.SwapDelta on the scaled weights,
+// exactly.
+func (e *engine) bestSwap(s *scratch) (bi, bj int) {
+	m, regN := len(e.free), e.regN
+	reg, a := s.reg[:m], s.a
 	bi, bj = -1, -1
 	var best int64
 	for ii := 0; ii < m; ii++ {
-		row := s.delta[ii*m : ii*m+m]
+		rp := reg[ii]
+		ap := a[ii*regN : ii*regN+regN]
+		own := ap[rp]
 		pairW := e.pairW[ii*m : ii*m+m]
-		ap := s.a[ii*regN : ii*regN+regN]
-		rp := s.reg[ii]
-		di := s.dirty[ii]
+		// viol[rq] = swapViol[RegN+rq-rp]
+		viol := e.swapViol[regN-rp : 2*regN-rp]
 		for jj := ii + 1; jj < m; jj++ {
-			if di || s.dirty[jj] {
-				rq := s.reg[jj]
-				aq := s.a[jj*regN : jj*regN+regN]
-				d := ap[rq] - ap[rp] + aq[rp] - aq[rq]
-				if wpq := pairW[jj]; wpq != 0 {
-					d += wpq * int64(violInd(rp, rq, regN, diffN)+violInd(rq, rp, regN, diffN))
-				}
-				row[jj] = d
-				s.evaluated++
-			}
-			if d := row[jj]; d < best {
+			rq := reg[jj]
+			q := jj * regN
+			d := ap[rq] - own + a[q+rp] - a[q+rq] + pairW[jj]*viol[rq]
+			if d < best {
 				best, bi, bj = d, ii, jj
 			}
 		}
@@ -646,20 +687,35 @@ func violInd(rf, rt, regN, diffN int) int {
 	return 0
 }
 
-// buildCostMatrix fills s.a for the registers in s.reg: every edge of
-// row pp adds its window entry over its window (see incEdge).
+// buildCostMatrix fills s.a for the registers in s.reg. Every edge of
+// row pp adds its window entry over its window (see incEdge); the row
+// collects them in a difference array, then takes one prefix sum and
+// folds the overhang of windows that wrap past the last register back
+// onto the first ones. O(deg + RegN) per row.
 func (e *engine) buildCostMatrix(s *scratch) {
-	regN := e.regN
-	clear(s.a)
+	regN, width := e.regN, e.width
+	diff := s.diff
 	for pp := range e.free {
-		row := s.a[pp*regN : pp*regN+regN]
+		clear(diff)
 		for _, ie := range e.inc[e.incOff[pp]:e.incOff[pp+1]] {
 			x := ^int(ie.ref)
 			if ie.ref >= 0 {
 				x = s.reg[ie.ref]
 			}
 			own, _ := e.offsets(ie)
-			addWindow(row, x+own, e.width, ie.dw)
+			start := e.wrap[x+own]
+			diff[start] += ie.dw
+			diff[start+width] -= ie.dw
+		}
+		row := s.a[pp*regN : pp*regN+regN]
+		var sum int64
+		for r := range row {
+			sum += diff[r]
+			row[r] = sum
+		}
+		for r, d := range diff[regN:] {
+			sum += d
+			row[r] += sum
 		}
 	}
 }
@@ -668,52 +724,41 @@ func (e *engine) buildCostMatrix(s *scratch) {
 // to xnew: in the row of every free neighbor, the edge's window moves
 // from xold to xnew. O(deg · min(DiffN, RegN-DiffN)).
 func (e *engine) updateCostMatrix(s *scratch, pc, xold, xnew int) {
-	regN := e.regN
+	regN, width := e.regN, e.width
 	for _, ie := range e.inc[e.incOff[pc]:e.incOff[pc+1]] {
 		if ie.ref < 0 {
 			continue
 		}
 		row := s.a[int(ie.ref)*regN : int(ie.ref)*regN+regN]
 		_, off := e.offsets(ie)
-		addWindow(row, xold+off, e.width, -ie.dw)
-		addWindow(row, xnew+off, e.width, ie.dw)
+		// wrap[k] = k mod RegN, so the windows need no wrap test.
+		from := e.wrap[xold+off : xold+off+width]
+		to := e.wrap[xnew+off : xnew+off+width]
+		to = to[:len(from)]
+		for k, r := range from {
+			row[r] -= ie.dw
+			row[to[k]] += ie.dw
+		}
 	}
 }
 
-// addWindow adds w to width consecutive entries of row starting at
-// start (which may exceed len(row) by less than len(row)), wrapping
-// cyclically.
-func addWindow(row []int64, start, width int, w int64) {
-	n := len(row)
-	if start >= n {
-		start -= n
-	}
-	end := start + width
-	if end <= n {
-		seg := row[start:end]
-		for k := range seg {
-			seg[k] += w
-		}
-		return
-	}
-	seg := row[start:]
-	for k := range seg {
-		seg[k] += w
-	}
-	seg = row[:end-n]
-	for k := range seg {
-		seg[k] += w
-	}
-}
-
-// markNeighbors sets the dirty bit of every free position adjacent to
-// free[pp] in the graph.
-func (e *engine) markNeighbors(s *scratch, pp int) {
-	for _, ie := range e.inc[e.incOff[pp]:e.incOff[pp+1]] {
-		if ie.ref >= 0 {
-			s.dirty[ie.ref] = true
+// touched returns |{pi, pj} ∪ N(pi) ∪ N(pj)|, counted over free
+// positions: the positions whose pairs a swap of free[pi] and free[pj]
+// can have changed.
+func (e *engine) touched(s *scratch, pi, pj int) int {
+	s.gen++
+	gen := s.gen
+	s.stamp[pi], s.stamp[pj] = gen, gen
+	k := 2
+	for _, pp := range [2]int{pi, pj} {
+		for _, ie := range e.inc[e.incOff[pp]:e.incOff[pp+1]] {
+			if ie.ref >= 0 && s.stamp[ie.ref] != gen {
+				s.stamp[ie.ref] = gen
+				k++
+			}
 		}
 	}
+	return k
 }
 
 // Auto picks exhaustive search for small register files and the greedy
@@ -727,7 +772,7 @@ func Auto(c *adjacency.CSR, opts Options) *Result {
 }
 
 func freeRegs(opts Options) []int {
-	var free []int
+	free := make([]int, 0, opts.RegN)
 	for r := 0; r < opts.RegN; r++ {
 		if !opts.Pinned[r] {
 			free = append(free, r)

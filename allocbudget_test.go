@@ -10,6 +10,7 @@ import (
 	"diffra/internal/interp"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
+	"diffra/internal/ospill"
 	"diffra/internal/pipeline"
 	"diffra/internal/regalloc"
 	"diffra/internal/scratch"
@@ -38,6 +39,7 @@ const (
 	coalesceBudget    = 1460 // measured 1124 (susan, RegN=DiffN=8)
 	parseBudget       = 77   // measured 59 (adpcm, the most blocks)
 	cacheKeyBudget    = 2    // measured 1 (every §8 kernel)
+	decideBudget      = 115  // measured 64-90 (every §8 kernel, loop spills at K=6, whole-range at K=8)
 )
 
 func assertAllocBudget(t *testing.T, name string, budget float64, body func()) {
@@ -228,6 +230,22 @@ func TestAllocBudgetCacheKey(t *testing.T) {
 	for _, k := range workloads.Kernels() {
 		assertAllocBudget(t, "CacheKey/"+k.Name, cacheKeyBudget, func() {
 			service.CacheKey(k.F, opts, false, false)
+		})
+	}
+}
+
+// TestAllocBudgetDecide pins the exact spill decision both spill lanes
+// pay on every miss: one builder pass over the program points, a flat
+// ILP front end and flat CFG analyses, so Decide allocates per
+// function and per solver component, never per program point,
+// constraint or block.
+func TestAllocBudgetDecide(t *testing.T) {
+	for _, k := range workloads.Kernels() {
+		assertAllocBudget(t, "Decide/loop/K6/"+k.Name, decideBudget, func() {
+			ospill.Decide(k.F, ospill.Options{K: 6})
+		})
+		assertAllocBudget(t, "Decide/whole/K8/"+k.Name, decideBudget, func() {
+			ospill.Decide(k.F, ospill.Options{K: 8, DisableLoopSpills: true})
 		})
 	}
 }

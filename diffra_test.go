@@ -344,7 +344,7 @@ func deepNestIR(depth int) string {
 	return b.String()
 }
 
-// TestDeepLoopNestCompiles: ir.BlockFreq's 10^depth is uncapped, so a
+// TestDeepLoopNestCompiles: ir.BlockFreqs' 10^depth is uncapped, so a
 // nest 309 or more loops deep weighs its inner adjacency edges and
 // spill costs +Inf. Every scheme must still compile well inside a
 // deadline, and the remapping search must report the cost of the

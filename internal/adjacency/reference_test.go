@@ -19,7 +19,10 @@ import (
 // weight in that walk order, skipping accesses node maps to -1.
 func refBuild(f *ir.Func, node func(ir.Reg) int, freq map[*ir.Block]float64) refGraph {
 	if freq == nil {
-		freq = f.BlockFreq()
+		freq = map[*ir.Block]float64{}
+		for i, w := range f.BlockFreqs() {
+			freq[f.Blocks[i]] = w
+		}
 	}
 	ref := refGraph{}
 	first := map[*ir.Block]int{}

@@ -34,13 +34,20 @@ type Params struct {
 // NewFactory returns an irc.PickerFactory implementing differential
 // select. For every allocation round it rebuilds the adjacency graph
 // over the round's live ranges; when scoring a candidate color for a
-// node it accounts for every live range coalesced into that node.
+// node it accounts for every live range coalesced into that node. The
+// round's coalescing classes are listed once, on its first pick: IRC
+// picks only while assigning colors, after the round's coalescing is
+// final.
 func NewFactory(p Params) irc.PickerFactory {
 	return func(f *ir.Func, aliasOf func(int) int) irc.ColorPicker {
 		g := adjacency.BuildVReg(f)
 		n := f.NumRegs()
+		var cl classes
 		return func(v int, okColors []int, colorOf func(int) int) int {
-			members := membersOf(v, n, aliasOf)
+			if cl.off == nil {
+				cl.build(n, aliasOf)
+			}
+			members := cl.of(v)
 			bestColor, bestCost := okColors[0], 0.0
 			for i, c := range okColors {
 				cost := PickCost(g, members, v, c, colorOf, aliasOf, p)
@@ -56,17 +63,40 @@ func NewFactory(p Params) irc.PickerFactory {
 	}
 }
 
-func membersOf(v, n int, aliasOf func(int) int) []int {
-	var out []int
-	for u := 0; u < n; u++ {
-		if aliasOf(u) == v {
-			out = append(out, u)
-		}
+// classes lists the coalescing classes of n vregs: the members of the
+// class represented by r, ascending, are idx[off[r]:off[r+1]].
+type classes struct {
+	off, idx []int
+}
+
+// build sorts the vregs by representative (a counting sort), asking
+// aliasOf once per vreg.
+func (c *classes) build(n int, aliasOf func(int) int) {
+	buf := make([]int, 3*n+1)
+	c.off, c.idx = buf[:n+1], buf[n+1:2*n+1]
+	rep := buf[2*n+1:]
+	for u := range rep {
+		rep[u] = aliasOf(u)
+		c.off[rep[u]]++
 	}
-	if len(out) == 0 {
-		out = []int{v}
+	for r := 1; r <= n; r++ {
+		c.off[r] += c.off[r-1]
 	}
-	return out
+	// off[r] is now the end of r's class; filling from the last vreg
+	// down leaves it at the start, with the members ascending.
+	for u := n - 1; u >= 0; u-- {
+		c.off[rep[u]]--
+		c.idx[c.off[rep[u]]] = u
+	}
+}
+
+// of returns the members of v's class, or just v when no vreg names v
+// as its representative.
+func (c *classes) of(v int) []int {
+	if m := c.idx[c.off[v]:c.off[v+1]]; len(m) > 0 {
+		return m
+	}
+	return []int{v}
 }
 
 // PickCost is differential select's score, shared by the picker, the

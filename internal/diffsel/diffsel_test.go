@@ -1,6 +1,8 @@
 package diffsel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"diffra/internal/adjacency"
@@ -213,5 +215,58 @@ entry:
 	}
 	if asn.SpillInstrs == 0 {
 		t.Error("expected spills at K=3")
+	}
+}
+
+// TestPickerListsClassesOncePerRound drives one round's picker over
+// every class of a long chain whose odd vregs are coalesced into their
+// even neighbour, counting aliasOf calls. Listing the classes may ask
+// aliasOf once per vreg for the whole round; every other call is
+// PickCost's, one per incident edge and candidate color, counted here
+// by scoring the same members, found by scanning every vreg, the same
+// way. The picker must also choose what that scoring chooses.
+func TestPickerListsClassesOncePerRound(t *testing.T) {
+	const n = 2000
+	var src strings.Builder
+	src.WriteString("func chain(v0) {\nentry:\n  v1 = neg v0\n")
+	for v := 2; v < n; v++ {
+		fmt.Fprintf(&src, "  v%d = add v%d, v%d\n", v, v-1, v-2)
+	}
+	fmt.Fprintf(&src, "  ret v%d\n}\n", n-1)
+	f := ir.MustParse(src.String())
+	p := Params{RegN: 8, DiffN: 2}
+	g := adjacency.BuildVReg(f)
+
+	calls, refCalls := 0, 0
+	aliasOf := func(u int) int { calls++; return u &^ 1 }
+	refAlias := func(u int) int { refCalls++; return u &^ 1 }
+	colorOf := func(u int) int {
+		if u%4 < 2 {
+			return u % 7
+		}
+		return -1
+	}
+	ok := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	pick := NewFactory(p)(f, aliasOf)
+	for v := 0; v < n; v += 2 {
+		got := pick(v, ok, colorOf)
+		var members []int
+		for u := 0; u < n; u++ {
+			if u&^1 == v {
+				members = append(members, u)
+			}
+		}
+		want, best := ok[0], 0.0
+		for i, c := range ok {
+			if cost := PickCost(g, members, v, c, colorOf, refAlias, p); i == 0 || cost < best {
+				want, best = c, cost
+			}
+		}
+		if got != want {
+			t.Fatalf("v%d: picked color %d, scoring the class chooses %d", v, got, want)
+		}
+	}
+	if own := calls - refCalls; own > n {
+		t.Errorf("picker made %d aliasOf calls of its own over %d picks of %d vregs, want at most %d", own, n/2, n, n)
 	}
 }

@@ -38,6 +38,9 @@ func newBBState(c *comp) *bbState {
 		deficit: make([]int, len(c.cons)),
 		freeCnt: make([]int, len(c.cons)),
 		used:    make([]int64, len(c.vars)),
+		// Every variable is on the trail and the path at most once.
+		trail: make([]int, 0, len(c.vars)),
+		path:  make([]varFix, 0, len(c.vars)),
 	}
 }
 
@@ -290,6 +293,12 @@ func (s *bbState) branch(cur float64) {
 // incrementally by fix/unwind, so each call touches only the unmet
 // constraints' variable lists. Returns ok=false when some constraint
 // can no longer be met.
+//
+// One walk of a constraint's cheapest-first list both assembles the
+// completion and marks the free variables: a constraint's variables
+// are distinct, so marking one never hides an overlap of another. On
+// an overlap the marks made so far are taken back and the walk only
+// finishes the completion.
 func (s *bbState) lowerBound() (float64, bool) {
 	lbSum, lbMax := 0.0, 0.0
 	s.epoch++
@@ -305,22 +314,33 @@ func (s *bbState) lowerBound() (float64, bool) {
 		completion := 0.0
 		taken := 0
 		overlap := false
-		for _, v := range c.cons[i].sorted {
+		sorted := c.cons[i].sorted
+		for j, v := range sorted {
 			if s.x[v] != 0 {
 				continue
 			}
 			if s.used[v] == s.epoch {
 				overlap = true
+				for _, u := range sorted[:j] {
+					if s.x[u] == 0 {
+						s.used[u] = 0
+					}
+				}
+				for _, u := range sorted[j:] {
+					if taken == d {
+						break
+					}
+					if s.x[u] == 0 {
+						completion += c.costs[u]
+						taken++
+					}
+				}
+				break
 			}
+			s.used[v] = s.epoch
 			if taken < d {
 				completion += c.costs[v]
 				taken++
-			}
-			// Once the completion is assembled the rest of the walk only
-			// matters for overlap detection; stop as soon as both are
-			// settled.
-			if overlap && taken == d {
-				break
 			}
 		}
 		if completion > lbMax {
@@ -328,11 +348,6 @@ func (s *bbState) lowerBound() (float64, bool) {
 		}
 		if !overlap {
 			lbSum += completion
-			for _, v := range c.cons[i].vars {
-				if s.x[v] == 0 {
-					s.used[v] = s.epoch
-				}
-			}
 		}
 	}
 	if lbSum > lbMax {

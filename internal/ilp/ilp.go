@@ -28,7 +28,7 @@ package ilp
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 var inf = math.Inf(1)
@@ -186,27 +186,60 @@ func Solve(p Problem, opts Options) Solution {
 	return sol
 }
 
+// sanitize returns p's constraints restricted to variables in [0, n),
+// each deduplicated and sorted, with Need capped at the variable count;
+// constraints left with no demand are dropped. A constraint whose
+// variables already are strictly ascending and in range is kept as it
+// is; the others are rewritten into one fresh slice.
 func sanitize(p Problem, n int) []Constraint {
-	var cons []Constraint
+	total := 0
 	for _, c := range p.Constraints {
-		vars := make([]int, 0, len(c.Vars))
-		seen := map[int]bool{}
-		for _, v := range c.Vars {
-			if v >= 0 && v < n && !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
-			}
+		if !clean(c.Vars, n) {
+			total += len(c.Vars)
 		}
-		need := c.Need
-		if need > len(vars) {
-			need = len(vars)
+	}
+	var flat []int
+	var seen []int32 // seen[v] == i+1: v already kept for constraint i
+	if total > 0 {
+		flat = make([]int, 0, total)
+		seen = make([]int32, n)
+	}
+	cons := make([]Constraint, 0, len(p.Constraints))
+	for i, c := range p.Constraints {
+		vars := c.Vars[:len(c.Vars):len(c.Vars)]
+		if !clean(vars, n) {
+			start := len(flat)
+			flat = appendClean(flat, c.Vars, seen, int32(i+1))
+			vars = flat[start:len(flat):len(flat)]
+			slices.Sort(vars)
 		}
-		if need > 0 {
-			sort.Ints(vars)
+		if need := min(c.Need, len(vars)); need > 0 {
 			cons = append(cons, Constraint{Vars: vars, Need: need})
 		}
 	}
 	return cons
+}
+
+// appendClean appends to dst the members of vars in [0, len(seen))
+// not yet marked with stamp in seen, in order, marking them.
+func appendClean(dst, vars []int, seen []int32, stamp int32) []int {
+	for _, v := range vars {
+		if v >= 0 && v < len(seen) && seen[v] != stamp {
+			seen[v] = stamp
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// clean reports whether vars is strictly ascending within [0, n).
+func clean(vars []int, n int) bool {
+	for j, v := range vars {
+		if v < 0 || v >= n || (j > 0 && v <= vars[j-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 func totalCost(costs []float64, x []bool) float64 {

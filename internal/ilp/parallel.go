@@ -35,9 +35,9 @@ func solveSteal(pre *preprocessed, maxNodes int, opts Options) []GroupOut[[]bool
 	if workers < 1 {
 		workers = 1
 	}
-	// Per-worker scratch arenas, keyed by component; each index is
-	// only ever touched by the goroutine running as worker w.
-	states := make([]map[int]*bbState, workers)
+	// Per-worker scratch arenas, indexed by component; each worker's
+	// slice is only ever touched by the goroutine running as worker w.
+	states := make([][]*bbState, workers)
 	return RunSteal(StealConfig[workItem, []bool]{
 		Groups:   len(pre.comps),
 		GroupOf:  func(it workItem) int { return it.comp },
@@ -50,7 +50,7 @@ func solveSteal(pre *preprocessed, maxNodes int, opts Options) []GroupOut[[]bool
 		Run: func(w int, it workItem, bound float64, chunk int) ChunkOut[workItem, []bool] {
 			m := states[w]
 			if m == nil {
-				m = map[int]*bbState{}
+				m = make([]*bbState, len(pre.comps))
 				states[w] = m
 			}
 			st := m[it.comp]

@@ -1,44 +1,64 @@
 package ir
 
-// ReversePostorder returns the blocks reachable from the entry in
-// reverse postorder of a depth-first search. Allocator dataflow passes
-// iterate in this order for fast convergence.
-func (f *Func) ReversePostorder() []*Block {
-	seen := make([]bool, len(f.Blocks))
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
+// The CFG analyses number blocks by Block.Index and keep every
+// per-block fact in a flat slice indexed by it: no map keyed by *Block,
+// and one allocation per intermediate array rather than one per block
+// or per loop. Block frequencies are asked for by every allocator on
+// every compile, so this path stays cheap.
+
+// domTree is the dominator analysis in flat form. Unreachable blocks
+// have no position and no immediate dominator (-1 in both).
+type domTree struct {
+	rpo   []int // reachable block indexes in reverse postorder
+	order []int // by Block.Index: position in rpo
+	idom  []int // by Block.Index: immediate dominator's index (the entry's is its own)
+}
+
+// domTree numbers the reachable blocks in reverse postorder of a
+// depth-first search that visits successors in order, then computes
+// immediate dominators with the Cooper–Harvey–Kennedy iterative
+// algorithm.
+func (f *Func) domTree() domTree {
+	n := len(f.Blocks)
+	buf := make([]int, 5*n)
+	t := domTree{order: buf[:n], idom: buf[n : 2*n]}
+	post := buf[2*n : 2*n : 3*n]
+	stack := buf[3*n : 3*n : 5*n] // (block, next successor) pairs
+	for i := range t.order {
+		t.order[i] = -1
+		t.idom[i] = -1
 	}
-	if e := f.Entry(); e != nil {
-		dfs(e)
+	e := f.Entry()
+	if e == nil {
+		return t
+	}
+	// order doubles as the visited mark until the numbering below.
+	t.order[e.Index] = 0
+	stack = append(stack, e.Index, 0)
+	for len(stack) > 0 {
+		top := len(stack) - 2
+		b := f.Blocks[stack[top]]
+		if i := stack[top+1]; i < len(b.Succs) {
+			stack[top+1]++
+			if s := b.Succs[i].Index; t.order[s] < 0 {
+				t.order[s] = 0
+				stack = append(stack, s, 0)
+			}
+			continue
+		}
+		post = append(post, b.Index)
+		stack = stack[:top]
 	}
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}
-	return post
-}
-
-// Dominators computes the immediate dominator of every reachable block
-// using the Cooper–Harvey–Kennedy iterative algorithm. The entry block
-// dominates itself; unreachable blocks map to nil.
-func (f *Func) Dominators() map[*Block]*Block {
-	rpo := f.ReversePostorder()
-	order := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		order[b] = i
+	t.rpo = post
+	for i, b := range t.rpo {
+		t.order[b] = i
 	}
-	idom := make(map[*Block]*Block, len(rpo))
-	entry := f.Entry()
-	idom[entry] = entry
 
-	intersect := func(a, b *Block) *Block {
+	order, idom := t.order, t.idom
+	intersect := func(a, b int) int {
 		for a != b {
 			for order[a] > order[b] {
 				a = idom[a]
@@ -49,41 +69,80 @@ func (f *Func) Dominators() map[*Block]*Block {
 		}
 		return a
 	}
-
+	entry := t.rpo[0]
+	idom[entry] = entry
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if idom[p] == nil {
+		for _, b := range t.rpo[1:] {
+			newIdom := -1
+			for _, p := range f.Blocks[b].Preds {
+				if idom[p.Index] < 0 {
 					continue // pred not yet processed or unreachable
 				}
-				if newIdom == nil {
-					newIdom = p
+				if newIdom < 0 {
+					newIdom = p.Index
 				} else {
-					newIdom = intersect(p, newIdom)
+					newIdom = intersect(p.Index, newIdom)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
+			if newIdom >= 0 && idom[b] != newIdom {
 				idom[b] = newIdom
 				changed = true
 			}
 		}
 	}
-	return idom
+	return t
 }
 
-// Dominates reports whether a dominates b under the idom map (a block
-// dominates itself).
-func Dominates(idom map[*Block]*Block, a, b *Block) bool {
+// dominates reports whether block a dominates block b (by index; a
+// block dominates itself).
+func (t *domTree) dominates(a, b int) bool {
 	for {
 		if a == b {
 			return true
 		}
-		next := idom[b]
+		next := t.idom[b]
+		if next < 0 || next == b {
+			return false
+		}
+		b = next
+	}
+}
+
+// ReversePostorder returns the blocks reachable from the entry in
+// reverse postorder of a depth-first search. Allocator dataflow passes
+// iterate in this order for fast convergence.
+func (f *Func) ReversePostorder() []*Block {
+	t := f.domTree()
+	rpo := make([]*Block, len(t.rpo))
+	for i, b := range t.rpo {
+		rpo[i] = f.Blocks[b]
+	}
+	return rpo
+}
+
+// Dominators computes the immediate dominator of every block, indexed
+// by Block.Index, using the Cooper–Harvey–Kennedy iterative algorithm.
+// The entry block dominates itself; unreachable blocks have nil.
+func (f *Func) Dominators() []*Block {
+	t := f.domTree()
+	idom := make([]*Block, len(f.Blocks))
+	for b, d := range t.idom {
+		if d >= 0 {
+			idom[b] = f.Blocks[d]
+		}
+	}
+	return idom
+}
+
+// Dominates reports whether a dominates b under idom, the result of
+// Dominators (a block dominates itself).
+func Dominates(idom []*Block, a, b *Block) bool {
+	for {
+		if a == b {
+			return true
+		}
+		next := idom[b.Index]
 		if next == nil || next == b {
 			return false
 		}
@@ -95,83 +154,160 @@ func Dominates(idom map[*Block]*Block, a, b *Block) bool {
 // the back-edge source without passing through the header.
 type Loop struct {
 	Header *Block
-	Blocks map[*Block]bool
+	// Blocks holds the Block.Index of every block in the loop, header
+	// first, each once.
+	Blocks []int
 }
 
-// NaturalLoops finds the natural loops of the function. A back edge is
-// an edge b->h where h dominates b. Loops sharing a header are merged.
-func (f *Func) NaturalLoops() []*Loop {
-	idom := f.Dominators()
-	byHeader := make(map[*Block]*Loop)
-	var loops []*Loop
+// loopForest is the flat form of the natural loops: the headers'
+// indexes in discovery order and, for loop i, the indexes of its
+// blocks, body[off[i]:off[i+1]], header first.
+type loopForest struct {
+	headers []int
+	off     []int
+	body    []int
+}
+
+// loopForest finds the natural loops. A back edge is an edge b->h
+// where h dominates b; loops sharing a header are merged, and a loop is
+// discovered at its first back edge in block and successor order. Each
+// loop's body is walked backwards over predecessors from its back-edge
+// sources, stopping at blocks already in the body (the header is in it
+// from the start).
+func (f *Func) loopForest() loopForest {
+	t := f.domTree()
+	n := len(f.Blocks)
+	ne := 0
 	for _, b := range f.Blocks {
+		ne += len(b.Succs)
+	}
+	// One slab holds every list below: headers (n), edges (2ne), srcOff
+	// and off (nl+1 <= n+1 each), srcs (<= ne), mark (n), and body and
+	// the walk stack, which start with room for 2n and ne+1 entries and
+	// grow out of the slab if they must.
+	slab := make([]int, n+2*ne+2*(n+1)+ne+n+2*n+ne+1)
+	carve := func(k int) []int {
+		out := slab[:k:k]
+		slab = slab[k:]
+		return out
+	}
+	var lf loopForest
+	lf.headers = carve(n)[:0]
+	// Back edges, as (rank of the header in discovery order, source)
+	// pairs. rank reuses t.order, which dominates never reads.
+	edges := carve(2 * ne)[:0]
+	rank := t.order
+	for i := range rank {
+		rank[i] = -1
+	}
+	for _, b := range f.Blocks {
+		if t.idom[b.Index] < 0 {
+			continue
+		}
 		for _, s := range b.Succs {
-			if idom[b] == nil || !Dominates(idom, s, b) {
+			if !t.dominates(s.Index, b.Index) {
 				continue
 			}
-			l := byHeader[s]
-			if l == nil {
-				l = &Loop{Header: s, Blocks: map[*Block]bool{s: true}}
-				byHeader[s] = l
-				loops = append(loops, l)
+			if rank[s.Index] < 0 {
+				rank[s.Index] = len(lf.headers)
+				lf.headers = append(lf.headers, s.Index)
 			}
-			// Walk predecessors backwards from the back-edge source.
-			stack := []*Block{b}
+			edges = append(edges, rank[s.Index], b.Index)
+		}
+	}
+	nl := len(lf.headers)
+	if nl == 0 {
+		return lf
+	}
+	// Counting sort of the sources by loop: after the prefix sums
+	// srcOff[l] is the end of loop l's bucket, and filling from the last
+	// edge down leaves it at the start with the edges in order.
+	srcOff, srcs, mark := carve(nl+1), carve(len(edges)/2), carve(n)
+	for i := 0; i < len(edges); i += 2 {
+		srcOff[edges[i]]++
+	}
+	for l := 1; l <= nl; l++ {
+		srcOff[l] += srcOff[l-1]
+	}
+	for i := len(edges) - 2; i >= 0; i -= 2 {
+		l := edges[i]
+		srcOff[l]--
+		srcs[srcOff[l]] = edges[i+1]
+	}
+
+	lf.off = carve(nl + 1)[:1]
+	lf.body = carve(2 * n)[:0]
+	stack := carve(ne + 1)[:0]
+	for l, h := range lf.headers {
+		stamp := l + 1
+		mark[h] = stamp
+		lf.body = append(lf.body, h)
+		for _, b := range srcs[srcOff[l]:srcOff[l+1]] {
+			stack = append(stack, b)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				if l.Blocks[x] {
+				if mark[x] == stamp {
 					continue
 				}
-				l.Blocks[x] = true
-				stack = append(stack, x.Preds...)
+				mark[x] = stamp
+				lf.body = append(lf.body, x)
+				for _, p := range f.Blocks[x].Preds {
+					stack = append(stack, p.Index)
+				}
 			}
 		}
+		lf.off = append(lf.off, len(lf.body))
 	}
-	return loops
+	return lf
 }
 
-// LoopDepths returns each block's loop nesting depth (0 outside all
-// loops). Used to weight spill costs and adjacency edge frequencies.
-func (f *Func) LoopDepths() map[*Block]int {
-	depth := make(map[*Block]int, len(f.Blocks))
-	for _, l := range f.NaturalLoops() {
-		for b := range l.Blocks {
-			depth[b]++
-		}
+// NaturalLoops finds the natural loops of the function. A back edge is
+// an edge b->h where h dominates b. Loops sharing a header are merged;
+// the loops come in the order of their first back edge in block and
+// successor order.
+func (f *Func) NaturalLoops() []*Loop {
+	lf := f.loopForest()
+	nl := len(lf.headers)
+	if nl == 0 {
+		return nil
+	}
+	loops := make([]Loop, nl)
+	out := make([]*Loop, nl)
+	for l, h := range lf.headers {
+		end := lf.off[l+1]
+		loops[l] = Loop{Header: f.Blocks[h], Blocks: lf.body[lf.off[l]:end:end]}
+		out[l] = &loops[l]
+	}
+	return out
+}
+
+// LoopDepths returns each block's loop nesting depth, indexed by
+// Block.Index (0 outside all loops): the number of natural loops that
+// contain it. Used to weight spill costs and adjacency edge
+// frequencies.
+func (f *Func) LoopDepths() []int {
+	lf := f.loopForest()
+	depth := make([]int, len(f.Blocks))
+	for _, b := range lf.body {
+		depth[b]++
 	}
 	return depth
 }
 
-// BlockFreq estimates a static execution frequency for each block:
-// 10^depth, the classic Chaitin spill-cost weighting. The paper (§4)
-// notes profile frequencies should be reflected in adjacency edge
-// weights; this is the static estimate its evaluation used.
-func (f *Func) BlockFreq() map[*Block]float64 {
-	freq := make(map[*Block]float64, len(f.Blocks))
-	depth := f.LoopDepths()
-	for _, b := range f.Blocks {
-		w := 1.0
-		for i := 0; i < depth[b]; i++ {
-			w *= 10
-		}
-		freq[b] = w
-	}
-	return freq
-}
-
-// BlockFreqs is BlockFreq indexed by Block.Index instead of keyed by
-// pointer — the form the hot compile paths (spill costs, diffenc join
-// placement) consume without a map lookup per block.
+// BlockFreqs estimates a static execution frequency for each block,
+// indexed by Block.Index: 10^depth, the classic Chaitin spill-cost
+// weighting. The paper (§4) notes profile frequencies should be
+// reflected in adjacency edge weights; this is the static estimate its
+// evaluation used.
 func (f *Func) BlockFreqs() []float64 {
+	lf := f.loopForest()
 	freq := make([]float64, len(f.Blocks))
-	depth := f.LoopDepths()
-	for _, b := range f.Blocks {
-		w := 1.0
-		for i := 0; i < depth[b]; i++ {
-			w *= 10
-		}
-		freq[b.Index] = w
+	for i := range freq {
+		freq[i] = 1
+	}
+	for _, b := range lf.body {
+		freq[b] *= 10
 	}
 	return freq
 }

@@ -172,10 +172,10 @@ func TestDominators(t *testing.T) {
 	f := MustParse(loopSrc)
 	idom := f.Dominators()
 	get := func(n string) *Block { return f.BlockByName(n) }
-	if idom[get("head")] != get("entry") {
-		t.Errorf("idom(head) = %v", idom[get("head")].Name)
+	if idom[get("head").Index] != get("entry") {
+		t.Errorf("idom(head) = %v", idom[get("head").Index].Name)
 	}
-	if idom[get("body")] != get("head") || idom[get("exit")] != get("head") {
+	if idom[get("body").Index] != get("head") || idom[get("exit").Index] != get("head") {
 		t.Errorf("idom(body/exit) wrong")
 	}
 	if !Dominates(idom, get("entry"), get("exit")) {
@@ -196,10 +196,14 @@ func TestNaturalLoops(t *testing.T) {
 	if l.Header.Name != "head" {
 		t.Errorf("header = %s", l.Header.Name)
 	}
-	if !l.Blocks[f.BlockByName("body")] || !l.Blocks[f.BlockByName("head")] {
+	in := map[string]bool{}
+	for _, b := range l.Blocks {
+		in[f.Blocks[b].Name] = true
+	}
+	if !in["body"] || !in["head"] {
 		t.Error("loop body missing blocks")
 	}
-	if l.Blocks[f.BlockByName("entry")] || l.Blocks[f.BlockByName("exit")] {
+	if in["entry"] || in["exit"] {
 		t.Error("loop contains blocks outside the cycle")
 	}
 }
@@ -207,11 +211,11 @@ func TestNaturalLoops(t *testing.T) {
 func TestLoopDepthsAndFreq(t *testing.T) {
 	f := MustParse(loopSrc)
 	d := f.LoopDepths()
-	if d[f.BlockByName("body")] != 1 || d[f.BlockByName("entry")] != 0 {
+	if d[f.BlockByName("body").Index] != 1 || d[f.BlockByName("entry").Index] != 0 {
 		t.Errorf("depths: %v", d)
 	}
-	freq := f.BlockFreq()
-	if freq[f.BlockByName("body")] != 10 || freq[f.BlockByName("exit")] != 1 {
+	freq := f.BlockFreqs()
+	if freq[f.BlockByName("body").Index] != 10 || freq[f.BlockByName("exit").Index] != 1 {
 		t.Errorf("freq: %v", freq)
 	}
 }
@@ -233,11 +237,11 @@ exit:
 `
 	f := MustParse(src)
 	d := f.LoopDepths()
-	if d[f.BlockByName("inner2")] != 2 {
-		t.Errorf("inner2 depth = %d, want 2", d[f.BlockByName("inner2")])
+	if d[f.BlockByName("inner2").Index] != 2 {
+		t.Errorf("inner2 depth = %d, want 2", d[f.BlockByName("inner2").Index])
 	}
-	if d[f.BlockByName("outer")] != 1 {
-		t.Errorf("outer depth = %d, want 1", d[f.BlockByName("outer")])
+	if d[f.BlockByName("outer").Index] != 1 {
+		t.Errorf("outer depth = %d, want 1", d[f.BlockByName("outer").Index])
 	}
 }
 

@@ -740,7 +740,7 @@ func (a *allocState) selectSpill() {
 	})
 	if best < 0 {
 		// No score is below +Inf: the block frequencies overflowed
-		// (ir.BlockFreq is an uncapped 10^depth). Spill the lowest
+		// (ir.BlockFreqs is an uncapped 10^depth). Spill the lowest
 		// candidate rather than none.
 		best = a.spillWL.popMin()
 	}

@@ -1,10 +1,8 @@
 package ospill
 
 import (
-	"sort"
+	"slices"
 
-	"diffra/internal/bitset"
-	"diffra/internal/ilp"
 	"diffra/internal/ir"
 	"diffra/internal/liveness"
 	"diffra/internal/regalloc"
@@ -37,146 +35,156 @@ type LoopSpillCandidate struct {
 type edge struct{ from, to *ir.Block }
 
 // loopSpillCandidates enumerates eligible pairs: v live into the loop
-// header, no occurrence of v anywhere in the loop.
-func loopSpillCandidates(f *ir.Func, info *liveness.Info) []LoopSpillCandidate {
-	var out []LoopSpillCandidate
-	freq := f.BlockFreq()
+// header, no occurrence of v anywhere in the loop. Loops come by header
+// block index and each loop's ranges in ascending order; freq is
+// f.BlockFreqs(). The candidates' entry and exit edges are carved from
+// one slice.
+func loopSpillCandidates(f *ir.Func, info *liveness.Info, freq []float64) []LoopSpillCandidate {
 	loops := f.NaturalLoops()
-	// Deterministic order: by header block index.
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Header.Index < loops[j].Header.Index })
-
+	if len(loops) == 0 {
+		return nil
+	}
+	slices.SortFunc(loops, func(a, b *ir.Loop) int { return a.Header.Index - b.Header.Index })
+	ncand := 0
 	for _, l := range loops {
-		// Occurrence set of the loop.
-		occurs := map[ir.Reg]bool{}
-		for b := range l.Blocks {
+		ncand += info.LiveIn[l.Header.Index].Len()
+	}
+	out := make([]LoopSpillCandidate, 0, ncand)
+	var exits, placed []edge
+	// occurs[v] == li+1 marks an occurrence of v in loop li, and
+	// inLoop[b] == li+1 block b as one of its blocks.
+	occurs := make([]int32, f.NumRegs())
+	inLoop := make([]int32, len(f.Blocks))
+	for li, l := range loops {
+		stamp := int32(li + 1)
+		for _, bi := range l.Blocks {
+			inLoop[bi] = stamp
+		}
+		exits = exits[:0]
+		for _, bi := range l.Blocks {
+			b := f.Blocks[bi]
 			for _, in := range b.Instrs {
 				for _, u := range in.Uses {
-					occurs[u] = true
+					occurs[u] = stamp
 				}
 				for _, d := range in.Defs {
-					occurs[d] = true
+					occurs[d] = stamp
 				}
 			}
-		}
-		var entries []edge
-		for _, p := range l.Header.Preds {
-			if !l.Blocks[p] {
-				entries = append(entries, edge{p, l.Header})
-			}
-		}
-		var exits []edge
-		for b := range l.Blocks {
 			for _, s := range b.Succs {
-				if !l.Blocks[s] {
+				if inLoop[s.Index] != stamp {
 					exits = append(exits, edge{b, s})
 				}
 			}
 		}
-		sort.Slice(exits, func(i, j int) bool {
-			if exits[i].from.Index != exits[j].from.Index {
-				return exits[i].from.Index < exits[j].from.Index
+		// Exits by source, then target, block index.
+		slices.SortFunc(exits, func(a, b edge) int {
+			if a.from != b.from {
+				return a.from.Index - b.from.Index
 			}
-			return exits[i].to.Index < exits[j].to.Index
+			return a.to.Index - b.to.Index
 		})
-		if len(entries) == 0 {
+		start := len(placed)
+		for _, p := range l.Header.Preds {
+			if inLoop[p.Index] != stamp {
+				placed = append(placed, edge{p, l.Header})
+			}
+		}
+		if len(placed) == start {
 			continue // unreachable or irreducible shape
 		}
+		entries := placed[start:len(placed):len(placed)]
 
 		live := info.LiveIn[l.Header.Index]
 		live.ForEach(func(vi int) {
-			v := ir.Reg(vi)
-			if occurs[v] {
+			if occurs[vi] == stamp {
 				return
 			}
 			// Exits where v is live onward need a reload.
-			var vexits []edge
+			vs := len(placed)
 			cost := 0.0
 			for _, e := range exits {
 				if info.LiveIn[e.to.Index].Has(vi) {
-					vexits = append(vexits, e)
-					cost += freq[e.to]
+					placed = append(placed, e)
+					cost += freq[e.to.Index]
 				}
 			}
 			for _, e := range entries {
-				cost += freq[e.from]
+				cost += freq[e.from.Index]
 			}
 			out = append(out, LoopSpillCandidate{
-				V: v, Loop: l, Cost: cost, entries: entries, exits: vexits,
+				V: ir.Reg(vi), Loop: l, Cost: cost,
+				entries: entries, exits: placed[vs:len(placed):len(placed)],
 			})
 		})
 	}
 	return out
 }
 
-// ExtendedSpillProblem builds the covering instance with both
-// full-range spill variables (0..NumRegs-1) and loop-spill variables
-// (appended after). A full spill and any loop spill of the same range
-// are mutually exclusive — both free the same register inside the
-// loop, so paying for both must never count twice toward a pressure
-// constraint.
-func ExtendedSpillProblem(f *ir.Func, k int) (ilp.Problem, []LoopSpillCandidate) {
-	info := liveness.Compute(f)
-	cands := loopSpillCandidates(f, info)
-	base := SpillProblem(f, k)
-	n := f.NumRegs()
-
-	// Index candidates by (v) and by loop block for constraint
-	// augmentation.
-	varOf := make([]int, len(cands))
-	for i := range cands {
-		varOf[i] = n + i
-		base.Costs = append(base.Costs, cands[i].Cost)
-	}
-	byV := map[ir.Reg][]int{}
-	for i, c := range cands {
-		byV[c.V] = append(byV[c.V], i)
-	}
-	vkeys := make([]int, 0, len(byV))
-	for v := range byV {
-		vkeys = append(vkeys, int(v))
-	}
-	sort.Ints(vkeys)
-	for _, vk := range vkeys {
-		g := []int{vk}
-		for _, ci := range byV[ir.Reg(vk)] {
-			g = append(g, varOf[ci])
-		}
-		base.Exclusive = append(base.Exclusive, g)
-	}
-
-	// SpillProblem deduplicated points, losing block identity; rebuild
-	// the constraints here with loop context. A constraint at a point
-	// in block b may be covered, for live range v, by the full spill
-	// x_v or by any loop spill (v, L) with b inside L.
-	base.Constraints = nil
-	seen := map[string]bool{}
-	addPoint := func(b *ir.Block, live []int) {
-		if len(live) <= k {
-			return
-		}
-		vars := append([]int(nil), live...)
-		for _, vi := range live {
-			for _, ci := range byV[ir.Reg(vi)] {
-				if cands[ci].Loop.Blocks[b] {
-					vars = append(vars, varOf[ci])
-				}
-			}
-		}
-		key := conKey(vars, len(live)-k)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		base.Constraints = append(base.Constraints, ilp.Constraint{Vars: vars, Need: len(live) - k})
-	}
-	for _, b := range f.Blocks {
-		addPoint(b, info.LiveIn[b.Index].Elems())
-		info.LiveAcross(b, func(_ int, _ *ir.Instr, liveAfter *bitset.Set) {
-			addPoint(b, liveAfter.Elems())
-		})
-	}
-	return base, cands
+// loopMembership tells a walk over the blocks in index order whether
+// the block it is in lies in a candidate's loop, in O(1) per question
+// and O(blocks + total loop size) space.
+type loopMembership struct {
+	loopOf []int // candidate -> position of its loop among the candidates' loops
+	off    []int // the loops containing block b: loops[off[b]:off[b+1]]
+	loops  []int
+	at     []int // at[l] == b+1 while the walk is in block b and b is in loop l
 }
+
+// newLoopMembership indexes the loops of cands (which come loop by
+// loop) over nb blocks; with no candidates it answers nothing.
+func newLoopMembership(cands []LoopSpillCandidate, nb int) loopMembership {
+	var m loopMembership
+	if len(cands) == 0 {
+		return m
+	}
+	var loops []*ir.Loop
+	m.loopOf = make([]int, len(cands))
+	for ci, c := range cands {
+		if len(loops) == 0 || loops[len(loops)-1] != c.Loop {
+			loops = append(loops, c.Loop)
+		}
+		m.loopOf[ci] = len(loops) - 1
+	}
+	members := 0
+	for _, l := range loops {
+		members += len(l.Blocks)
+	}
+	buf := make([]int, nb+1+members+len(loops))
+	m.off, m.loops, m.at = buf[:nb+1], buf[nb+1:nb+1+members], buf[nb+1+members:]
+	// A counting sort by block: after the prefix sums off[b] is the end
+	// of b's run, and filling from the last loop down leaves it at the
+	// start with the loops ascending.
+	for _, l := range loops {
+		for _, b := range l.Blocks {
+			m.off[b]++
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		m.off[b] += m.off[b-1]
+	}
+	for li := len(loops) - 1; li >= 0; li-- {
+		for _, b := range loops[li].Blocks {
+			m.off[b]--
+			m.loops[m.off[b]] = li
+		}
+	}
+	return m
+}
+
+// enter moves the walk to block b.
+func (m *loopMembership) enter(b int) {
+	if m.off == nil {
+		return
+	}
+	for _, l := range m.loops[m.off[b]:m.off[b+1]] {
+		m.at[l] = b + 1
+	}
+}
+
+// has reports whether block b, the one the walk is in, lies in
+// candidate ci's loop.
+func (m *loopMembership) has(ci, b int) bool { return m.at[m.loopOf[ci]] == b+1 }
 
 // edgeBlock returns a block in which code belonging to the edge e can
 // be placed just before the terminator: the source itself when it has

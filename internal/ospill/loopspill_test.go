@@ -57,7 +57,7 @@ const ltK = 6
 func TestLoopSpillCandidates(t *testing.T) {
 	f := ir.MustParse(liveThroughSrc)
 	info := liveness.Compute(f)
-	cands := loopSpillCandidates(f, info)
+	cands := loopSpillCandidates(f, info, f.BlockFreqs())
 	found := map[ir.Reg]bool{}
 	costs := liveness.SpillCosts(f)
 	inner := f.BlockByName("inner")

@@ -16,14 +16,10 @@ package ospill
 import (
 	"errors"
 	"sort"
-	"strconv"
-	"strings"
 
-	"diffra/internal/bitset"
 	"diffra/internal/ilp"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
-	"diffra/internal/liveness"
 	"diffra/internal/regalloc"
 	"diffra/internal/telemetry"
 )
@@ -89,58 +85,6 @@ type Stats struct {
 	// Steal reports the solver's epoch scheduler behaviour (epochs,
 	// scheduled items, bound broadcasts).
 	Steal ilp.StealStats
-}
-
-// SpillProblem builds the covering instance for f with K registers:
-// one constraint per program point whose live set exceeds K, demanding
-// that at least pressure-K of the ranges live there be spilled.
-// Duplicate points collapse into one constraint.
-func SpillProblem(f *ir.Func, k int) ilp.Problem {
-	info := liveness.Compute(f)
-	// Objective: the frequency-weighted Chaitin cost (the dynamic
-	// spill overhead Appel & George minimize), with the static
-	// occurrence count as a mild tiebreak so equally-hot candidates
-	// prefer the one inserting fewer instructions.
-	occ := liveness.Occurrences(f)
-	weighted := liveness.SpillCosts(f)
-	costs := make([]float64, len(occ))
-	for v := range costs {
-		costs[v] = weighted[v] + occ[v]/float64(len(occ)+1)
-	}
-	p := ilp.Problem{Costs: costs}
-	seen := map[string]bool{}
-
-	addPoint := func(live *bitset.Set) {
-		n := live.Len()
-		if n <= k {
-			return
-		}
-		vars := live.Elems()
-		key := conKey(vars, n-k)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		p.Constraints = append(p.Constraints, ilp.Constraint{Vars: vars, Need: n - k})
-	}
-
-	for _, b := range f.Blocks {
-		addPoint(info.LiveIn[b.Index])
-		info.LiveAcross(b, func(_ int, _ *ir.Instr, liveAfter *bitset.Set) {
-			addPoint(liveAfter)
-		})
-	}
-	return p
-}
-
-func conKey(vars []int, need int) string {
-	var sb strings.Builder
-	sb.WriteString(strconv.Itoa(need))
-	for _, v := range vars {
-		sb.WriteByte(':')
-		sb.WriteString(strconv.Itoa(v))
-	}
-	return sb.String()
 }
 
 // DecideSpills runs the optimal spill phase on f (without rewriting)

@@ -247,17 +247,28 @@ func TestNonOptimalCounterIncrements(t *testing.T) {
 }
 
 // BenchmarkOspillDecide measures the end-to-end exact-spill decision on
-// the susan kernel at K=6, where register pressure forces a
-// non-trivial ILP.
+// the susan kernel: with loop spills at K=6, where register pressure
+// forces a non-trivial ILP, and whole-range at K=8 (susan-whole). The
+// lane names avoid a trailing -N, which cmd/benchjson would read as
+// the GOMAXPROCS suffix.
 func BenchmarkOspillDecide(b *testing.B) {
 	f := workloads.KernelByName("susan").F
-	b.Run("susan", func(b *testing.B) {
-		b.ReportAllocs()
-		nodes := 0
-		for i := 0; i < b.N; i++ {
-			_, _, st := DecideSpillsExtended(f, 6, 0, 0, nil)
-			nodes += st.ILPNodes
-		}
-		b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-	})
+	for _, lane := range []struct {
+		name  string
+		k     int
+		whole bool
+	}{
+		{"susan", 6, false},
+		{"susan-whole", 8, true},
+	} {
+		b.Run(lane.name, func(b *testing.B) {
+			b.ReportAllocs()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				_, _, st := Decide(f, Options{K: lane.k, DisableLoopSpills: lane.whole})
+				nodes += st.ILPNodes
+			}
+			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+		})
+	}
 }

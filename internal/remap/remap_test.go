@@ -190,7 +190,7 @@ func TestGreedyTerminatesOnNonDyadicWeights(t *testing.T) {
 // TestGreedyExtremeWeights: weights at the ends of float64's range, and
 // beyond it, still give a terminating search, a valid permutation and a
 // Cost equal to the permutation's own PermCost. +Inf is what
-// ir.BlockFreq's uncapped 10^depth yields 309 loops deep; 1e300 next to
+// ir.BlockFreqs' uncapped 10^depth yields 309 loops deep; 1e300 next to
 // 1e-300 cannot share one exact fixed-point scale.
 func TestGreedyExtremeWeights(t *testing.T) {
 	cases := []struct {

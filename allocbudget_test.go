@@ -40,6 +40,7 @@ const (
 	parseBudget       = 77   // measured 59 (adpcm, the most blocks)
 	cacheKeyBudget    = 2    // measured 1 (every §8 kernel)
 	decideBudget      = 115  // measured 64-90 (every §8 kernel, loop spills at K=6, whole-range at K=8)
+	spillBudget       = 122  // measured 47-94 (every §8 kernel, ssa and irc at K=6)
 )
 
 func assertAllocBudget(t *testing.T, name string, budget float64, body func()) {
@@ -246,6 +247,26 @@ func TestAllocBudgetDecide(t *testing.T) {
 		})
 		assertAllocBudget(t, "Decide/whole/K8/"+k.Name, decideBudget, func() {
 			ospill.Decide(k.F, ospill.Options{K: 8, DisableLoopSpills: true})
+		})
+	}
+}
+
+// TestAllocBudgetSpill pins the spilling path that miss-spill's
+// baseline/ssa and baseline/irc lanes run: both backends at K=6, where
+// every kernel spills, rewrite through the one regalloc spill call
+// and keep no per-round maps of their own.
+func TestAllocBudgetSpill(t *testing.T) {
+	ar := new(scratch.Arena)
+	for _, k := range workloads.Kernels() {
+		assertAllocBudget(t, "Spill/ssa/K6/"+k.Name, spillBudget, func() {
+			if _, _, err := ssaalloc.Allocate(k.F, ssaalloc.Options{K: 6, Scratch: ar}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		assertAllocBudget(t, "Spill/irc/K6/"+k.Name, spillBudget, func() {
+			if _, _, err := irc.Allocate(k.F, irc.Options{K: 6, Scratch: ar}); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

@@ -328,7 +328,7 @@ func BenchmarkPipeline(b *testing.B) {
 
 // allocK is the Alloc lanes' register-file width. K=32 keeps every §8
 // kernel spill-free, which is the comparison that matters: once both
-// backends spill they share RewriteSpills and the gap collapses to the
+// backends spill they share Assignment.Spill and the gap collapses to the
 // rewrite cost, but the deadline ladder steps down precisely when
 // allocation itself, not spill insertion, is the budget risk.
 const allocK = 32

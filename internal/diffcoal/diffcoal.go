@@ -91,22 +91,13 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		return nil, nil, nil, ErrCancelled
 	}
 	st.Spill = spillStats
+	asn := &regalloc.Assignment{K: opts.RegN}
 	slots := regalloc.NewSlotAssigner()
-	stackParams := map[ir.Reg]int64{}
-	unspillable := map[int]bool{}
-	for _, p := range work.Params {
-		if spills[p] {
-			stackParams[p] = slots.SlotOf(p)
-		}
-	}
-	spillInstrs := 0
-	if len(spills) > 0 {
-		origin, n := regalloc.RewriteSpills(work, spills, slots)
-		spillInstrs += n
-		for t := range origin {
-			unspillable[int(t)] = true
-		}
-	}
+	temps := work.NumRegs() // spill temporaries are numbered from here on
+	asn.Spill(work, spills, slots)
+	// Spill rewriting never adds blocks or edges, so the block
+	// frequencies hold for every round.
+	freq := work.BlockFreqs()
 
 	var cs *coalesceState
 	for round := 0; ; round++ {
@@ -116,29 +107,16 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		if round >= maxRounds {
 			return nil, nil, nil, fmt.Errorf("diffcoal: no colorable graph after %d fallback rounds", maxRounds)
 		}
-		cs = newCoalesceState(work, opts)
-		cs.unspillable = unspillable
+		cs = newCoalesceState(work, opts, freq, temps)
 		cs.cur.build(cs.ig, cs.alias)
-		if stuck := cs.simplify(cs.cur); stuck < 0 {
+		stuck := cs.simplify(cs.cur)
+		if stuck < 0 {
 			break
-		} else {
-			// Conservative simplify got stuck: spill the cheapest stuck
-			// node and retry (pressure <= K does not imply colorable).
-			// Reload temporaries are never picked — re-spilling them
-			// cannot reduce pressure.
-			st.FallbackSpills++
-			set := map[ir.Reg]bool{ir.Reg(stuck): true}
-			for _, p := range work.Params {
-				if set[p] {
-					stackParams[p] = slots.SlotOf(p)
-				}
-			}
-			origin, n := regalloc.RewriteSpills(work, set, slots)
-			spillInstrs += n
-			for t := range origin {
-				unspillable[int(t)] = true
-			}
 		}
+		// Conservative simplify got stuck: spill the cheapest stuck
+		// node and retry (pressure <= K does not imply colorable).
+		st.FallbackSpills++
+		asn.Spill(work, []int{stuck}, slots)
 	}
 
 	coalSpan := opts.Trace.Child("coalesce")
@@ -162,31 +140,26 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	st.FinalDiffCost = cs.diffCost(g)
 
 	// Apply committed coalesces to the code and drop internal moves.
-	substituteAliases(work, func(v int) int { return g.root[v] })
-
-	asn := &regalloc.Assignment{
-		K:              opts.RegN,
-		Color:          make([]int, work.NumRegs()),
-		SpilledVRegs:   st.Spill.ILPSpilled + st.FallbackSpills,
-		SpillInstrs:    spillInstrs,
-		CoalescedMoves: st.Coalesced,
-		StackParams:    stackParams,
-	}
+	regalloc.SubstituteAliases(work, func(v int) int { return g.root[v] })
+	asn.Color = make([]int, work.NumRegs())
 	for v := range asn.Color {
 		asn.Color[v] = g.colors[g.root[v]]
 	}
+	asn.CoalescedMoves = st.Coalesced
 	return work, asn, st, nil
 }
 
 // coalesceState holds the graphs for one allocation attempt.
 type coalesceState struct {
-	opts        Options
-	ig          *regalloc.Graph
-	adj         *adjacency.CSR
-	alias       []int
-	moves       []moveInfo
-	cost        []float64
-	unspillable map[int]bool
+	opts  Options
+	ig    *regalloc.Graph
+	adj   *adjacency.CSR
+	alias []int
+	moves []moveInfo
+	cost  []float64
+	// temps is the first spill temporary's number: simplify never
+	// picks one for a fallback spill.
+	temps int
 
 	// cur is the merged graph of alias; probe is rebuilt over trial
 	// for every tentative coalesce. forbidden is the color scratch.
@@ -200,13 +173,16 @@ type moveInfo struct {
 	weight float64
 }
 
-func newCoalesceState(f *ir.Func, opts Options) *coalesceState {
+// newCoalesceState builds one round's graphs over f; freq is
+// f.BlockFreqs().
+func newCoalesceState(f *ir.Func, opts Options, freq []float64, temps int) *coalesceState {
 	n := f.NumRegs()
 	cs := &coalesceState{
 		opts:      opts,
 		ig:        regalloc.Build(f, liveness.Compute(f)),
 		adj:       adjacency.BuildVReg(f),
-		cost:      liveness.SpillCosts(f),
+		cost:      liveness.SpillCostsWeighted(f, freq, nil),
+		temps:     temps,
 		alias:     make([]int, n),
 		cur:       newMergedGraph(n),
 		probe:     newMergedGraph(n),
@@ -216,7 +192,6 @@ func newCoalesceState(f *ir.Func, opts Options) *coalesceState {
 	for v := range cs.alias {
 		cs.alias[v] = v
 	}
-	freq := f.BlockFreqs()
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.IsMove() {
@@ -356,7 +331,7 @@ func (cs *coalesceState) simplify(g *mergedGraph) int {
 				if anyBest < 0 || c < anyCost {
 					anyBest, anyCost = r, c
 				}
-				if cs.unspillable[r] {
+				if r >= cs.temps {
 					continue
 				}
 				if best < 0 || c < bestCost {
@@ -486,29 +461,5 @@ func (cs *coalesceState) run() (coalesced, attempts int, initial, final float64)
 		cur.build(cs.ig, cs.alias)
 		current = bestCost
 		coalesced++
-	}
-}
-
-// substituteAliases rewrites operands to their coalescing roots and
-// deletes moves made internal, mirroring irc's post-pass.
-func substituteAliases(f *ir.Func, rootOf func(int) int) {
-	for _, b := range f.Blocks {
-		out := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			for i, u := range in.Uses {
-				in.Uses[i] = ir.Reg(rootOf(int(u)))
-			}
-			for i, d := range in.Defs {
-				in.Defs[i] = ir.Reg(rootOf(int(d)))
-			}
-			if in.IsMove() && in.Defs[0] == in.Uses[0] {
-				continue
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
-	for i, p := range f.Params {
-		f.Params[i] = ir.Reg(rootOf(int(p)))
 	}
 }

@@ -14,40 +14,53 @@ type domTree struct {
 	idom  []int // by Block.Index: immediate dominator's index (the entry's is its own)
 }
 
-// domTree numbers the reachable blocks in reverse postorder of a
-// depth-first search that visits successors in order, then computes
-// immediate dominators with the Cooper–Harvey–Kennedy iterative
-// algorithm.
-func (f *Func) domTree() domTree {
-	n := len(f.Blocks)
-	buf := make([]int, 5*n)
-	t := domTree{order: buf[:n], idom: buf[n : 2*n]}
-	post := buf[2*n : 2*n : 3*n]
-	stack := buf[3*n : 3*n : 5*n] // (block, next successor) pairs
-	for i := range t.order {
-		t.order[i] = -1
-		t.idom[i] = -1
-	}
+// Postorder appends to post the indexes of the blocks reachable from
+// the entry, in the postorder of a depth-first search that visits
+// successors in order and marks a block when it pushes it. Every
+// analysis that needs a depth-first order walks this one. The buffers
+// are the caller's, so a caller with an arena allocates nothing: seen
+// must hold len(f.Blocks) zeros and comes back nonzero exactly at the
+// reachable blocks, stack is scratch for up to 2·len(f.Blocks) ints,
+// and post needs room for len(f.Blocks) more.
+func (f *Func) Postorder(post, seen, stack []int) []int {
 	e := f.Entry()
 	if e == nil {
-		return t
+		return post
 	}
-	// order doubles as the visited mark until the numbering below.
-	t.order[e.Index] = 0
-	stack = append(stack, e.Index, 0)
+	stack = append(stack[:0], e.Index, 0) // (block, next successor) pairs
+	seen[e.Index] = 1
 	for len(stack) > 0 {
 		top := len(stack) - 2
 		b := f.Blocks[stack[top]]
 		if i := stack[top+1]; i < len(b.Succs) {
 			stack[top+1]++
-			if s := b.Succs[i].Index; t.order[s] < 0 {
-				t.order[s] = 0
+			if s := b.Succs[i].Index; seen[s] == 0 {
+				seen[s] = 1
 				stack = append(stack, s, 0)
 			}
 			continue
 		}
 		post = append(post, b.Index)
 		stack = stack[:top]
+	}
+	return post
+}
+
+// domTree numbers the reachable blocks in reverse postorder, then
+// computes immediate dominators with the Cooper–Harvey–Kennedy
+// iterative algorithm.
+func (f *Func) domTree() domTree {
+	n := len(f.Blocks)
+	buf := make([]int, 5*n)
+	t := domTree{order: buf[:n], idom: buf[n : 2*n]}
+	// order, still zero, is the walk's visited mark.
+	post := f.Postorder(buf[2*n:2*n:3*n], t.order, buf[3*n:3*n:5*n])
+	for i := range t.order {
+		t.order[i] = -1
+		t.idom[i] = -1
+	}
+	if len(post) == 0 {
+		return t
 	}
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
@@ -110,13 +123,16 @@ func (t *domTree) dominates(a, b int) bool {
 }
 
 // ReversePostorder returns the blocks reachable from the entry in
-// reverse postorder of a depth-first search. Allocator dataflow passes
-// iterate in this order for fast convergence.
+// reverse Postorder. Forward dataflow passes iterate in this order for
+// fast convergence: only an edge that closes a cycle runs backward in
+// it, and in a reducible CFG only a back edge does.
 func (f *Func) ReversePostorder() []*Block {
-	t := f.domTree()
-	rpo := make([]*Block, len(t.rpo))
-	for i, b := range t.rpo {
-		rpo[i] = f.Blocks[b]
+	n := len(f.Blocks)
+	buf := make([]int, 4*n)
+	post := f.Postorder(buf[:0:n], buf[n:2*n], buf[2*n:2*n:4*n])
+	rpo := make([]*Block, len(post))
+	for i, b := range post {
+		rpo[len(post)-1-i] = f.Blocks[b]
 	}
 	return rpo
 }

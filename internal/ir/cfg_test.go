@@ -70,6 +70,10 @@ type cfgFeatures struct {
 //   - a dominates reachable b iff b cannot be reached from the entry
 //     once a is removed; unreachable blocks have no immediate
 //     dominator and the entry is its own;
+//   - the reverse postorder lists each reachable block once, the entry
+//     first; back edges run backward in it, an edge that runs backward
+//     closes a cycle, and in a reducible CFG every other edge runs
+//     forward;
 //   - a natural loop's body is its header plus the blocks that reach a
 //     back-edge source (an edge b->h with h dominating reachable b)
 //     without passing the header, one loop per header in the order of
@@ -118,9 +122,38 @@ func checkCFGDefinitions(t *testing.T, name string, f *Func) cfgFeatures {
 	if len(rpo) != nreach || (nreach > 0 && rpo[0] != f.Blocks[0]) {
 		t.Errorf("%s: reverse postorder %d blocks (first %v), want the %d reachable ones from the entry", name, len(rpo), rpo, nreach)
 	}
-	for _, b := range rpo {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, b := range rpo {
 		if !reach[b.Index] {
 			t.Errorf("%s: reverse postorder lists unreachable %s", name, b.Name)
+		}
+		if pos[b.Index] >= 0 {
+			t.Errorf("%s: reverse postorder lists %s twice", name, b.Name)
+		}
+		pos[b.Index] = i
+	}
+	// A back edge (its target dominates its source) runs backward in a
+	// reverse postorder, and an edge that runs backward closes a cycle.
+	// Where no other edge closes one (a reducible CFG, checked below),
+	// every other edge runs forward.
+	var backward [][2]*Block // edges of neither kind that run backward
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs {
+			switch {
+			case !reach[b.Index]:
+			case dom[s.Index][b.Index]:
+				if pos[s.Index] > pos[b.Index] {
+					t.Errorf("%s: back edge %s->%s runs forward in the reverse postorder", name, b.Name, s.Name)
+				}
+			case pos[s.Index] <= pos[b.Index]:
+				if !reachesFrom(f, s.Index)[b.Index] {
+					t.Errorf("%s: edge %s->%s runs backward in the reverse postorder but closes no cycle", name, b.Name, s.Name)
+				}
+				backward = append(backward, [2]*Block{b, s})
+			}
 		}
 	}
 
@@ -239,12 +272,36 @@ func checkCFGDefinitions(t *testing.T, name string, f *Func) cfgFeatures {
 	}
 	if sorted < nreach {
 		feat.irreducible++
+	} else {
+		for _, e := range backward {
+			t.Errorf("%s: reducible, yet edge %s->%s runs backward in the reverse postorder", name, e[0].Name, e[1].Name)
+		}
 	}
 	return feat
 }
 
-// TestCFGAnalysesMatchDefinitions checks the dominator tree, natural
-// loops, loop depths and block frequencies against their definitions
+// reachesFrom marks the blocks reachable from block from, itself
+// included.
+func reachesFrom(f *Func, from int) []bool {
+	seen := make([]bool, len(f.Blocks))
+	seen[from] = true
+	stack := []int{from}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range f.Blocks[b].Succs {
+			if !seen[s.Index] {
+				seen[s.Index] = true
+				stack = append(stack, s.Index)
+			}
+		}
+	}
+	return seen
+}
+
+// TestCFGAnalysesMatchDefinitions checks the dominator tree, the
+// reverse postorder, natural loops, loop depths and block frequencies
+// against their definitions
 // on hand-made shapes and 600 random CFGs, and requires the inputs to
 // include unreachable blocks, self loops, loops with several exits
 // and irreducible cycles.

@@ -92,8 +92,10 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 	if slots == nil {
 		slots = regalloc.NewSlotAssigner()
 	}
-	unspillable := make(map[ir.Reg]bool)
-	asn := &regalloc.Assignment{K: opts.K, StackParams: map[ir.Reg]int64{}}
+	// Registers numbered from temps on are spill temporaries: they get
+	// infinite spill cost.
+	temps := work.NumRegs()
+	asn := &regalloc.Assignment{K: opts.K}
 	// Spill rewriting inserts instructions but never adds blocks or
 	// edges, so block frequencies are loop-invariant across rounds.
 	freq := work.BlockFreqs()
@@ -110,16 +112,14 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 		// The arena rewinds here: everything the previous round carved
 		// (including its liveness Info and spill costs) is dead by now —
 		// the only state carried across rounds lives on the heap (work,
-		// asn, unspillable, the spilled list).
+		// asn, slots).
 		ar.Reset()
 		a := newAllocState(work, opts.K, rs, ar, freq)
 		if opts.PickerFactory != nil {
 			a.picker = opts.PickerFactory(work, a.getAlias)
 		}
-		for v := range unspillable {
-			if int(v) < len(a.cost) {
-				a.cost[v] = math.Inf(1)
-			}
+		for v := temps; v < a.n; v++ {
+			a.cost[v] = math.Inf(1)
 		}
 		spilled := a.run()
 		rs.Add("simplified", a.numSimplified)
@@ -134,54 +134,13 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 				asn.Color[v] = a.color[a.getAlias(v)]
 			}
 			asn.CoalescedMoves += a.numCoalesced
-			substituteAliases(work, a.getAlias)
+			regalloc.SubstituteAliases(work, a.getAlias)
 			opts.Trace.Add("spilled_vregs", int64(asn.SpilledVRegs))
 			opts.Trace.Add("spill_instrs", int64(asn.SpillInstrs))
 			opts.Trace.Add("coalesced_moves", int64(asn.CoalescedMoves))
 			return work, asn, nil
 		}
-		spillSet := make(map[ir.Reg]bool, len(spilled))
-		for _, v := range spilled {
-			spillSet[ir.Reg(v)] = true
-			asn.SpilledVRegs++
-		}
-		for _, p := range work.Params {
-			if spillSet[p] {
-				asn.StackParams[p] = slots.SlotOf(p)
-			}
-		}
-		origin, inserted := regalloc.RewriteSpills(work, spillSet, slots)
-		asn.SpillInstrs += inserted
-		for tmp := range origin {
-			unspillable[tmp] = true
-		}
-	}
-}
-
-// substituteAliases rewrites every operand to its coalescing
-// representative and deletes the moves made redundant by coalescing
-// (those whose source and destination now name the same vreg). The
-// resulting function is still consistent at the vreg level, so the
-// allocation verifier and downstream passes can recompute liveness.
-func substituteAliases(f *ir.Func, alias func(int) int) {
-	for _, b := range f.Blocks {
-		out := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			for i, u := range in.Uses {
-				in.Uses[i] = ir.Reg(alias(int(u)))
-			}
-			for i, d := range in.Defs {
-				in.Defs[i] = ir.Reg(alias(int(d)))
-			}
-			if in.IsMove() && in.Defs[0] == in.Uses[0] {
-				continue
-			}
-			out = append(out, in)
-		}
-		b.Instrs = out
-	}
-	for i, p := range f.Params {
-		f.Params[i] = ir.Reg(alias(int(p)))
+		asn.Spill(work, spilled, slots)
 	}
 }
 

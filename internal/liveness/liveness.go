@@ -66,36 +66,10 @@ func ComputeInto(f *ir.Func, span *telemetry.Span, ar *scratch.Arena, info *Info
 		tmp:     ar.Bitset(nr),
 	}
 
-	// Postorder (reverse of RPO) as an iterative DFS on arena index
-	// arrays — the recursive f.ReversePostorder allocates on every
-	// call, and this function is on the per-round hot path of every
-	// allocator.
-	post := ar.Ints(n)[:0]
-	if e := f.Entry(); e != nil {
-		seen := ar.Bools(n)
-		bStack := ar.Ints(n)[:0]
-		pStack := ar.Ints(n)[:0]
-		seen[e.Index] = true
-		bStack = append(bStack, e.Index)
-		pStack = append(pStack, 0)
-		for len(bStack) > 0 {
-			top := len(bStack) - 1
-			b := f.Blocks[bStack[top]]
-			if pStack[top] < len(b.Succs) {
-				s := b.Succs[pStack[top]]
-				pStack[top]++
-				if !seen[s.Index] {
-					seen[s.Index] = true
-					bStack = append(bStack, s.Index)
-					pStack = append(pStack, 0)
-				}
-				continue
-			}
-			post = append(post, b.Index)
-			bStack = bStack[:top]
-			pStack = pStack[:top]
-		}
-	}
+	// The backward fixpoint converges fastest over the postorder; the
+	// walk runs on arena buffers, since this is on the per-round hot
+	// path of every allocator.
+	post := f.Postorder(ar.Ints(n)[:0], ar.Ints(n), ar.Ints(2 * n)[:0])
 
 	iters := 0
 	if nr <= 64 {
@@ -275,20 +249,15 @@ func (info *Info) MaxPressure() int {
 	return max
 }
 
-// SpillCosts returns, for every virtual register, the classic Chaitin
-// spill cost estimate: sum over occurrences of 10^loopdepth. Spilling
-// a register inserts a load per use and a store per def, so cost is
-// proportional to weighted occurrence count.
-func SpillCosts(f *ir.Func) []float64 {
-	return SpillCostsWeighted(f, f.BlockFreqs(), nil)
-}
-
-// SpillCostsWeighted is SpillCosts with caller-supplied block
-// frequencies (indexed by Block.Index) and the result carved from ar
-// (nil: heap; otherwise valid until the arena's next Reset). Spill
-// rewriting inserts instructions but never changes the CFG, so a
-// multi-round allocator computes frequencies once and reuses them
-// every round.
+// SpillCostsWeighted returns, for every virtual register, the classic
+// Chaitin spill cost estimate: the sum over its occurrences of the
+// block frequency, which f.BlockFreqs gives as 10^loopdepth. Spilling a
+// register inserts a load per use and a store per def, so cost is
+// proportional to weighted occurrence count. freq is indexed by
+// Block.Index; the result is carved from ar (nil: heap; otherwise valid
+// until the arena's next Reset). Spill rewriting inserts instructions
+// but never changes the CFG, so a multi-round allocator computes
+// frequencies once and reuses them every round.
 func SpillCostsWeighted(f *ir.Func, freq []float64, ar *scratch.Arena) []float64 {
 	var costs []float64
 	if ar != nil {

@@ -156,7 +156,7 @@ entry:
 
 func TestSpillCostsLoopWeighting(t *testing.T) {
 	f := ir.MustParse(loopSrc)
-	costs := SpillCosts(f)
+	costs := SpillCostsWeighted(f, f.BlockFreqs(), nil)
 	// v4 occurs twice, both in the loop body: cost 20.
 	if costs[4] != 20 {
 		t.Errorf("cost(v4) = %v, want 20", costs[4])
@@ -199,8 +199,8 @@ func TestOccurrences(t *testing.T) {
 	if occ[2] != 4 {
 		t.Errorf("occ(v2) = %v, want 4", occ[2])
 	}
-	// Unlike SpillCosts, occurrences ignore loop depth.
-	costs := SpillCosts(f)
+	// Unlike SpillCostsWeighted, occurrences ignore loop depth.
+	costs := SpillCostsWeighted(f, f.BlockFreqs(), nil)
 	if costs[4] <= occ[4] {
 		t.Errorf("loop-weighted cost %v should exceed occurrence count %v", costs[4], occ[4])
 	}

@@ -59,7 +59,7 @@ func TestLoopSpillCandidates(t *testing.T) {
 	info := liveness.Compute(f)
 	cands := loopSpillCandidates(f, info, f.BlockFreqs())
 	found := map[ir.Reg]bool{}
-	costs := liveness.SpillCosts(f)
+	costs := liveness.SpillCostsWeighted(f, f.BlockFreqs(), nil)
 	inner := f.BlockByName("inner")
 	for _, c := range cands {
 		if c.Loop.Header != inner {
@@ -88,7 +88,7 @@ func TestLoopSpillCandidates(t *testing.T) {
 
 func TestExtendedProblemPrefersLoopSpills(t *testing.T) {
 	f := ir.MustParse(liveThroughSrc)
-	spills, chosen, st := DecideSpillsExtended(f, ltK, 0, 0, nil)
+	spills, chosen, st := Decide(f, Options{K: ltK})
 	if !st.ILPOptimal {
 		t.Fatal("expected optimal solve")
 	}

@@ -15,7 +15,7 @@ package ospill
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"diffra/internal/ilp"
 	"diffra/internal/ir"
@@ -87,95 +87,19 @@ type Stats struct {
 	Steal ilp.StealStats
 }
 
-// DecideSpills runs the optimal spill phase on f (without rewriting)
-// over whole live ranges: it returns the chosen spill set, and Stats
-// say whether it is provably optimal. maxNodes and workers are the ILP
-// solver's budget and goroutine count (0: defaults); cancel, when
-// non-nil, is polled by the solver, and when it fires the returned
-// Stats report Cancelled and the spill set is the best incumbent found
-// so far.
-func DecideSpills(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, Stats) {
-	prob := SpillProblem(f, k)
-	st := Stats{Constraints: len(prob.Constraints)}
-	spills := make(map[ir.Reg]bool)
-	if len(prob.Constraints) == 0 {
-		st.ILPOptimal = true
-		return spills, st
-	}
-	sol := ilp.Solve(prob, ilp.Options{MaxNodes: maxNodes, Workers: workers, Cancel: cancel, Stats: &st.Steal})
-	st.ILPOptimal = sol.Optimal
-	st.ILPNodes = sol.Nodes
-	st.ILPComponents = sol.Components
-	st.ILPReductions = sol.Reductions
-	st.ILPPruned = sol.Pruned
-	st.Cancelled = sol.Cancelled
-	for v, on := range sol.X {
-		if on {
-			spills[ir.Reg(v)] = true
-			st.ILPSpilled++
-		}
-	}
-	return spills, st
-}
-
-// DecideSpillsExtended runs the optimal phase with loop-granularity
-// candidates, taking DecideSpills' arguments. It returns the
-// full-range spill set and the chosen loop spills. When the extended
-// program yields no feasible solution within budget, it falls back to
-// the whole-range model (always feasible).
-func DecideSpillsExtended(f *ir.Func, k, maxNodes, workers int, cancel func() bool) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
-	prob, cands := ExtendedSpillProblem(f, k)
-	st := Stats{Constraints: len(prob.Constraints)}
-	spills := make(map[ir.Reg]bool)
-	if len(prob.Constraints) == 0 {
-		st.ILPOptimal = true
-		return spills, nil, st
-	}
-	sol := ilp.Solve(prob, ilp.Options{MaxNodes: maxNodes, Workers: workers, Cancel: cancel, Stats: &st.Steal})
-	if sol.X == nil {
-		extended := st.Steal
-		spills, st = DecideSpills(f, k, maxNodes, workers, cancel)
-		st.Steal.Merge(extended) // keep the abandoned extended solve's effort visible
-		return spills, nil, st
-	}
-	st.ILPOptimal = sol.Optimal
-	st.ILPNodes = sol.Nodes
-	st.ILPComponents = sol.Components
-	st.ILPReductions = sol.Reductions
-	st.ILPPruned = sol.Pruned
-	st.Cancelled = sol.Cancelled
-	n := f.NumRegs()
-	var chosen []LoopSpillCandidate
-	for v, on := range sol.X {
-		if !on {
-			continue
-		}
-		if v < n {
-			spills[ir.Reg(v)] = true
-			st.ILPSpilled++
-		} else {
-			chosen = append(chosen, cands[v-n])
-			st.LoopSpilled++
-		}
-	}
-	return spills, chosen, st
-}
-
 // Decide makes the spill decision for f under opts, over loop spills
-// unless opts.DisableLoopSpills, and reports it: an "ilp" child span of
-// opts.Trace with the solver's counters, the spill_nonoptimal counter
-// when a budget cut the search short, and the ilp_steal_* registry
-// counters. Allocate and differential coalesce both decide through it.
-func Decide(f *ir.Func, opts Options) (map[ir.Reg]bool, []LoopSpillCandidate, Stats) {
-	var spills map[ir.Reg]bool
-	var loopChosen []LoopSpillCandidate
-	var st Stats
+// unless opts.DisableLoopSpills, without rewriting f. It returns the
+// whole-range spills as ascending vregs, the chosen loop spills and
+// Stats, which say whether the set is provably optimal; when
+// opts.Cancel fires, Stats report Cancelled and the spills are the
+// best incumbent found so far. The decision is reported as an "ilp"
+// child span of opts.Trace with the solver's counters, the
+// spill_nonoptimal counter when a budget cut the search short, and the
+// ilp_steal_* registry counters. Allocate and differential coalesce
+// both decide through it.
+func Decide(f *ir.Func, opts Options) ([]int, []LoopSpillCandidate, Stats) {
 	ilpSpan := opts.Trace.Child("ilp")
-	if opts.DisableLoopSpills {
-		spills, st = DecideSpills(f, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
-	} else {
-		spills, loopChosen, st = DecideSpillsExtended(f, opts.K, opts.MaxNodes, opts.Workers, opts.Cancel)
-	}
+	spills, loopChosen, st := decide(f, opts, !opts.DisableLoopSpills)
 	ilpSpan.Add("constraints", int64(st.Constraints))
 	ilpSpan.Add("nodes", int64(st.ILPNodes))
 	ilpSpan.Add("components", int64(st.ILPComponents))
@@ -202,6 +126,46 @@ func Decide(f *ir.Func, opts Options) (map[ir.Reg]bool, []LoopSpillCandidate, St
 	return spills, loopChosen, st
 }
 
+// decide solves the whole-range model, or with loops the extended one.
+// When the extended program yields no feasible solution within budget,
+// it falls back to the whole-range model (always feasible) and keeps
+// the abandoned solve's scheduler effort in Stats.Steal.
+func decide(f *ir.Func, opts Options, loops bool) ([]int, []LoopSpillCandidate, Stats) {
+	prob, cands := buildProblem(f, opts.K, loops)
+	st := Stats{Constraints: len(prob.Constraints)}
+	if len(prob.Constraints) == 0 {
+		st.ILPOptimal = true
+		return nil, nil, st
+	}
+	sol := ilp.Solve(prob, ilp.Options{MaxNodes: opts.MaxNodes, Workers: opts.Workers, Cancel: opts.Cancel, Stats: &st.Steal})
+	if sol.X == nil && loops {
+		spills, _, whole := decide(f, opts, false)
+		whole.Steal.Merge(st.Steal)
+		return spills, nil, whole
+	}
+	st.ILPOptimal = sol.Optimal
+	st.ILPNodes = sol.Nodes
+	st.ILPComponents = sol.Components
+	st.ILPReductions = sol.Reductions
+	st.ILPPruned = sol.Pruned
+	st.Cancelled = sol.Cancelled
+	n := f.NumRegs()
+	var spills []int
+	var chosen []LoopSpillCandidate
+	for v, on := range sol.X {
+		switch {
+		case !on:
+		case v < n:
+			spills = append(spills, v)
+			st.ILPSpilled++
+		default:
+			chosen = append(chosen, cands[v-n])
+			st.LoopSpilled++
+		}
+	}
+	return spills, chosen, st
+}
+
 // Allocate runs both phases and returns the rewritten function, the
 // assignment, and spill statistics.
 func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats, error) {
@@ -211,21 +175,18 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		return nil, nil, nil, ErrCancelled
 	}
 
+	// Spilled parameters take the first slots, ahead of the loop spills.
 	slots := regalloc.NewSlotAssigner()
-	stackParams := map[ir.Reg]int64{}
 	for _, p := range work.Params {
-		if spills[p] {
-			stackParams[p] = slots.SlotOf(p)
+		if _, ok := slices.BinarySearch(spills, int(p)); ok {
+			slots.SlotOf(p)
 		}
 	}
-	var inserted int
+	var pre regalloc.Assignment
 	for _, c := range loopChosen {
-		inserted += ApplyLoopSpill(work, c, slots)
+		pre.SpillInstrs += ApplyLoopSpill(work, c, slots)
 	}
-	if len(spills) > 0 {
-		_, n := regalloc.RewriteSpills(work, spills, slots)
-		inserted += n
-	}
+	pre.Spill(work, spills, slots)
 	if err := work.Verify(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -241,21 +202,13 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		return nil, nil, nil, err
 	}
 	st.ResidualSpilled = asn.SpilledVRegs
-	asn.SpilledVRegs += st.ILPSpilled
-	asn.SpillInstrs += inserted
-	for p, slot := range stackParams {
+	asn.SpilledVRegs += pre.SpilledVRegs
+	asn.SpillInstrs += pre.SpillInstrs
+	for p, slot := range pre.StackParams {
+		if asn.StackParams == nil {
+			asn.StackParams = map[ir.Reg]int64{}
+		}
 		asn.StackParams[p] = slot
 	}
 	return out, asn, &st, nil
-}
-
-// sortedRegs is a test helper exposing a deterministic view of a
-// spill set.
-func sortedRegs(m map[ir.Reg]bool) []int {
-	out := make([]int, 0, len(m))
-	for r := range m {
-		out = append(out, int(r))
-	}
-	sort.Ints(out)
-	return out
 }

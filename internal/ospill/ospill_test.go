@@ -60,17 +60,16 @@ func TestSpillProblemShape(t *testing.T) {
 
 func TestDecideSpillsReducesPressure(t *testing.T) {
 	f := ir.MustParse(pressure6)
-	spills, st := DecideSpills(f, 4, 0, 0, nil)
+	spills, _, st := Decide(f, Options{K: 4, DisableLoopSpills: true})
 	if !st.ILPOptimal {
 		t.Error("small instance must solve to optimality")
 	}
 	if len(spills) != 2 {
-		t.Errorf("spilled %v, want exactly 2 ranges (pressure 6, K 4)", sortedRegs(spills))
+		t.Errorf("spilled %v, want exactly 2 ranges (pressure 6, K 4)", spills)
 	}
 	// Rewriting with the chosen set must bring MaxPressure near K.
 	work := f.Clone()
-	slots := regalloc.NewSlotAssigner()
-	regalloc.RewriteSpills(work, spills, slots)
+	new(regalloc.Assignment).Spill(work, spills, regalloc.NewSlotAssigner())
 	if p := liveness.Compute(work).MaxPressure(); p > 6 {
 		t.Errorf("post-spill pressure %d, want <= 6 (K plus transient reload temps)", p)
 	}
@@ -101,13 +100,13 @@ exit:
 }
 `
 	f := ir.MustParse(src)
-	spills, st := DecideSpills(f, 4, 0, 0, nil)
+	spills, _, st := Decide(f, Options{K: 4, DisableLoopSpills: true})
 	if !st.ILPOptimal {
 		t.Fatal("must be optimal")
 	}
-	for r := range spills {
+	for _, r := range spills {
 		if r != 4 && r != 5 {
-			t.Errorf("spilled hot range v%d; optimal set is {v4, v5} (got %v)", r, sortedRegs(spills))
+			t.Errorf("spilled hot range v%d; optimal set is {v4, v5} (got %v)", r, spills)
 		}
 	}
 }

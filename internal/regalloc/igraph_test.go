@@ -147,43 +147,61 @@ func TestVerifyRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRewriteSpills spills a parameter and a local through
+// Assignment.Spill: the parameter takes the first slot and moves to
+// the stack, every occurrence goes through a fresh temporary numbered
+// past the function's registers, and the counts are booked.
 func TestRewriteSpills(t *testing.T) {
 	f := ir.MustParse(loopSrc)
-	before := f.NumInstrs()
+	before, n := f.NumInstrs(), f.NumRegs()
+	head := f.BlockByName("head").Instrs
 	slots := NewSlotAssigner()
-	origin, inserted := RewriteSpills(f, map[ir.Reg]bool{2: true}, slots)
+	var asn Assignment
+	asn.Spill(f, []int{2, 0}, slots)
 	if err := f.Verify(); err != nil {
 		t.Fatalf("verify after rewrite: %v", err)
 	}
-	// v2: def in entry (store), use+def in body (load+store), use in exit (load).
-	if inserted != 4 {
-		t.Errorf("inserted = %d, want 4", inserted)
+	// v2: def in entry (store), use+def in body (load+store), use in
+	// exit (load); v0: two uses and a def in body.
+	if asn.SpilledVRegs != 2 || asn.SpillInstrs != 7 {
+		t.Errorf("booked %d vregs, %d instrs; want 2, 7", asn.SpilledVRegs, asn.SpillInstrs)
 	}
-	if f.NumInstrs() != before+4 {
-		t.Errorf("instr count %d, want %d", f.NumInstrs(), before+4)
+	if f.NumInstrs() != before+7 {
+		t.Errorf("instr count %d, want %d", f.NumInstrs(), before+7)
 	}
-	for tmp, orig := range origin {
-		if orig != 2 {
-			t.Errorf("origin[%d] = %d", tmp, orig)
-		}
+	if !slices.Equal(f.Params, []ir.Reg{1}) || len(asn.StackParams) != 1 || asn.StackParams[0] != 0 {
+		t.Errorf("params %v, stack params %v; want [v1] and v0 in slot 0", f.Params, asn.StackParams)
 	}
-	// v2 itself must no longer appear in the code.
+	if slots.SlotOf(0) != 0 || slots.SlotOf(2) != 4 {
+		t.Errorf("slots v0 %d, v2 %d; want 0 (parameters first), 4", slots.SlotOf(0), slots.SlotOf(2))
+	}
+	// The spilled vregs are gone, and each temporary occurs twice: in
+	// its spill instruction and in the instruction it serves.
+	occ := make([]int, f.NumRegs())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, r := range append(append([]ir.Reg(nil), in.Defs...), in.Uses...) {
-				if r == 2 {
-					t.Fatalf("spilled v2 still referenced in %s", in)
+				if r == 0 || r == 2 {
+					t.Fatalf("spilled v%d still referenced in %s", r, in)
 				}
+				occ[r]++
 			}
 		}
 	}
+	if f.NumRegs() != n+7 {
+		t.Errorf("%d registers after the rewrite, want %d", f.NumRegs(), n+7)
+	}
+	for v := n; v < f.NumRegs(); v++ {
+		if occ[v] != 2 {
+			t.Errorf("temporary v%d occurs %d times, want 2", v, occ[v])
+		}
+	}
 	spills, total := SpillStats(f)
-	if spills != 4 || total != before+4 {
+	if spills != 7 || total != before+7 {
 		t.Errorf("SpillStats = %d/%d", spills, total)
 	}
-	// All spill ops use one slot.
-	if slots.SlotOf(2) != 0 {
-		t.Errorf("slot of v2 = %d", slots.SlotOf(2))
+	if got := f.BlockByName("head").Instrs; &got[0] != &head[0] {
+		t.Error("a block with nothing spilled was rebuilt")
 	}
 }
 

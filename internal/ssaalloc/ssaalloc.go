@@ -14,8 +14,8 @@
 // and per-instruction death masks. On dominance-connected inputs this
 // is the chordal scan; where a live range is *not* dominance-connected
 // (a register dead in between and revived with its old color taken)
-// the scan detects the hazard and falls back to one dense-matrix
-// greedy pass over the same dominance order.
+// the scan detects the hazard and falls back to one greedy pass over
+// the same dominance order that reads regalloc.Build's neighbor rows.
 //
 // The hot path is aggressively lazy: when no program point exceeds K
 // registers — the common case for the wide register files of §8 — the
@@ -95,15 +95,9 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 	}
 
 	work := f                              // cloned lazily, at the first spill rewrite
-	asn := &regalloc.Assignment{K: opts.K} // StackParams created on first spilled param
-	asnStackParams := func() map[ir.Reg]int64 {
-		if asn.StackParams == nil {
-			asn.StackParams = map[ir.Reg]int64{}
-		}
-		return asn.StackParams
-	}
-	var slots *regalloc.SlotAssigner // created at the first spill rewrite
-	var unspillable map[ir.Reg]bool
+	asn := &regalloc.Assignment{K: opts.K} // booked by Spill
+	var slots *regalloc.SlotAssigner       // created at the first spill rewrite
+	temps := f.NumRegs()                   // spill temporaries are numbered from here on
 
 	for round := 0; ; round++ {
 		if round >= maxRounds {
@@ -111,15 +105,10 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 		}
 		opts.Trace.Add("rounds", 1)
 		// The arena rewinds here: everything the previous round carved
-		// is dead — the only cross-round state (work, asn, unspillable)
-		// lives on the heap.
+		// is dead — the only cross-round state (work, asn, slots) lives
+		// on the heap.
 		ar.Reset()
-		s := newScanState(work, opts, ar)
-		for v := range unspillable {
-			if int(v) < s.n {
-				s.unspillable[v] = true
-			}
-		}
+		s := newScanState(work, opts, ar, temps)
 
 		var victims []int
 		if s.analyze() {
@@ -132,9 +121,9 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 			}
 			// A live range revived with its old color taken: retire the
 			// optimistic scan result and recolor everything against the
-			// real interference matrix, same dominance order.
+			// real interference graph, same dominance order.
 			opts.Trace.Add("hazard_fallbacks", 1)
-			victims = s.matrixColor()
+			victims = s.graphColor()
 			if victims == nil {
 				return finish(work, asn, s, opts)
 			}
@@ -149,24 +138,7 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 		if slots == nil {
 			slots = regalloc.NewSlotAssigner()
 		}
-		if unspillable == nil {
-			unspillable = make(map[ir.Reg]bool)
-		}
-		spillSet := make(map[ir.Reg]bool, len(victims))
-		for _, v := range victims {
-			spillSet[ir.Reg(v)] = true
-			asn.SpilledVRegs++
-		}
-		for _, p := range work.Params {
-			if spillSet[p] {
-				asnStackParams()[p] = slots.SlotOf(p)
-			}
-		}
-		origin, inserted := regalloc.RewriteSpills(work, spillSet, slots)
-		asn.SpillInstrs += inserted
-		for tmp := range origin {
-			unspillable[tmp] = true
-		}
+		asn.Spill(work, victims, slots)
 	}
 }
 
@@ -194,21 +166,23 @@ type scanState struct {
 	// marks Uses[i] as a last use (its color frees before the defs
 	// allocate); bit i of defMask[p] marks Defs[i] as dead past the
 	// instruction. maskOverflow (an instruction with more than eight
-	// operands) forces the matrix path, which needs no masks.
+	// operands) forces the graph fallback, which needs no masks.
 	useMask, defMask []byte
 	maskOverflow     bool
 
-	// order is the dominator-tree preorder (children in RPO order),
-	// with unreachable blocks appended.
+	// order is the reverse postorder of the reachable blocks, with the
+	// unreachable blocks appended.
 	order []int
 	// unreachableCode: some non-empty block never got live sets from
 	// the dataflow fixpoint (it only iterates the reachable RPO), so
 	// the scan's occupancy tracking is blind to interference the
-	// verifier will still derive there — the matrix pass sees it.
+	// verifier will still derive there — the graph fallback sees it.
 	unreachableCode bool
 
-	unspillable []bool
-	occurs      []bool
+	// temps is the first spill temporary's number: vregs from it on
+	// are never spilled again.
+	temps  int
+	occurs []bool
 
 	// Scan state. occupied is a K-bit mask over colors; holder maps an
 	// occupied color to the live vreg holding it (stale entries are
@@ -224,23 +198,23 @@ type scanState struct {
 	diffCSR *adjacency.CSR
 }
 
-func newScanState(f *ir.Func, opts Options, ar *scratch.Arena) *scanState {
+func newScanState(f *ir.Func, opts Options, ar *scratch.Arena, temps int) *scanState {
 	n := f.NumRegs()
 	nb := len(f.Blocks)
 	s := &scanState{
-		f:           f,
-		k:           opts.K,
-		n:           n,
-		ar:          ar,
-		instrBase:   ar.Ints(nb + 1),
-		unspillable: ar.Bools(n),
-		occurs:      ar.Bools(n),
-		color:       ar.Ints(n),
-		occupied:    ar.Uint64s((opts.K + 63) / 64),
-		holder:      ar.Ints(opts.K),
-		okBuf:       ar.Ints(opts.K)[:0],
-		memBuf:      ar.Ints(1),
-		diff:        opts.Diff,
+		f:         f,
+		k:         opts.K,
+		n:         n,
+		ar:        ar,
+		instrBase: ar.Ints(nb + 1),
+		temps:     temps,
+		occurs:    ar.Bools(n),
+		color:     ar.Ints(n),
+		occupied:  ar.Uint64s((opts.K + 63) / 64),
+		holder:    ar.Ints(opts.K),
+		okBuf:     ar.Ints(opts.K)[:0],
+		memBuf:    ar.Ints(1),
+		diff:      opts.Diff,
 	}
 	total := 0
 	for _, b := range f.Blocks {
@@ -440,7 +414,7 @@ func (s *scanState) pickPointVictim(in *ir.Instr, liveAfter *bitset.Set, spilled
 	best, bestDist, bestCost := -1, -1, math.Inf(1)
 	const far = 1 << 30
 	liveAfter.ForEach(func(v int) {
-		if spilledNow[v] || s.unspillable[v] {
+		if spilledNow[v] || v >= s.temps {
 			return
 		}
 		for _, d := range in.Defs {
@@ -467,7 +441,7 @@ func (s *scanState) pickPointVictim(in *ir.Instr, liveAfter *bitset.Set, spilled
 func (s *scanState) pickEntryVictim(liveIn *bitset.Set, spilledNow []bool, cost []float64) int {
 	best, bestCost := -1, math.Inf(1)
 	liveIn.ForEach(func(v int) {
-		if spilledNow[v] || s.unspillable[v] {
+		if spilledNow[v] || v >= s.temps {
 			return
 		}
 		if cost[v] < bestCost {
@@ -482,50 +456,19 @@ func (s *scanState) pickEntryVictim(liveIn *bitset.Set, spilledNow []bool, cost 
 // all blocks that dominate it — so it serves as the dominance order
 // the chordal argument needs without materializing the dominator tree.
 // Unreachable blocks go last, in index order: they still need colors,
-// they just constrain nothing reachable. All flat arena state, one
-// iterative DFS.
+// they just constrain nothing reachable. All flat arena state.
 func (s *scanState) buildOrder() {
 	nb := len(s.f.Blocks)
-	s.order = s.ar.Ints(nb)[:0]
-	entry := s.f.Entry()
-	if entry == nil {
-		return
-	}
-
-	// Iterative DFS postorder, reversed into RPO in place.
-	seen := s.ar.Bools(nb)
-	bStack := s.ar.Ints(nb)[:0]
-	pStack := s.ar.Ints(nb)[:0]
-	seen[entry.Index] = true
-	bStack = append(bStack, entry.Index)
-	pStack = append(pStack, 0)
-	for len(bStack) > 0 {
-		top := len(bStack) - 1
-		b := s.f.Blocks[bStack[top]]
-		if pStack[top] < len(b.Succs) {
-			succ := b.Succs[pStack[top]]
-			pStack[top]++
-			if !seen[succ.Index] {
-				seen[succ.Index] = true
-				bStack = append(bStack, succ.Index)
-				pStack = append(pStack, 0)
-			}
-			continue
-		}
-		s.order = append(s.order, b.Index)
-		bStack = bStack[:top]
-		pStack = pStack[:top]
-	}
+	seen := s.ar.Ints(nb)
+	s.order = s.f.Postorder(s.ar.Ints(nb)[:0], seen, s.ar.Ints(2 * nb)[:0])
 	for i, j := 0, len(s.order)-1; i < j; i, j = i+1, j-1 {
 		s.order[i], s.order[j] = s.order[j], s.order[i]
 	}
-	if len(s.order) < nb {
-		for i := 0; i < nb; i++ {
-			if !seen[i] {
-				s.order = append(s.order, i)
-				if len(s.f.Blocks[i].Instrs) > 0 {
-					s.unreachableCode = true
-				}
+	for i := 0; i < nb && len(s.order) < nb; i++ {
+		if seen[i] == 0 {
+			s.order = append(s.order, i)
+			if len(s.f.Blocks[i].Instrs) > 0 {
+				s.unreachableCode = true
 			}
 		}
 	}
@@ -679,7 +622,7 @@ func (s *scanState) enterBlock(bi int) bool {
 // exactly the colors of the currently-live registers, all distinct.
 // Entry marking, definitions, and revivals each check the invariant;
 // any violation (a non-dominance-connected live range whose color was
-// reused) aborts with false and the caller falls back to the matrix.
+// reused) aborts with false and the caller falls back to the graph.
 func (s *scanState) scan() bool {
 	if s.unreachableCode || s.maskOverflow {
 		return false
@@ -758,32 +701,16 @@ func (s *scanState) scan() bool {
 	return true
 }
 
-// --- dense-matrix fallback ---
+// --- interference-graph fallback ---
 
-// matrixColor rebuilds the coloring against the full interference
-// matrix (regalloc.Interferences, as regalloc.Build uses), greedily in
-// the same dominance order the scan uses. It is the safety net for
-// live ranges that are not dominance-connected. Returns nil on
-// success, or the spill victims for the next round.
-func (s *scanState) matrixColor() []int {
-	w := (s.n + 63) / 64
-	mat := s.ar.Uint64s(s.n * w)
-	deg := s.ar.Ints(s.n)
-	add := func(u, v int) {
-		if u == v {
-			return
-		}
-		wi := u*w + v>>6
-		bit := uint64(1) << uint(v&63)
-		if mat[wi]&bit != 0 {
-			return
-		}
-		mat[wi] |= bit
-		mat[v*w+u>>6] |= 1 << uint(u&63)
-		deg[u]++
-		deg[v]++
-	}
-	regalloc.Interferences(s.f, &s.info, nil, add)
+// graphColor rebuilds the coloring against the interference graph
+// (regalloc.Build's neighbor rows), greedily in the same dominance
+// order the scan uses. It is the safety net for live ranges that are
+// not dominance-connected, and reads each vreg's neighbors once, so it
+// stays O(V + E) with no V×V matrix. Returns nil on success, or the
+// spill victims for the next round.
+func (s *scanState) graphColor() []int {
+	g := regalloc.Build(s.f, &s.info)
 
 	// First-touch dominance order: live-ins, then operands, then defs,
 	// block by block — the same visit order the scan colors in.
@@ -815,51 +742,46 @@ func (s *scanState) matrixColor() []int {
 	}
 	var victims []int
 	for _, v := range orderV {
-		if !s.occurs[v] && deg[v] == 0 {
+		nbrs := g.AdjList[v]
+		if !s.occurs[v] && len(nbrs) == 0 {
 			s.color[v] = 0
 			continue
 		}
 		for i := range s.occupied {
 			s.occupied[i] = 0
 		}
-		row := mat[v*w : (v+1)*w]
-		for u := 0; u < s.n; u++ {
-			if row[u>>6]&(1<<uint(u&63)) != 0 {
-				if c := s.color[u]; c >= 0 {
-					s.occupy(c, u)
-				}
+		for _, u := range nbrs {
+			if c := s.color[u]; c >= 0 {
+				s.occupy(c, u)
 			}
 		}
 		c := s.allocColor(v)
 		if c < 0 {
-			victims = append(victims, s.matrixVictim(v, mat, w))
+			victims = append(victims, s.graphVictim(v, nbrs))
 			continue
 		}
 		s.color[v] = c
 	}
-	if victims == nil {
-		return nil
-	}
 	return victims
 }
 
-// matrixVictim picks what to spill when v has no free color: v itself
-// if spillable, else its cheapest spillable neighbor. Spill temps are
-// unspillable but their ranges span single instructions, so a
-// neighborhood always contains a spillable range before maxRounds.
-func (s *scanState) matrixVictim(v int, mat []uint64, w int) int {
-	if !s.unspillable[v] {
+// graphVictim picks what to spill when v has no free color: v itself
+// if spillable, else its cheapest spillable neighbor, the
+// lowest-numbered on cost ties. Spill temps are unspillable but their
+// ranges span single instructions, so a neighborhood always contains a
+// spillable range before maxRounds.
+func (s *scanState) graphVictim(v int, nbrs []int) int {
+	if v < s.temps {
 		return v
 	}
 	cost := s.costs()
 	best, bestCost := -1, math.Inf(1)
-	row := mat[v*w : (v+1)*w]
-	for u := 0; u < s.n; u++ {
-		if row[u>>6]&(1<<uint(u&63)) == 0 || s.unspillable[u] {
+	for _, u := range nbrs {
+		if u >= s.temps {
 			continue
 		}
-		if cost[u] < bestCost {
-			best, bestCost = u, cost[u]
+		if c := cost[u]; c < bestCost || c == bestCost && best >= 0 && u < best {
+			best, bestCost = u, c
 		}
 	}
 	if best < 0 {

@@ -1,7 +1,11 @@
 package ssaalloc
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"diffra/internal/diffsel"
 	"diffra/internal/ir"
@@ -231,6 +235,111 @@ func TestSSAFewerOrEqualSpills(t *testing.T) {
 				t.Errorf("%s K=%d: ssa spilled %d ranges, irc %d — scan spilled where IRC avoided it",
 					k.Name, regs, ssaAsn.SpilledVRegs, ircAsn.SpilledVRegs)
 			}
+		}
+	}
+}
+
+// wideIR is a straight-line chain of blocks, each redefining width
+// values from the previous block's, then a reduction: about
+// blocks×width vregs with width live at every block boundary.
+func wideIR(blocks, width int) *ir.Func {
+	var b strings.Builder
+	fmt.Fprintf(&b, "func wide(v0) {\nentry:\n")
+	next := 1
+	prev := make([]int, width)
+	for i := 0; i < width; i++ {
+		fmt.Fprintf(&b, "  v%d = li %d\n", next, i+1)
+		prev[i] = next
+		next++
+	}
+	fmt.Fprintf(&b, "  jmp b0\n")
+	for bl := 0; bl < blocks; bl++ {
+		fmt.Fprintf(&b, "b%d:\n", bl)
+		cur := make([]int, width)
+		for i := 0; i < width; i++ {
+			fmt.Fprintf(&b, "  v%d = add v%d, v%d\n", next, prev[i], prev[(i+1)%width])
+			cur[i] = next
+			next++
+		}
+		if bl == blocks-1 {
+			fmt.Fprintf(&b, "  jmp done\n")
+		} else {
+			fmt.Fprintf(&b, "  jmp b%d\n", bl+1)
+		}
+		prev = cur
+	}
+	fmt.Fprintf(&b, "done:\n")
+	acc := prev[0]
+	for i := 1; i < width; i++ {
+		fmt.Fprintf(&b, "  v%d = add v%d, v%d\n", next, acc, prev[i])
+		acc = next
+		next++
+	}
+	fmt.Fprintf(&b, "  ret v%d\ndead:\n  v%d = li 0\n  ret v%d\n}\n", acc, next, next)
+	return ir.MustParse(b.String())
+}
+
+// TestWideFallbackStaysLinear: one unreachable block sends a function
+// through the interference-graph fallback. On 20,081 vregs a V×V bit
+// matrix alone is 50 MB; the fallback must read the graph's neighbor
+// rows instead and stay within a few bytes per interference.
+func TestWideFallbackStaysLinear(t *testing.T) {
+	f := wideIR(500, 40)
+	if n := f.NumRegs(); n != 20081 {
+		t.Fatalf("%d vregs, want 20081", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	out, asn, err := Allocate(f, Options{K: 64})
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := regalloc.Verify(out, asn); err != nil {
+		t.Fatal(err)
+	}
+	if asn.SpilledVRegs != 0 {
+		t.Errorf("spilled %d vregs at K=64 with 40 live", asn.SpilledVRegs)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %.1f MB in %v", float64(got)/(1<<20), elapsed)
+	if limit := uint64(32 << 20); got > limit {
+		t.Errorf("fallback allocated %.1f MB on %d vregs, want at most %d MB", float64(got)/(1<<20), f.NumRegs(), limit>>20)
+	}
+}
+
+// TestGraphVictimTieBreak: when a spill temporary has no free color in
+// the graph fallback, the cheapest spillable neighbor goes, and of
+// equally cheap ones the lowest-numbered, whatever order Build's row
+// lists them in.
+func TestGraphVictimTieBreak(t *testing.T) {
+	f := ir.MustParse(`
+func f(v0) {
+entry:
+  v1 = li 1
+  v2 = li 2
+  v3 = add v1, v2
+  v4 = add v3, v0
+  ret v4
+}
+`)
+	// Take v3 on as a spill temporary; v1 and v2 each occur twice.
+	s := newScanState(f, Options{K: 2}, new(scratch.Arena), 3)
+	for _, c := range []struct {
+		v    int
+		nbrs []int
+		want int
+	}{
+		{3, []int{2, 1}, 1}, // a tie goes to the lower number
+		{3, []int{1, 2}, 1},
+		{3, []int{4, 2}, 2}, // temporaries are never picked
+		{3, []int{4}, 3},    // nothing spillable: v itself
+		{2, []int{1}, 2},    // a spillable v goes itself
+	} {
+		if got := s.graphVictim(c.v, c.nbrs); got != c.want {
+			t.Errorf("graphVictim(v%d, %v) = v%d, want v%d", c.v, c.nbrs, got, c.want)
 		}
 	}
 }

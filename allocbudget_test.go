@@ -1,6 +1,7 @@
 package diffra_test
 
 import (
+	"context"
 	"testing"
 
 	"diffra"
@@ -16,6 +17,7 @@ import (
 	"diffra/internal/scratch"
 	"diffra/internal/service"
 	"diffra/internal/ssaalloc"
+	"diffra/internal/telemetry"
 	"diffra/internal/workloads"
 )
 
@@ -39,6 +41,7 @@ const (
 	coalesceBudget    = 1460 // measured 1124 (susan, RegN=DiffN=8)
 	parseBudget       = 77   // measured 59 (adpcm, the most blocks)
 	cacheKeyBudget    = 2    // measured 1 (every §8 kernel)
+	hitBudget         = 10   // measured 5 (every §8 kernel, select/irc, RegN=12)
 	decideBudget      = 115  // measured 64-90 (every §8 kernel, loop spills at K=6, whole-range at K=8)
 	spillBudget       = 122  // measured 47-94 (every §8 kernel, ssa and irc at K=6)
 )
@@ -207,9 +210,10 @@ func TestAllocBudgetInterp(t *testing.T) {
 	})
 }
 
-// TestAllocBudgetParse pins the IR front end every request pays, hit
-// or miss: instructions, operands and block lists come from slabs, so
-// parsing allocates per function and per block, never per token.
+// TestAllocBudgetParse pins the IR front end every request pays but a
+// repeated text: instructions, operands and block lists come from
+// slabs, so parsing allocates per function and per block, never per
+// token.
 func TestAllocBudgetParse(t *testing.T) {
 	for _, k := range workloads.Kernels() {
 		src := k.F.String()
@@ -231,6 +235,33 @@ func TestAllocBudgetCacheKey(t *testing.T) {
 	for _, k := range workloads.Kernels() {
 		assertAllocBudget(t, "CacheKey/"+k.Name, cacheKeyBudget, func() {
 			service.CacheKey(k.F, opts, false, false)
+		})
+	}
+}
+
+// TestAllocBudgetHit pins a warm repeat through Server.Compile: a text
+// the server has seen twice is found by its source key, so the hit
+// neither parses nor prints nor keys the function and allocates per
+// request, never per instruction.
+func TestAllocBudgetHit(t *testing.T) {
+	srv, err := service.New(service.Config{Registry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, k := range workloads.Kernels() {
+		req := service.Request{IR: k.F.String(), Scheme: "select", Alloc: "irc", RegN: 12}
+		// The first request compiles, the second hits through the
+		// canonical key and records the source key.
+		for i := 0; i < 2; i++ {
+			if resp := srv.Compile(ctx, req); resp.Error != "" {
+				t.Fatalf("%s: %s", k.Name, resp.Error)
+			}
+		}
+		assertAllocBudget(t, "Hit/"+k.Name, hitBudget, func() {
+			if resp := srv.Compile(ctx, req); !resp.Cached {
+				t.Fatalf("%s: repeat missed the cache", k.Name)
+			}
 		})
 	}
 }

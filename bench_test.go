@@ -16,6 +16,7 @@
 package diffra_test
 
 import (
+	"context"
 	"errors"
 	"strconv"
 	"testing"
@@ -233,8 +234,8 @@ func BenchmarkRemapGreedy(b *testing.B) {
 }
 
 // BenchmarkParse measures the IR front end that every request to the
-// daemon or the router pays, hit or miss: one op parses the text of
-// all ten §8 kernels.
+// router pays, and every request to the daemon but a repeated text:
+// one op parses the text of all ten §8 kernels.
 func BenchmarkParse(b *testing.B) {
 	var texts []string
 	for _, k := range workloads.Kernels() {
@@ -268,6 +269,43 @@ func BenchmarkCacheKey(b *testing.B) {
 			}
 			return nil
 		})
+	})
+}
+
+// BenchmarkServeHit measures what a repeat request costs inside the
+// server: one op serves the ten §8 kernels (select/irc, RegN 12) as
+// warm repeats through Server.Compile. Every kernel is served twice
+// before the timer starts, so the timed requests find their entries by
+// source key, as a daemon answers a text it has seen before.
+func BenchmarkServeHit(b *testing.B) {
+	srv, err := service.New(service.Config{Registry: telemetry.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reqs []service.Request
+	for _, k := range workloads.Kernels() {
+		reqs = append(reqs, service.Request{IR: k.F.String(), Scheme: "select", Alloc: "irc", RegN: 12})
+	}
+	ctx := context.Background()
+	serve := func(wantCached bool) error {
+		for _, req := range reqs {
+			resp := srv.Compile(ctx, req)
+			if resp.Error != "" {
+				return errors.New(resp.Error)
+			}
+			if wantCached && !resp.Cached {
+				return errors.New("service: repeat missed the cache")
+			}
+		}
+		return nil
+	}
+	b.Run("kernels", func(b *testing.B) {
+		// The first pass compiles; benchPrimed's untimed pass is the
+		// second sight that records each source key.
+		if err := serve(false); err != nil {
+			b.Fatal(err)
+		}
+		benchPrimed(b, func() error { return serve(true) })
 	})
 }
 

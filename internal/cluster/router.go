@@ -403,6 +403,9 @@ func (rt *Router) compileHedged(ctx context.Context, key string, body []byte) he
 // diffrad's own /batch.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	rt.reg.Counter("router_batches_total").Inc()
+	// Without full duplex an HTTP/1 server discards the unread body at
+	// the first flushed answer (see service's handleBatch).
+	http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	sc := bufio.NewScanner(r.Body)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -319,6 +320,54 @@ func TestRouterBatchStreamsInOrder(t *testing.T) {
 		}
 		if want := fmt.Sprintf("fn%d", i); resp.Func != want {
 			t.Fatalf("line %d is %q, want %q — stream out of order", i, resp.Func, want)
+		}
+	}
+	if dec.More() {
+		t.Fatal("extra lines after the batch")
+	}
+}
+
+// TestRouterBatchReadsWhileAnswering: a client may send the next batch
+// line only after it has read the answer to the last one; the router
+// keeps reading the body after its first flushed answer.
+func TestRouterBatchReadsWhileAnswering(t *testing.T) {
+	a := startBackend(t, service.Config{})
+	_, ts := newTestRouter(t, Config{Nodes: []string{a.url}})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/batch", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := append(compileBody(t, service.Request{IR: tinyIRNamed("fn0")}), '\n')
+	second := append(compileBody(t, service.Request{IR: tinyIRNamed("fn1")}), '\n')
+	answered := make(chan struct{})
+	go func() {
+		pw.Write(first)
+		select {
+		case <-answered:
+		case <-ctx.Done():
+		}
+		pw.Write(second)
+		pw.Close()
+	}()
+	hr, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	dec := json.NewDecoder(hr.Body)
+	for i := 0; i < 2; i++ {
+		var resp service.Response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("fn%d", i); resp.Error != "" || resp.Func != want {
+			t.Fatalf("line %d: %+v, want a compile of %s", i, resp, want)
+		}
+		if i == 0 {
+			close(answered)
 		}
 	}
 	if dec.More() {

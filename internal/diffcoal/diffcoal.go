@@ -69,9 +69,6 @@ type Stats struct {
 	FinalDiffCost float64
 }
 
-// maxRounds bounds the fallback spill rounds of one allocation.
-const maxRounds = 16
-
 // Allocate runs optimal spilling followed by differential coalescing
 // and coloring with differential select. The returned function has
 // spill code inserted, coalesced moves removed, and every vreg colored
@@ -104,8 +101,10 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		if opts.Cancel != nil && opts.Cancel() {
 			return nil, nil, nil, ErrCancelled
 		}
-		if round >= maxRounds {
-			return nil, nil, nil, fmt.Errorf("diffcoal: no colorable graph after %d fallback rounds", maxRounds)
+		// Each round spills one vreg of the input, which then leaves the
+		// code, so the input's vregs bound the rounds.
+		if round >= temps {
+			return nil, nil, nil, fmt.Errorf("diffcoal: no colorable graph after %d fallback rounds", round)
 		}
 		cs = newCoalesceState(work, opts, freq, temps)
 		cs.cur.build(cs.ig, cs.alias)

@@ -26,10 +26,10 @@ import (
 //
 // Blank lines and ; comments are ignored.
 //
-// Parse sits in front of every compile-service request, hit or miss,
-// so it allocates per function, not per token: instructions, their
-// operand lists and each block's instruction list are carved from
-// slabs, as Func.Clone does. Block names and labels stay substrings of
+// Parse sits in front of every compile-service request but a repeated
+// text, so it allocates per function, not per token: instructions,
+// their operand lists and each block's instruction list are carved
+// from slabs, as Func.Clone does. Block names and labels stay substrings of
 // src; the function name and call symbols are copied, because they
 // outlive the request in cached responses and retained traces and
 // would otherwise keep all of src alive. Labels resolve through a hash

@@ -35,18 +35,33 @@ func CacheKey(f *ir.Func, opts diffra.Options, listing, explain bool) string {
 	// once. Disk entries and the router's ring placement are keyed by
 	// exactly these bytes; TestCacheKeyGolden pins them.
 	var buf [2048]byte
-	b := f.AppendTo(buf[:0])
+	sum := sha256.Sum256(appendOptions(f.AppendTo(buf[:0]), opts, listing, explain))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
+}
+
+// sourceKey addresses a request by its IR text as it arrived: the
+// SHA-256 of the raw text plus the options CacheKey hashes. It names
+// one spelling of a function, so it only ever points at a canonical
+// key (resultCache.canonical); spellings that print alike still share
+// one entry.
+func sourceKey(src string, opts diffra.Options, listing, explain bool) [sha256.Size]byte {
+	var buf [2048]byte
+	return sha256.Sum256(appendOptions(append(buf[:0], src...), opts, listing, explain))
+}
+
+// appendOptions appends each resolved option a key covers after a NUL.
+// Scheme and backend names never contain a NUL, so the trailer cannot
+// run into the text before it.
+func appendOptions(b []byte, opts diffra.Options, listing, explain bool) []byte {
 	b = append(append(b, 0), opts.Scheme...)
 	b = strconv.AppendInt(append(b, 0), int64(opts.RegN), 10)
 	b = strconv.AppendInt(append(b, 0), int64(opts.DiffN), 10)
 	b = strconv.AppendInt(append(b, 0), int64(opts.Restarts), 10)
 	b = strconv.AppendBool(append(b, 0), listing)
 	b = strconv.AppendBool(append(b, 0), explain)
-	b = append(append(b, 0), opts.Alloc...)
-	sum := sha256.Sum256(b)
-	var key [2 * sha256.Size]byte
-	hex.Encode(key[:], sum[:])
-	return string(key[:])
+	return append(append(b, 0), opts.Alloc...)
 }
 
 // resultCache is the two-level compile-result cache: the per-node
@@ -55,16 +70,22 @@ func CacheKey(f *ir.Func, opts diffra.Options, listing, explain bool) string {
 // values (no pointers into compiler state), so returning a cached copy
 // is safe under concurrency, and they cross the disk boundary as JSON
 // — the same encoding the HTTP layer serves.
+//
+// Beside the tiers, aliases maps a request's source key to the
+// canonical key its text parsed to, so a repeat finds its entry
+// without parsing or printing the function. It lives in memory only,
+// under the memory tier's bound.
 type resultCache struct {
-	tl  cache.TwoLevel[Response]
-	reg *telemetry.Registry
+	tl      cache.TwoLevel[Response]
+	aliases *cache.LRU[string]
+	reg     *telemetry.Registry
 }
 
 // newResultCache builds the cache. maxEntries bounds the memory tier
-// (<= 0 disables it); dir, when non-empty, enables the disk tier
-// bounded to diskBytes (0: the cache package default).
+// and the aliases (<= 0 disables both); dir, when non-empty, enables
+// the disk tier bounded to diskBytes (0: the cache package default).
 func newResultCache(maxEntries int, dir string, diskBytes int64, reg *telemetry.Registry) (*resultCache, error) {
-	c := &resultCache{reg: reg}
+	c := &resultCache{reg: reg, aliases: cache.NewLRU[string](maxEntries)}
 	c.tl.Mem = cache.NewLRU[Response](maxEntries)
 	if dir != "" {
 		disk, err := cache.OpenDisk(dir, diskBytes)
@@ -100,6 +121,16 @@ func (c *resultCache) get(key string) (Response, bool) {
 	}
 	c.reg.CounterL("service_cache_tier_hits", "tier", tier.String()).Inc()
 	return resp, true
+}
+
+// canonical returns the canonical key recorded for a source key.
+func (c *resultCache) canonical(src [sha256.Size]byte) (string, bool) {
+	return c.aliases.Get(string(src[:]))
+}
+
+// alias records the canonical key a source key's text parsed to.
+func (c *resultCache) alias(src [sha256.Size]byte, key string) {
+	c.aliases.Put(string(src[:]), key)
 }
 
 // put stores a response in every tier; the disk write's latency lands

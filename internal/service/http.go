@@ -103,6 +103,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // results reach the client while later compiles are still running.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("service_batches").Inc()
+	// Answers stream while lines still arrive. Without full duplex an
+	// HTTP/1 server discards the unread body at the first flush, which
+	// loses every line not yet read and stalls a client that waits for
+	// an answer before it sends on. HTTP/2 is always full duplex, so
+	// the call's error there is no loss.
+	http.NewResponseController(w).EnableFullDuplex()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	dec := json.NewDecoder(body)
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -191,6 +192,57 @@ func TestHTTPBatchStreamsInOrder(t *testing.T) {
 	}
 	if b := h.Registry().Counter("service_batches").Value(); b != 1 {
 		t.Fatalf("service_batches = %d, want 1", b)
+	}
+}
+
+// TestHTTPBatchReadsWhileAnswering: a client may send the next batch
+// line only after it has read the answer to the last one. The server
+// must keep reading the body after its first flushed response rather
+// than discard what has not arrived yet.
+func TestHTTPBatchReadsWhileAnswering(t *testing.T) {
+	_, ts := newTestHTTP(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pr, pw := io.Pipe()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/batch", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(chan struct{})
+	go func() {
+		enc := json.NewEncoder(pw)
+		enc.Encode(Request{IR: tinyIR})
+		select {
+		case <-answered:
+		case <-ctx.Done():
+		}
+		enc.Encode(Request{IR: tinyIR, Scheme: "baseline"})
+		pw.Close()
+	}()
+	hr, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hr.Body.Close()
+	sc := bufio.NewScanner(hr.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for i, scheme := range []string{"select", "baseline"} {
+		if !sc.Scan() {
+			t.Fatalf("line %d: stream ended: %v", i, sc.Err())
+		}
+		var resp Response
+		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
+			t.Fatalf("line %d: %v", i, err)
+		}
+		if resp.Error != "" || resp.Scheme != scheme {
+			t.Fatalf("line %d: %+v, want a %s compile", i, resp, scheme)
+		}
+		if i == 0 {
+			close(answered)
+		}
+	}
+	if sc.Scan() {
+		t.Fatalf("extra line %q", sc.Text())
 	}
 }
 

@@ -110,8 +110,9 @@ type Response struct {
 type Config struct {
 	// Workers bounds concurrent compilations (<= 0: GOMAXPROCS).
 	Workers int
-	// CacheEntries bounds the in-memory result cache (0: 1024;
-	// negative: memory tier disabled).
+	// CacheEntries bounds the in-memory result cache and the source
+	// texts remembered for it (0: 1024; negative: memory tier and
+	// source aliases disabled).
 	CacheEntries int
 	// CacheDir, when non-empty, enables the persistent disk tier under
 	// the in-memory LRU: compile results survive restarts, keyed by
@@ -455,41 +456,32 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 	if int64(len(req.IR)) > s.cfg.MaxRequestBytes {
 		return errResponse(fmt.Errorf("service: ir source %d bytes exceeds limit %d", len(req.IR), s.cfg.MaxRequestBytes))
 	}
-	alloc := req.Alloc
-	if alloc == "" {
-		alloc = s.cfg.Alloc
-	}
-	opts, err := diffra.Options{
-		Scheme:   diffra.Scheme(req.Scheme),
-		Alloc:    diffra.Backend(alloc),
-		RegN:     req.RegN,
-		DiffN:    req.DiffN,
-		Restarts: req.Restarts,
-	}.Resolved()
+	opts, err := s.options(req)
 	if err != nil {
 		return errResponse(err)
 	}
-	// After Resolved: RemapWorkers and SpillWorkers never alter the
-	// compile result, so they must not influence the resolved options a
-	// cache key hashes.
-	opts.RemapWorkers = s.cfg.RemapWorkers
-	if opts.RemapWorkers <= 0 {
-		opts.RemapWorkers = 1
-	}
-	opts.SpillWorkers = s.cfg.SpillWorkers
-	if opts.SpillWorkers <= 0 {
-		opts.SpillWorkers = 1
+	// A text seen before names its canonical key through its source
+	// key, so a repeat is answered without parsing or keying it. An
+	// alias whose entry has since been evicted still spares the key.
+	src := sourceKey(req.IR, opts, req.Listing, req.Explain)
+	key, aliased := s.cache.canonical(src)
+	if aliased {
+		if resp, ok := s.cache.get(key); ok {
+			return s.cacheHit(resp)
+		}
 	}
 	f, err := ir.Parse(req.IR)
 	if err != nil {
 		return errResponse(err)
 	}
-
-	key := CacheKey(f, opts, req.Listing, req.Explain)
-	if resp, ok := s.cache.get(key); ok {
-		s.reg.Counter("service_cache_hits").Inc()
-		resp.Cached = true
-		return resp
+	if !aliased {
+		key = CacheKey(f, opts, req.Listing, req.Explain)
+		if resp, ok := s.cache.get(key); ok {
+			// The alias is written on the second sight of a text, never
+			// on a miss, so texts that never repeat cost no memory.
+			s.cache.alias(src, key)
+			return s.cacheHit(resp)
+		}
 	}
 	s.reg.Counter("service_cache_misses").Inc()
 
@@ -538,6 +530,44 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 		s.cache.put(key, resp)
 		s.reg.Gauge("service_cache_entries").Set(int64(s.cache.len()))
 	}
+	return resp
+}
+
+// options resolves a request's compile options against the server's
+// defaults.
+func (s *Server) options(req Request) (diffra.Options, error) {
+	alloc := req.Alloc
+	if alloc == "" {
+		alloc = s.cfg.Alloc
+	}
+	opts, err := diffra.Options{
+		Scheme:   diffra.Scheme(req.Scheme),
+		Alloc:    diffra.Backend(alloc),
+		RegN:     req.RegN,
+		DiffN:    req.DiffN,
+		Restarts: req.Restarts,
+	}.Resolved()
+	if err != nil {
+		return opts, err
+	}
+	// After Resolved: RemapWorkers and SpillWorkers never alter the
+	// compile result, so they must not influence the resolved options a
+	// cache key hashes.
+	opts.RemapWorkers = s.cfg.RemapWorkers
+	if opts.RemapWorkers <= 0 {
+		opts.RemapWorkers = 1
+	}
+	opts.SpillWorkers = s.cfg.SpillWorkers
+	if opts.SpillWorkers <= 0 {
+		opts.SpillWorkers = 1
+	}
+	return opts, nil
+}
+
+// cacheHit counts a hit in either tier and marks its response.
+func (s *Server) cacheHit(resp Response) Response {
+	s.reg.Counter("service_cache_hits").Inc()
+	resp.Cached = true
 	return resp
 }
 

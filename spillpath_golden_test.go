@@ -76,7 +76,11 @@ func hashSpillStats(h hash.Hash, st *ospill.Stats) {
 // the printed function, Color, SpilledVRegs, SpillInstrs,
 // CoalescedMoves, the sorted StackParams and the spill fields of
 // ospill.Stats and diffcoal.Stats. The value was recorded before the
-// allocators' spill code moved into regalloc.
+// allocators' spill code moved into regalloc, and re-pinned when
+// diffcoal's fallback rounds were bounded by the input's vreg count
+// instead of 16: five generated cases that gave up then allocate now
+// (diffcoal's TestFallbackRoundsFollowTheInput), and no other case
+// moved.
 func TestSpillPathGolden(t *testing.T) {
 	h := fnv.New64a()
 	ar := new(scratch.Arena)
@@ -114,7 +118,7 @@ func TestSpillPathGolden(t *testing.T) {
 			run(fmt.Sprintf("gen%d", seed), f, regN)
 		}
 	}
-	if got, want := h.Sum64(), uint64(0x2566f1fc450d76e); got != want {
+	if got, want := h.Sum64(), uint64(0x212a9706458bb476); got != want {
 		t.Errorf("spill path hash %#x, golden %#x", got, want)
 	}
 }

@@ -41,7 +41,8 @@ const (
 	coalesceBudget    = 1460 // measured 1124 (susan, RegN=DiffN=8)
 	parseBudget       = 77   // measured 59 (adpcm, the most blocks)
 	cacheKeyBudget    = 2    // measured 1 (every §8 kernel)
-	hitBudget         = 10   // measured 5 (every §8 kernel, select/irc, RegN=12)
+	hitBudget         = 2    // measured 1 (every §8 kernel, select/irc, RegN=12)
+	decodeBudget      = 4    // measured 3 (every §8 kernel's select/irc/RegN=12 body)
 	decideBudget      = 115  // measured 64-90 (every §8 kernel, loop spills at K=6, whole-range at K=8)
 	spillBudget       = 122  // measured 47-94 (every §8 kernel, ssa and irc at K=6)
 )
@@ -261,6 +262,20 @@ func TestAllocBudgetHit(t *testing.T) {
 		assertAllocBudget(t, "Hit/"+k.Name, hitBudget, func() {
 			if resp := srv.Compile(ctx, req); !resp.Cached {
 				t.Fatalf("%s: repeat missed the cache", k.Name)
+			}
+		})
+	}
+}
+
+// TestAllocBudgetDecodeRequest pins the decode of a /compile body: one
+// pass that allocates the strings it returns and nothing per byte, key
+// or escape.
+func TestAllocBudgetDecodeRequest(t *testing.T) {
+	bodies := kernelBodies(t)
+	for i, k := range workloads.Kernels() {
+		assertAllocBudget(t, "DecodeRequest/"+k.Name, decodeBudget, func() {
+			if _, err := service.DecodeRequest(bodies[i]); err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
 			}
 		})
 	}

@@ -17,6 +17,7 @@ package diffra_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"strconv"
 	"testing"
@@ -306,6 +307,37 @@ func BenchmarkServeHit(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchPrimed(b, func() error { return serve(true) })
+	})
+}
+
+// kernelBodies returns the /compile bodies of the ten §8 kernels in
+// the select/irc/RegN-12 lane, encoded as perfbench encodes them.
+func kernelBodies(tb testing.TB) [][]byte {
+	var bodies [][]byte
+	for _, k := range workloads.Kernels() {
+		body, err := json.Marshal(service.Request{IR: k.F.String(), Scheme: "select", Alloc: "irc", RegN: 12})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	return bodies
+}
+
+// BenchmarkDecodeRequest measures the decode every request to the
+// daemon pays before the cache sees it: one op decodes the ten §8
+// kernels' select/irc/RegN-12 bodies.
+func BenchmarkDecodeRequest(b *testing.B) {
+	bodies := kernelBodies(b)
+	b.Run("kernels", func(b *testing.B) {
+		benchPrimed(b, func() error {
+			for _, body := range bodies {
+				if _, err := service.DecodeRequest(body); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	})
 }
 

@@ -162,8 +162,8 @@ func (rt *Router) Handler() http.Handler {
 // owner backend then reports the error, and identical broken requests
 // still dedupe.
 func RouteKey(body []byte) string {
-	var req service.Request
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := service.DecodeRequest(body)
+	if err != nil {
 		return rawKey(body)
 	}
 	opts, err := diffra.Options{

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"diffra"
@@ -79,6 +80,9 @@ type resultCache struct {
 	tl      cache.TwoLevel[Response]
 	aliases *cache.LRU[string]
 	reg     *telemetry.Registry
+	// tierHits keeps each tier's service_cache_tier_hits counter from
+	// its first hit on, so a hit builds no labeled name.
+	tierHits [cache.TierDisk + 1]atomic.Pointer[telemetry.Counter]
 }
 
 // newResultCache builds the cache. maxEntries bounds the memory tier
@@ -119,8 +123,19 @@ func (c *resultCache) get(key string) (Response, bool) {
 	if !ok {
 		return Response{}, false
 	}
-	c.reg.CounterL("service_cache_tier_hits", "tier", tier.String()).Inc()
+	c.tierHit(tier).Inc()
 	return resp, true
+}
+
+// tierHit returns tier's hit counter, registering it at the tier's
+// first hit so that it appears in /metrics only once it counts.
+func (c *resultCache) tierHit(tier cache.Tier) *telemetry.Counter {
+	if h := c.tierHits[tier].Load(); h != nil {
+		return h
+	}
+	h := c.reg.CounterL("service_cache_tier_hits", "tier", tier.String())
+	c.tierHits[tier].Store(h)
+	return h
 }
 
 // canonical returns the canonical key recorded for a source key.

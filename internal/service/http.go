@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,7 +35,8 @@ import (
 //	                         errored/diverged)
 //	GET  /debug/traces/{id}  one trace with its full span tree
 //
-// Request bodies are capped at Config.MaxRequestBytes.
+// Request bodies are capped at Config.MaxRequestBytes; a larger
+// /compile body is answered 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", s.handleCompile)
@@ -73,9 +75,23 @@ func statusOf(resp Response) int {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	// The body is read whole into a pooled buffer and decoded in one
+	// pass; the Request holds copies, so the buffer goes back at once.
+	buf := getBuf()
+	body := bytes.NewBuffer((*buf)[:0])
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
 	var req Request
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err == nil {
+		req, err = DecodeRequest(body.Bytes())
+	}
+	*buf = body.Bytes()
+	putBuf(buf)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body exceeds the %d-byte limit (MaxRequestBytes)", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -110,6 +126,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// the call's error there is no loss.
 	http.NewResponseController(w).EnableFullDuplex()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	// The json.Decoder only cuts the stream into values; each value is
+	// decoded by DecodeRequest, as /compile decodes its body.
 	dec := json.NewDecoder(body)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
@@ -129,11 +147,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	var wg sync.WaitGroup
 	ctx := r.Context()
+	var raw json.RawMessage
 	for {
-		var req Request
-		err := dec.Decode(&req)
+		err := dec.Decode(&raw)
 		if err == io.EOF {
 			break
+		}
+		var req Request
+		if err == nil {
+			req, err = DecodeRequest(raw)
 		}
 		if err != nil {
 			c := make(chan Response, 1)

@@ -132,6 +132,58 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if gr.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: status %s", gr.Status)
 	}
+
+	// A body one byte over the configured limit is refused with 413
+	// naming the limit; a body at the limit is read and compiled.
+	const limit = 64
+	_, small := newTestHTTPWith(t, Config{MaxRequestBytes: limit})
+	for _, c := range []struct {
+		size int
+		want int
+	}{{limit + 1, http.StatusRequestEntityTooLarge}, {limit, http.StatusUnprocessableEntity}} {
+		body := `{"ir":"` + strings.Repeat("x", c.size-len(`{"ir":""}`)) + `"}`
+		hr, err := http.Post(small.URL+"/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if hr.StatusCode != c.want {
+			t.Fatalf("%d-byte body under a %d-byte limit: status %s (%s), want %d", len(body), limit, hr.Status, msg, c.want)
+		}
+		if c.want == http.StatusRequestEntityTooLarge && !strings.Contains(string(msg), "64-byte limit") {
+			t.Fatalf("413 body %q does not name the limit", msg)
+		}
+	}
+}
+
+// TestHTTPCompileBodyIsOneValue: /compile takes one JSON value and
+// whitespace, the bodies RouteKey keys, so a second value or trailing
+// bytes are a bad request rather than dropped.
+func TestHTTPCompileBodyIsOneValue(t *testing.T) {
+	_, ts := newTestHTTP(t)
+	one, err := json.Marshal(Request{IR: tinyIR, Scheme: "select"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"two objects", string(one) + string(one), http.StatusBadRequest},
+		{"object then garbage", string(one) + "garbage", http.StatusBadRequest},
+		{"object then newline", string(one) + "\n", http.StatusOK},
+	} {
+		hr, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if hr.StatusCode != c.want {
+			t.Fatalf("%s: status %s (%s), want %d", c.name, hr.Status, msg, c.want)
+		}
+	}
 }
 
 func TestHTTPBatchStreamsInOrder(t *testing.T) {

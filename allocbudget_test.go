@@ -17,7 +17,6 @@ import (
 	"diffra/internal/scratch"
 	"diffra/internal/service"
 	"diffra/internal/ssaalloc"
-	"diffra/internal/telemetry"
 	"diffra/internal/workloads"
 )
 
@@ -245,7 +244,7 @@ func TestAllocBudgetCacheKey(t *testing.T) {
 // neither parses nor prints nor keys the function and allocates per
 // request, never per instruction.
 func TestAllocBudgetHit(t *testing.T) {
-	srv, err := service.New(service.Config{Registry: telemetry.NewRegistry()})
+	srv, err := service.New(service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

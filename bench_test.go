@@ -279,7 +279,7 @@ func BenchmarkCacheKey(b *testing.B) {
 // before the timer starts, so the timed requests find their entries by
 // source key, as a daemon answers a text it has seen before.
 func BenchmarkServeHit(b *testing.B) {
-	srv, err := service.New(service.Config{Registry: telemetry.NewRegistry()})
+	srv, err := service.New(service.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

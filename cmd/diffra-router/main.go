@@ -41,10 +41,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8790", "listen address")
 	nodes := flag.String("nodes", "", "comma-separated backend base URLs (required), e.g. http://127.0.0.1:8791,http://127.0.0.2:8791")
-	vnodes := flag.Int("vnodes", 0, "virtual points per node on the hash ring (0 = 128)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "backend /healthz polling period (negative disables)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fixed /batch hedging delay (0 = derive from live upstream p95; negative disables hedging)")
-	hedgeMin := flag.Duration("hedge-min", 10*time.Millisecond, "floor for the derived hedging delay")
+	hedgeAfter := flag.Duration("hedge-after", 0, "fixed /batch hedging delay (0 = derive from live upstream p95, clamped to [10ms, 2s]; negative disables hedging)")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-upstream-request deadline")
 	maxBytes := flag.Int64("max-request-bytes", 8<<20, "request body / batch line size limit")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain limit")
@@ -63,10 +61,8 @@ func main() {
 
 	rt, err := cluster.New(cluster.Config{
 		Nodes:           backends,
-		Vnodes:          *vnodes,
 		HealthInterval:  *healthInterval,
 		HedgeAfter:      *hedgeAfter,
-		HedgeMin:        *hedgeMin,
 		Timeout:         *timeout,
 		MaxRequestBytes: *maxBytes,
 	})

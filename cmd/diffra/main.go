@@ -120,10 +120,11 @@ func main() {
 	}
 
 	// -trace and -metrics share one tracer: the JSON sink writes the
-	// span tree, the span→metrics bridge folds it into per-stage
-	// histograms so -metrics shows the same breakdown without a trace
-	// file configured.
+	// span tree, the span→metrics bridge folds it into this run's own
+	// registry, so -metrics shows the breakdown diffrad serves without
+	// a trace file configured.
 	var sinks telemetry.MultiSink
+	var reg *telemetry.Registry
 	if *traceFile != "" {
 		var w io.Writer = os.Stdout
 		if *traceFile != "-" {
@@ -137,7 +138,8 @@ func main() {
 		sinks = append(sinks, &telemetry.JSONSink{W: w})
 	}
 	if *metrics {
-		sinks = append(sinks, &telemetry.MetricsSink{Reg: telemetry.Default})
+		reg = telemetry.NewRegistry()
+		sinks = append(sinks, &telemetry.MetricsSink{Reg: reg})
 	}
 	var tracer *telemetry.Tracer
 	if len(sinks) > 0 {
@@ -239,9 +241,9 @@ func main() {
 		}
 	}
 
-	if *metrics {
+	if reg != nil {
 		fmt.Println()
-		telemetry.Default.WriteText(os.Stdout)
+		reg.WriteText(os.Stdout)
 	}
 	if *memProfile != "" {
 		mf, err := os.Create(*memProfile)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"diffra/internal/service"
-	"diffra/internal/telemetry"
 )
 
 const remoteSrc = `
@@ -27,7 +26,7 @@ done:
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s, err := service.New(service.Config{Registry: telemetry.NewRegistry()})
+	s, err := service.New(service.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

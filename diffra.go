@@ -125,6 +125,9 @@ type Options struct {
 	SpillWorkers int
 	// Telemetry, when non-nil, receives one span tree per compiled
 	// function (compile → allocate/remap/refine/verify/encode/check).
+	// It is the only channel a compile reports through: the root span
+	// carries instrs, spill_instrs and set_last_regs, and a
+	// telemetry.MetricsSink folds the trees into the caller's registry.
 	// Nil costs nothing.
 	Telemetry *telemetry.Tracer
 	// Scratch, when non-nil, supplies the arena the compile's hot
@@ -302,7 +305,6 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 	ctxErr := func(f *ir.Func) error {
 		return &PhaseError{Func: f.Name, Phase: phase, Backend: backend, Err: ctx.Err()}
 	}
-	started := time.Now()
 	root := opts.Telemetry.Start("compile")
 	defer root.End()
 	root.SetAttr("func", f.Name)
@@ -429,12 +431,6 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 	root.Add("instrs", int64(res.Instrs))
 	root.Add("spill_instrs", int64(res.SpillInstrs))
 	root.Add("set_last_regs", int64(res.SetLastRegs))
-
-	telemetry.Default.Counter("diffra_compiles").Inc()
-	telemetry.Default.Counter("diffra_instrs").Add(int64(res.Instrs))
-	telemetry.Default.Counter("diffra_spill_instrs").Add(int64(res.SpillInstrs))
-	telemetry.Default.Counter("diffra_set_last_regs").Add(int64(res.SetLastRegs))
-	telemetry.Default.Histogram("diffra_compile_us").Observe(time.Since(started).Microseconds())
 	return res, nil
 }
 

@@ -271,16 +271,18 @@ func TestCompileEmitsSpanTree(t *testing.T) {
 // decides its spills through the same reported ILP decision as the
 // optimal spilling scheme, so a coalesce compile's
 // compile/allocate/ilp span carries the epoch scheduler's counters and
-// the cancelled attribute, and the ilp_steal_* registry counters tick.
+// the cancelled attribute, and a registry the tree is bridged into
+// counts diffra_span_ilp_steal_epochs.
 func TestCoalesceILPSpanCarriesStealCounters(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "altsum.ir"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := telemetry.Default.Counter("ilp_steal_epochs").Value()
+	reg := telemetry.NewRegistry()
 	sink := &telemetry.CollectSink{}
 	if _, err := Compile(string(src), Options{
-		Scheme: Coalesce, RegN: 6, DiffN: 4, Restarts: 10, Telemetry: telemetry.New(sink),
+		Scheme: Coalesce, RegN: 6, DiffN: 4, Restarts: 10,
+		Telemetry: telemetry.New(telemetry.MultiSink{sink, &telemetry.MetricsSink{Reg: reg}}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +313,8 @@ func TestCoalesceILPSpanCarriesStealCounters(t *testing.T) {
 	if got := ilp.Attr("cancelled"); got != false {
 		t.Errorf("cancelled attr = %v, want false", got)
 	}
-	if got := telemetry.Default.Counter("ilp_steal_epochs").Value() - before; float64(got) < epochs {
-		t.Errorf("ilp_steal_epochs rose by %d, span reports %v", got, epochs)
+	if got := reg.Counter("diffra_span_ilp_steal_epochs").Value(); float64(got) != epochs {
+		t.Errorf("diffra_span_ilp_steal_epochs = %d, span reports %v", got, epochs)
 	}
 }
 

@@ -39,18 +39,13 @@ type nodeFunc func(r ir.Reg) int
 // Fields are visited in ir.Instr.RegFields order (uses, then defs; none
 // for set_last_reg).
 //
-// freq supplies block weights: the static 10^depth estimate when nil,
-// or a measured execution profile (§4 suggests profile frequencies
-// "should be reflected in the edge weights").
-func build(f *ir.Func, n int, node nodeFunc, freq map[*ir.Block]float64) *CSR {
-	var bw []float64
-	if freq == nil {
+// bw supplies block weights indexed by Block.Index: the static
+// 10^depth estimate when nil, or a measured execution profile (§4
+// suggests profile frequencies "should be reflected in the edge
+// weights").
+func build(f *ir.Func, n int, node nodeFunc, bw []float64) *CSR {
+	if bw == nil {
 		bw = f.BlockFreqs()
-	} else {
-		bw = make([]float64, len(f.Blocks))
-		for _, b := range f.Blocks {
-			bw[b.Index] = freq[b]
-		}
 	}
 
 	// Every access after a block's first, and every predecessor of a
@@ -113,8 +108,9 @@ func BuildVReg(f *ir.Func) *CSR {
 	return build(f, f.NumRegs(), func(r ir.Reg) int { return int(r) }, nil)
 }
 
-// BuildVRegProfile is BuildVReg with measured block frequencies.
-func BuildVRegProfile(f *ir.Func, freq map[*ir.Block]float64) *CSR {
+// BuildVRegProfile is BuildVReg with measured block frequencies,
+// indexed by Block.Index.
+func BuildVRegProfile(f *ir.Func, freq []float64) *CSR {
 	return build(f, f.NumRegs(), func(r ir.Reg) int { return int(r) }, freq)
 }
 
@@ -126,7 +122,8 @@ func BuildReg(f *ir.Func, regOf func(ir.Reg) int, regN int) *CSR {
 	return build(f, regN, func(r ir.Reg) int { return regOf(r) }, nil)
 }
 
-// BuildRegProfile is BuildReg with measured block frequencies.
-func BuildRegProfile(f *ir.Func, regOf func(ir.Reg) int, regN int, freq map[*ir.Block]float64) *CSR {
+// BuildRegProfile is BuildReg with measured block frequencies,
+// indexed by Block.Index.
+func BuildRegProfile(f *ir.Func, regOf func(ir.Reg) int, regN int, freq []float64) *CSR {
 	return build(f, regN, func(r ir.Reg) int { return regOf(r) }, freq)
 }

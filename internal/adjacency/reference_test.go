@@ -17,12 +17,9 @@ import (
 // sequence — within each block, then from each predecessor's last
 // access into each block's first — and sums every (from, to) pair's
 // weight in that walk order, skipping accesses node maps to -1.
-func refBuild(f *ir.Func, node func(ir.Reg) int, freq map[*ir.Block]float64) refGraph {
+func refBuild(f *ir.Func, node func(ir.Reg) int, freq []float64) refGraph {
 	if freq == nil {
-		freq = map[*ir.Block]float64{}
-		for i, w := range f.BlockFreqs() {
-			freq[f.Blocks[i]] = w
-		}
+		freq = f.BlockFreqs()
 	}
 	ref := refGraph{}
 	first := map[*ir.Block]int{}
@@ -38,7 +35,7 @@ func refBuild(f *ir.Func, node func(ir.Reg) int, freq map[*ir.Block]float64) ref
 				if prev < 0 {
 					first[b] = nd
 				} else {
-					ref.add(prev, nd, freq[b])
+					ref.add(prev, nd, freq[b.Index])
 				}
 				prev = nd
 			}
@@ -54,7 +51,7 @@ func refBuild(f *ir.Func, node func(ir.Reg) int, freq map[*ir.Block]float64) ref
 		}
 		for _, p := range b.Preds {
 			if ln, ok := last[p]; ok {
-				ref.add(ln, fn, freq[b]/float64(len(b.Preds)))
+				ref.add(ln, fn, freq[b.Index]/float64(len(b.Preds)))
 			}
 		}
 	}
@@ -68,10 +65,7 @@ func refBuild(f *ir.Func, node func(ir.Reg) int, freq map[*ir.Block]float64) ref
 // zero weights and inexact sums occur.
 func assertBuildersMatchRef(t *testing.T, name string, f *ir.Func) {
 	t.Helper()
-	profile := map[*ir.Block]float64{}
-	for _, b := range f.Blocks {
-		profile[b] = float64(b.Index%3) / 3
-	}
+	profile := thirds(f)
 	vreg := func(r ir.Reg) int { return int(r) }
 	n := f.NumRegs()
 	assertMatchesRef(t, name+"/vreg", adjacency.BuildVReg(f), n, refBuild(f, vreg, nil))
@@ -82,13 +76,19 @@ func assertBuildersMatchRef(t *testing.T, name string, f *ir.Func) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	outProfile := map[*ir.Block]float64{}
-	for _, b := range out.Blocks {
-		outProfile[b] = float64(b.Index%3) / 3
-	}
+	outProfile := thirds(out)
 	regOf := func(r ir.Reg) int { return asn.RegOf(r) }
 	assertMatchesRef(t, name+"/reg", adjacency.BuildReg(out, regOf, regN), regN, refBuild(out, regOf, nil))
 	assertMatchesRef(t, name+"/reg-profile", adjacency.BuildRegProfile(out, regOf, regN, outProfile), regN, refBuild(out, regOf, outProfile))
+}
+
+// thirds is a profile weighing block i (i mod 3)/3.
+func thirds(f *ir.Func) []float64 {
+	w := make([]float64, len(f.Blocks))
+	for i := range w {
+		w[i] = float64(i%3) / 3
+	}
+	return w
 }
 
 // TestBuildersMatchReference: every row and incidence weight of the

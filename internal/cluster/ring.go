@@ -19,7 +19,9 @@ import (
 	"sort"
 )
 
-// DefaultVnodes is the per-node virtual point count. 128 points keeps
+// DefaultVnodes is the per-node virtual point count, and the one every
+// Router uses: ownership is a pure function of membership only while
+// all routers place their nodes at the same count. 128 points keeps
 // the ring small (a few KiB for a handful of nodes) while bounding the
 // expected load imbalance to a few percent.
 const DefaultVnodes = 128

@@ -26,18 +26,23 @@ const (
 	defaultHealthInterval  = 2 * time.Second
 	defaultUpstreamTimeout = 120 * time.Second
 	defaultMaxRequestBytes = 8 << 20
-	defaultHedgeMin        = 10 * time.Millisecond
-	defaultHedgeMax        = 2 * time.Second
-	defaultHedgeCold       = 100 * time.Millisecond // before any p95 exists
+)
+
+// The derived hedging delay is the live upstream p95 clamped to
+// [hedgeMin, hedgeMax], or hedgeCold before any p95 exists.
+const (
+	hedgeMin  = 10 * time.Millisecond
+	hedgeMax  = 2 * time.Second
+	hedgeCold = 100 * time.Millisecond
 )
 
 // Config parameterizes a Router.
 type Config struct {
 	// Nodes are the backend base URLs ("http://127.0.0.1:9001"), the
-	// ring membership. Required, at least one.
+	// ring membership. Required, at least one. Every router places
+	// each node at DefaultVnodes points, so two routers over the same
+	// nodes agree on every key's owner.
 	Nodes []string
-	// Vnodes is the virtual-point count per node (0: DefaultVnodes).
-	Vnodes int
 	// Registry receives router metrics (nil: a fresh registry).
 	Registry *telemetry.Registry
 	// HealthInterval is the /healthz polling period (0: 2s; < 0
@@ -45,11 +50,9 @@ type Config struct {
 	// is the deterministic choice for tests).
 	HealthInterval time.Duration
 	// HedgeAfter fixes the batch hedging delay. 0 derives it from the
-	// live router_upstream_us p95, clamped to [HedgeMin, 2s]; < 0
-	// disables hedging.
+	// live router_upstream_us p95, clamped to [10ms, 2s]; < 0 disables
+	// hedging.
 	HedgeAfter time.Duration
-	// HedgeMin floors the derived hedging delay (0: 10ms).
-	HedgeMin time.Duration
 	// Timeout bounds each upstream request (0: 120s).
 	Timeout time.Duration
 	// MaxRequestBytes bounds a /compile body or one /batch line
@@ -102,15 +105,12 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = defaultMaxRequestBytes
 	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = defaultHedgeMin
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
 	rt := &Router{
 		cfg:     cfg,
-		ring:    NewRing(cfg.Vnodes, cfg.Nodes...),
+		ring:    NewRing(DefaultVnodes, cfg.Nodes...),
 		reg:     cfg.Registry,
 		client:  cfg.Client,
 		healthy: make(map[string]bool, len(cfg.Nodes)),
@@ -157,10 +157,12 @@ func (rt *Router) Handler() http.Handler {
 
 // RouteKey derives the routing key for a raw /compile request body:
 // the same content-addressed service.CacheKey the backends cache
-// under, so a key always routes to the node that has it. Bodies that
-// fail to decode, parse, or resolve hash as raw bytes instead — the
-// owner backend then reports the error, and identical broken requests
-// still dedupe.
+// under, so a key always routes to the node that has it. The backend
+// resolves with the other options (empty: the scheme's preferred one,
+// which is what a backend run without a default -alloc caches under).
+// Bodies that fail to decode, parse, or resolve (an unknown backend
+// included) hash as raw bytes instead — the owner backend then reports
+// the error, and identical broken requests still dedupe.
 func RouteKey(body []byte) string {
 	req, err := service.DecodeRequest(body)
 	if err != nil {
@@ -168,6 +170,7 @@ func RouteKey(body []byte) string {
 	}
 	opts, err := diffra.Options{
 		Scheme:   diffra.Scheme(req.Scheme),
+		Alloc:    diffra.Backend(req.Alloc),
 		RegN:     req.RegN,
 		DiffN:    req.DiffN,
 		Restarts: req.Restarts,
@@ -301,23 +304,17 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 // hedgeDelay is how long a batch line waits on the owner before a
 // second request races it on the next ring node: the configured fixed
-// delay, or the live upstream p95 clamped to [HedgeMin, 2s] (100ms
-// until a p95 exists).
+// delay, or the live upstream p95 clamped to [hedgeMin, hedgeMax]
+// (hedgeCold until a p95 exists).
 func (rt *Router) hedgeDelay() time.Duration {
 	if rt.cfg.HedgeAfter != 0 {
 		return rt.cfg.HedgeAfter
 	}
 	p95 := time.Duration(rt.reg.Histogram("router_upstream_us").Snapshot().P95) * time.Microsecond
 	if p95 <= 0 {
-		return defaultHedgeCold
+		return hedgeCold
 	}
-	if p95 < rt.cfg.HedgeMin {
-		return rt.cfg.HedgeMin
-	}
-	if p95 > defaultHedgeMax {
-		return defaultHedgeMax
-	}
-	return p95
+	return min(max(p95, hedgeMin), hedgeMax)
 }
 
 type hedgeReply struct {

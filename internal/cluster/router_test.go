@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"diffra"
+	"diffra/internal/ir"
 	"diffra/internal/service"
 	"diffra/internal/telemetry"
 )
@@ -45,14 +47,11 @@ type backend struct {
 
 func startBackend(t *testing.T, cfg service.Config) *backend {
 	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
 	h, err := service.NewHTTP(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &backend{reg: cfg.Registry}
+	b := &backend{reg: h.Registry()}
 	inner := h.Handler()
 	b.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/compile" {
@@ -72,9 +71,6 @@ func startBackend(t *testing.T, cfg service.Config) *backend {
 
 func newTestRouter(t *testing.T, cfg Config) (*Router, *httptest.Server) {
 	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = -1 // no background poller: deterministic tests
 	}
@@ -496,6 +492,29 @@ func TestRouteKeyStability(t *testing.T) {
 	}
 	if k := RouteKey([]byte(`{"ir":"func {","scheme":"select"}`)); !strings.HasPrefix(k, "raw:") {
 		t.Fatalf("unparseable IR should fall back to raw key, got %q", k)
+	}
+	if k := RouteKey([]byte(`{"ir":` + mustJSON(tinyIR) + `,"alloc":"nonesuch"}`)); !strings.HasPrefix(k, "raw:") {
+		t.Fatalf("unknown backend should fall back to raw key, got %q", k)
+	}
+
+	// Every backend choice routes under the key its owner caches it
+	// under: the options resolved with the backend, not without it.
+	f := ir.MustParse(tinyIR)
+	keys := map[string]string{}
+	for _, alloc := range []string{"", "irc", "ssa", "auto"} {
+		opts, err := diffra.Options{Scheme: diffra.Select, Alloc: diffra.Backend(alloc)}.Resolved()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := service.CacheKey(f, opts, false, false)
+		body := []byte(`{"ir":` + mustJSON(tinyIR) + `,"scheme":"select","alloc":"` + alloc + `"}`)
+		if got := RouteKey(body); got != want {
+			t.Errorf("alloc %q routes as %s, cached as %s", alloc, got, want)
+		}
+		keys[alloc] = want
+	}
+	if keys[""] != keys["irc"] || keys["irc"] == keys["ssa"] || keys["irc"] == keys["auto"] || keys["ssa"] == keys["auto"] {
+		t.Errorf("select's keys by backend: %v; want \"\" and irc equal, irc, ssa and auto distinct", keys)
 	}
 }
 

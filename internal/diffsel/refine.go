@@ -25,11 +25,12 @@ func Refine(f *ir.Func, asn *regalloc.Assignment, p Params) int {
 // Params.Cancel polls within a round.
 const refineCancelStride = 256
 
-// RefineProfile is Refine with measured block frequencies driving the
-// adjacency edge weights (nil falls back to the static estimate).
-// Params.Cancel can stop it between vregs; every move it made by then
-// is legal, so the assignment stays a valid coloring.
-func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq map[*ir.Block]float64) int {
+// RefineProfile is Refine with measured block frequencies, indexed by
+// Block.Index, driving the adjacency edge weights (nil falls back to
+// the static estimate). Params.Cancel can stop it between vregs; every
+// move it made by then is legal, so the assignment stays a valid
+// coloring.
+func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq []float64) int {
 	g := adjacency.BuildVRegProfile(f, freq)
 	ig := regalloc.Build(f, liveness.Compute(f))
 

@@ -220,7 +220,7 @@ func runKernelScheme(mach *pipeline.Machine, k *workloads.Kernel, scheme string,
 		Instrs:      res.Instrs,
 		SpillInstrs: res.SpillInstrs,
 		SetLastRegs: res.SetLastRegs,
-		CodeBytes:   res.Instrs * 2, // fixed 16-bit instructions
+		CodeBytes:   res.Instrs * pipeline.LowEnd().InstrBytes,
 		Cycles:      st.Cycles,
 		Ret:         ret,
 	}, nil

@@ -77,9 +77,9 @@ func profileOne(mach *pipeline.Machine, k *workloads.Kernel, cfg LowEndConfig) (
 	if err != nil {
 		return nil, err
 	}
-	freq := map[*ir.Block]float64{}
-	for _, b := range alloc.Blocks {
-		freq[b] = float64(profStats.BlockCounts[b.Index]) + 1
+	freq := make([]float64, len(profStats.BlockCounts))
+	for i, n := range profStats.BlockCounts {
+		freq[i] = float64(n) + 1
 	}
 
 	res := &ProfileResult{Kernel: k.Name}

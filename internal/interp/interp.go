@@ -103,7 +103,8 @@ type Options struct {
 type Step struct {
 	In *ir.Instr
 	// Block is the block In issued from. Index is In's position in
-	// block layout order, the order encode.Place assigns addresses in.
+	// block layout order, the order the pipeline model assigns fetch
+	// addresses in.
 	Block *ir.Block
 	Index int
 	// Mem says In accessed data memory (a load, store or spill op), at

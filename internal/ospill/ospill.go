@@ -92,11 +92,11 @@ type Stats struct {
 // whole-range spills as ascending vregs, the chosen loop spills and
 // Stats, which say whether the set is provably optimal; when
 // opts.Cancel fires, Stats report Cancelled and the spills are the
-// best incumbent found so far. The decision is reported as an "ilp"
-// child span of opts.Trace with the solver's counters, the
-// spill_nonoptimal counter when a budget cut the search short, and the
-// ilp_steal_* registry counters. Allocate and differential coalesce
-// both decide through it.
+// best incumbent found so far. The decision is reported only as an
+// "ilp" child span of opts.Trace: the solver's counters, the
+// scheduler's steal_* counters and, when a budget cut the search short,
+// nonoptimal. Allocate and differential coalesce both decide through
+// it.
 func Decide(f *ir.Func, opts Options) ([]int, []LoopSpillCandidate, Stats) {
 	ilpSpan := opts.Trace.Child("ilp")
 	spills, loopChosen, st := decide(f, opts, !opts.DisableLoopSpills)
@@ -107,22 +107,19 @@ func Decide(f *ir.Func, opts Options) ([]int, []LoopSpillCandidate, Stats) {
 	ilpSpan.Add("pruned", int64(st.ILPPruned))
 	ilpSpan.Add("spilled_ranges", int64(st.ILPSpilled))
 	ilpSpan.Add("loop_spills", int64(st.LoopSpilled))
+	// Epoch scheduler health: epochs/items/broadcasts are
+	// deterministic per workload (a drift signals a search change).
 	ilpSpan.Add("steal_epochs", st.Steal.Epochs)
 	ilpSpan.Add("steal_items", st.Steal.Items)
 	ilpSpan.Add("steal_broadcasts", st.Steal.Broadcasts)
 	ilpSpan.SetAttr("optimal", st.ILPOptimal)
 	ilpSpan.SetAttr("cancelled", st.Cancelled)
-	ilpSpan.End()
 	if !st.ILPOptimal && !st.Cancelled {
-		// Budget exhaustion silently degrades spill quality; make it
-		// visible in `diffra -metrics` output instead.
-		telemetry.Default.Counter("spill_nonoptimal").Inc()
+		// Budget exhaustion silently degrades spill quality; count it
+		// so it shows in every registry the span tree is folded into.
+		ilpSpan.Add("nonoptimal", 1)
 	}
-	// Epoch scheduler health: epochs/items/broadcasts are
-	// deterministic per workload (a drift signals a search change).
-	telemetry.Default.Counter("ilp_steal_epochs").Add(st.Steal.Epochs)
-	telemetry.Default.Counter("ilp_steal_items").Add(st.Steal.Items)
-	telemetry.Default.Counter("ilp_steal_broadcasts").Add(st.Steal.Broadcasts)
+	ilpSpan.End()
 	return spills, loopChosen, st
 }
 

@@ -203,10 +203,12 @@ exit:
 // TestNonOptimalCounterIncrements starves the solver with MaxNodes=1
 // so it falls back to the greedy incumbent, and asserts the silent
 // quality degradation is surfaced: Stats.ILPOptimal is false, the
-// allocation still verifies, and the process-wide spill_nonoptimal
-// counter (rendered by `diffra -metrics`) ticks.
+// allocation still verifies, the ilp span counts nonoptimal once, and
+// a registry the span tree is bridged into renders
+// diffra_span_ilp_nonoptimal (as `diffra -metrics` and /metrics do).
 func TestNonOptimalCounterIncrements(t *testing.T) {
-	before := telemetry.Default.Counter("spill_nonoptimal").Value()
+	reg := telemetry.NewRegistry()
+	root := telemetry.New(&telemetry.MetricsSink{Reg: reg}).Start("allocate")
 	// Two clusters of 10 chain-overlapping ranges: hard enough that a
 	// one-node budget cannot close the search (preprocessing alone
 	// solves simpler shapes like pressure6 exactly).
@@ -225,7 +227,8 @@ func TestNonOptimalCounterIncrements(t *testing.T) {
 	}
 	fmt.Fprintf(&b, "  ret v%d\n}\n", acc)
 	f := ir.MustParse(b.String())
-	out, asn, st, err := Allocate(f, Options{K: 6, MaxNodes: 1})
+	out, asn, st, err := Allocate(f, Options{K: 6, MaxNodes: 1, Trace: root})
+	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +238,10 @@ func TestNonOptimalCounterIncrements(t *testing.T) {
 	if err := regalloc.Verify(out, asn); err != nil {
 		t.Fatal(err)
 	}
-	if got := telemetry.Default.Counter("spill_nonoptimal").Value(); got != before+1 {
-		t.Fatalf("spill_nonoptimal = %d, want %d", got, before+1)
+	if got := root.Find("ilp").Counter("nonoptimal"); got != 1 {
+		t.Fatalf("ilp span nonoptimal = %v, want 1", got)
 	}
-	var buf strings.Builder
-	telemetry.Default.WriteText(&buf)
-	if !strings.Contains(buf.String(), "spill_nonoptimal") {
-		t.Fatalf("metrics text output missing spill_nonoptimal:\n%s", buf.String())
-	}
+	assertRendered(t, reg, "diffra_span_ilp_nonoptimal", 1)
 }
 
 // BenchmarkOspillDecide measures the end-to-end exact-spill decision on

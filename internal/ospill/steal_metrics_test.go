@@ -2,6 +2,8 @@ package ospill
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,14 +34,13 @@ func overPressureFunc() *ir.Func {
 }
 
 // TestStealStatsReachMetrics: the epoch scheduler's behaviour
-// must be observable in production — Stats.Steal filled per allocation,
-// the ilp span annotated, and the process-wide ilp_steal_* counters
-// (rendered by `diffra -metrics` and the Prometheus endpoint) ticking.
+// must be observable in production: Stats.Steal filled per allocation,
+// the ilp span annotated, and a registry the span tree is bridged into
+// (as `diffra -metrics` and a server's /metrics are) rendering the
+// diffra_span_ilp_steal_* counters.
 func TestStealStatsReachMetrics(t *testing.T) {
-	beforeEpochs := telemetry.Default.Counter("ilp_steal_epochs").Value()
-	beforeItems := telemetry.Default.Counter("ilp_steal_items").Value()
-
-	tracer := telemetry.New(&telemetry.CollectSink{})
+	reg := telemetry.NewRegistry()
+	tracer := telemetry.New(telemetry.MultiSink{&telemetry.CollectSink{}, &telemetry.MetricsSink{Reg: reg}})
 	root := tracer.Start("allocate")
 	out, asn, st, err := Allocate(overPressureFunc(), Options{K: 6, Trace: root})
 	root.End()
@@ -64,24 +65,36 @@ func TestStealStatsReachMetrics(t *testing.T) {
 		t.Fatalf("span steal_items %v, stats %d", got, st.Steal.Items)
 	}
 
-	if got := telemetry.Default.Counter("ilp_steal_epochs").Value(); got != beforeEpochs+st.Steal.Epochs {
-		t.Fatalf("ilp_steal_epochs = %d, want %d", got, beforeEpochs+st.Steal.Epochs)
-	}
-	if got := telemetry.Default.Counter("ilp_steal_items").Value(); got != beforeItems+st.Steal.Items {
-		t.Fatalf("ilp_steal_items = %d, want %d", got, beforeItems+st.Steal.Items)
-	}
+	assertRendered(t, reg, "diffra_span_ilp_steal_epochs", st.Steal.Epochs)
+	assertRendered(t, reg, "diffra_span_ilp_steal_items", st.Steal.Items)
+	assertRendered(t, reg, "diffra_span_ilp_steal_broadcasts", st.Steal.Broadcasts)
+}
 
-	// Pin the rendered registry surfaces: the text dump behind
-	// `diffra -metrics` and the Prometheus exposition.
+// assertRendered fails unless reg holds counter name at want and both
+// of its text formats render it so: the dump behind `diffra -metrics`
+// and the Prometheus exposition behind /metrics.
+func assertRendered(t *testing.T, reg *telemetry.Registry, name string, want int64) {
+	t.Helper()
+	if got := reg.Counter(name).Value(); got != want {
+		t.Errorf("%s = %d, want %d", name, got, want)
+	}
+	v := strconv.FormatInt(want, 10)
 	var text, prom strings.Builder
-	telemetry.Default.WriteText(&text)
-	telemetry.Default.WritePrometheus(&prom)
-	for _, name := range []string{"ilp_steal_epochs", "ilp_steal_items", "ilp_steal_broadcasts"} {
-		if !strings.Contains(text.String(), name) {
-			t.Errorf("metrics text output missing %s:\n%s", name, text.String())
+	reg.WriteText(&text)
+	reg.WritePrometheus(&prom)
+	for _, out := range []struct {
+		format, body string
+		line         []string
+	}{
+		{"text", text.String(), []string{"counter", name, v}},
+		{"prometheus", prom.String(), []string{name, v}},
+	} {
+		found := false
+		for _, l := range strings.Split(out.body, "\n") {
+			found = found || slices.Equal(strings.Fields(l), out.line)
 		}
-		if !strings.Contains(prom.String(), name) {
-			t.Errorf("prometheus output missing %s", name)
+		if !found {
+			t.Errorf("%s output has no line %q:\n%s", out.format, strings.Join(out.line, " "), out.body)
 		}
 	}
 }

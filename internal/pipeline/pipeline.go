@@ -9,8 +9,11 @@
 //
 //   - every instruction costs its latency (1 for simple ALU ops, more
 //     for multiply/divide),
-//   - instruction fetch goes through the I-cache at the address
-//     encode.Place gives the instruction,
+//   - instruction fetch goes through the I-cache at the instruction's
+//     address: its index in block layout order times the fixed
+//     instruction width (the THUMB-like low-end ISA of §10.1, where
+//     differential encoding changes what a register field addresses,
+//     not how wide an instruction is),
 //   - loads and stores (including spill code) go through the D-cache
 //     at the data address the step touched,
 //   - taken branches and jumps pay a one-cycle redirect bubble,
@@ -29,7 +32,6 @@ import (
 	"sort"
 
 	"diffra/internal/cache"
-	"diffra/internal/encode"
 	"diffra/internal/interp"
 	"diffra/internal/ir"
 	"diffra/internal/regalloc"
@@ -48,8 +50,9 @@ type Config struct {
 	LoadUseBubble int
 	// MaxInstrs bounds execution (0: 50 million).
 	MaxInstrs uint64
-	// Model places the code (zero value: encode.Thumb16()).
-	Model encode.Model
+	// InstrBytes is the fixed instruction width, which places the
+	// code for the I-cache and sizes it (0: 2, 16-bit instructions).
+	InstrBytes int
 }
 
 // LowEnd returns the Table-1-like configuration used by the low-end
@@ -62,7 +65,7 @@ func LowEnd() Config {
 		DivLat:        12,
 		BranchBubble:  1,
 		LoadUseBubble: 1,
-		Model:         encode.Thumb16(),
+		InstrBytes:    2,
 	}
 }
 
@@ -155,8 +158,8 @@ type Machine struct {
 
 // New builds a machine.
 func New(cfg Config) (*Machine, error) {
-	if cfg.Model.InstrBytes == 0 {
-		cfg.Model = encode.Thumb16()
+	if cfg.InstrBytes == 0 {
+		cfg.InstrBytes = 2
 	}
 	if cfg.MaxInstrs == 0 {
 		cfg.MaxInstrs = 50_000_000
@@ -222,7 +225,7 @@ func (m *Machine) Run(f *ir.Func, asn *regalloc.Assignment, opts RunOptions) (re
 	if err != nil {
 		return 0, st, err
 	}
-	fetch := encode.Place(f, m.cfg.Model, 0).Addr
+	width := uint64(m.cfg.InstrBytes)
 	ipen, dpen := uint64(m.ic.Penalty()), uint64(m.dc.Penalty())
 	bubble := uint64(m.cfg.BranchBubble)
 	st.BlockCounts[f.Entry().Index]++
@@ -239,7 +242,7 @@ func (m *Machine) Run(f *ir.Func, asn *regalloc.Assignment, opts RunOptions) (re
 		// Base cycle plus latency; set_last_reg costs only its fetch
 		// and decode slot (§2.3).
 		cyc := 1 + m.extra[s.In.Op]
-		if !m.ic.Access(fetch[s.Index]) {
+		if !m.ic.Access(uint64(s.Index) * width) {
 			cyc += ipen
 			st.BlockIMisses[bi]++
 		}

@@ -15,8 +15,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"diffra/internal/telemetry"
 )
 
 func newLocalListener(t *testing.T) net.Listener {
@@ -30,14 +28,11 @@ func newLocalListener(t *testing.T) net.Listener {
 
 func newTestHTTP(t *testing.T) (*HTTPServer, *httptest.Server) {
 	t.Helper()
-	return newTestHTTPWith(t, Config{Registry: telemetry.NewRegistry()})
+	return newTestHTTPWith(t, Config{})
 }
 
 func newTestHTTPWith(t *testing.T, cfg Config) (*HTTPServer, *httptest.Server) {
 	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
 	h, err := NewHTTP(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +294,7 @@ func TestHTTPBatchReadsWhileAnswering(t *testing.T) {
 }
 
 func TestHTTPGracefulShutdownDrains(t *testing.T) {
-	h, err := NewHTTP(Config{Registry: telemetry.NewRegistry()})
+	h, err := NewHTTP(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

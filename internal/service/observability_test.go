@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"diffra/internal/telemetry"
+	"diffra/internal/workloads"
 )
 
 func TestMetricsContentNegotiation(t *testing.T) {
@@ -88,6 +89,49 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	defer qr.Body.Close()
 	if ct := qr.Header.Get("Content-Type"); ct != telemetry.PrometheusContentType {
 		t.Fatalf("?format=prometheus content type %q", ct)
+	}
+}
+
+// TestServersKeepTheirOwnMetrics: a server built with a nil Registry
+// gets one of its own, and a compile reports only through its span
+// tree, which the server's bridge folds into that registry. So two
+// servers in one process each hold exactly their own compile, and
+// neither holds a series of the former process-wide registry.
+func TestServersKeepTheirOwnMetrics(t *testing.T) {
+	kernels := []string{"sha", "susan"}
+	servers := make([]*Server, len(kernels))
+	for i := range servers {
+		s, err := New(Config{}) // nil Registry
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = s
+	}
+	for i, name := range kernels {
+		resp := servers[i].Compile(context.Background(), Request{
+			IR:     workloads.KernelByName(name).F.String(),
+			Scheme: "coalesce",
+			RegN:   6,
+			DiffN:  4,
+		})
+		if resp.Error != "" {
+			t.Fatalf("%s: %s", name, resp.Error)
+		}
+		counters := servers[i].Registry().Snapshot().Counters
+		if got := counters["diffra_span_compile_instrs"]; got != int64(resp.Instrs) {
+			t.Errorf("%s: diffra_span_compile_instrs = %d, response instrs %d", name, got, resp.Instrs)
+		}
+		if _, ok := counters["diffra_span_ilp_steal_epochs"]; !ok {
+			t.Errorf("%s: no diffra_span_ilp_steal_epochs: the ilp span was not bridged", name)
+		}
+		for _, retired := range []string{"diffra_instrs", "diffra_compiles", "ilp_steal_epochs"} {
+			if v, ok := counters[retired]; ok {
+				t.Errorf("%s: registry holds %s = %d", name, retired, v)
+			}
+		}
+	}
+	if servers[0].Registry() == servers[1].Registry() {
+		t.Fatal("two servers share one registry")
 	}
 }
 
@@ -182,7 +226,7 @@ func TestDebugTracesEndpoints(t *testing.T) {
 }
 
 func TestDebugHandlerServesPprofAndTraces(t *testing.T) {
-	h, err := NewHTTP(Config{Registry: telemetry.NewRegistry()})
+	h, err := NewHTTP(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +260,7 @@ func TestDebugHandlerServesPprofAndTraces(t *testing.T) {
 // the moment graceful shutdown begins, /healthz flips to 503
 // "draining" while the in-flight compile still completes.
 func TestHealthzDrainingDuringShutdown(t *testing.T) {
-	h, err := NewHTTP(Config{Registry: telemetry.NewRegistry()})
+	h, err := NewHTTP(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

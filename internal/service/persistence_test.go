@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"diffra/internal/telemetry"
 )
 
 // TestDiskCacheSurvivesRestart is the acceptance check for the
@@ -75,7 +73,7 @@ func TestAccessLogCompleteAfterDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHTTP(Config{Registry: telemetry.NewRegistry(), AccessLog: logf})
+	h, err := NewHTTP(Config{AccessLog: logf})
 	if err != nil {
 		t.Fatal(err)
 	}

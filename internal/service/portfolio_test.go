@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"diffra/internal/telemetry"
 )
 
 // wideIR builds a deep straight-chain CFG with `width` values carried
@@ -189,7 +187,7 @@ func TestUnknownAllocBackendRejected(t *testing.T) {
 // X-Diffra-Alloc so auto clients can see who answered without parsing
 // the body.
 func TestAllocHeader(t *testing.T) {
-	_, ts := newTestHTTPWith(t, Config{Registry: telemetry.NewRegistry()})
+	_, ts := newTestHTTP(t)
 	hr, resp := postCompile(t, ts.URL, Request{IR: tinyIR, Scheme: "select", Alloc: "ssa"})
 	if resp.Error != "" {
 		t.Fatalf("compile failed: %s", resp.Error)

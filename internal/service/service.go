@@ -158,7 +158,10 @@ type Config struct {
 	// reason; the spill set is bit-identical at any setting, so it is
 	// excluded from cache keys.
 	SpillWorkers int
-	// Registry receives the service metrics (nil: telemetry.Default).
+	// Registry receives the service metrics and, while capture is on,
+	// the compile metrics the span→metrics bridge folds from each
+	// compile's span tree (nil: a fresh registry of the server's own;
+	// Server.Registry returns it).
 	Registry *telemetry.Registry
 	// SelfCheck enables shadow oracling: every Nth successful compile
 	// is re-run through the differential-testing oracle — reference
@@ -172,11 +175,15 @@ type Config struct {
 	// TraceBuffer bounds the always-on request trace capture: every
 	// compile runs under a span tracer, the finished tree is folded
 	// into per-stage latency histograms (diffra_stage_us{stage,scheme})
-	// and solver counters, and the request's TraceRecord is retained in
-	// a ring served by GET /debug/traces. 0 keeps the last 256
-	// requests; negative disables capture entirely (no per-request
-	// tracer, no stage metrics, no trace endpoints data) — the escape
-	// hatch the instrumentation-overhead benchmark compares against.
+	// and the diffra_span_* compile and solver counters, and the
+	// request's TraceRecord is retained in a ring served by GET
+	// /debug/traces. 0 keeps the last 256 requests; negative disables
+	// capture entirely: no per-request tracer and no trace endpoint
+	// data, and because the bridge is the only writer of compile
+	// metrics, the registry holds service_* series only. Only
+	// diffrad's -trace-buffer flag sets it negative; the
+	// instrumentation-overhead benchmark's plain lane is
+	// diffra.CompileFunc with a nil Telemetry, not a Server.
 	TraceBuffer int
 	// AccessLog, when non-nil, receives one NDJSON record per request:
 	// request id, function, scheme, cache hit, queue wait, total time,
@@ -195,7 +202,7 @@ func (c Config) withDefaults() Config {
 		c.DefaultTimeout = 30 * time.Second
 	}
 	if c.Registry == nil {
-		c.Registry = telemetry.Default
+		c.Registry = telemetry.NewRegistry()
 	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = 256

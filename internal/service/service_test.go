@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"diffra/internal/telemetry"
 )
 
 // slowIR builds a function whose optimal-spill ILP is expensive even
@@ -60,9 +58,6 @@ entry:
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,19 +11,18 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a process-wide metrics store: named counters, gauges and
-// histograms. All operations are safe for concurrent use; instrument
-// handles are cached by the caller or re-looked-up cheaply (one RLock
-// + map read).
+// Registry is a metrics store: named counters, gauges and histograms.
+// There is no process-wide instance; each server, router or CLI run
+// owns one, and compile code reaches it only through span trees folded
+// by MetricsSink. All operations are safe for concurrent use;
+// instrument handles are cached by the caller or re-looked-up cheaply
+// (one RLock + map read).
 type Registry struct {
 	mu     sync.RWMutex
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 }
-
-// Default is the process-wide registry the compiler records into.
-var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"strings"
 	"sync"
 )
@@ -13,47 +11,6 @@ import (
 // span, after the whole tree under it has ended.
 type Sink interface {
 	Emit(root *Span)
-}
-
-// NopSink discards everything; the default when tracing is enabled but
-// no destination configured.
-type NopSink struct{}
-
-// Emit discards the span.
-func (NopSink) Emit(*Span) {}
-
-// TextSink renders each span tree as an indented, human-readable
-// block: one line per span with duration, attributes and counters.
-type TextSink struct {
-	W io.Writer
-
-	mu sync.Mutex
-}
-
-// Emit writes the tree.
-func (t *TextSink) Emit(root *Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	root.Walk(func(sp *Span, depth int) {
-		var sb strings.Builder
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(sp.Name)
-		fmt.Fprintf(&sb, " %s", sp.Dur)
-		for _, a := range sp.Attrs {
-			fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value)
-		}
-		for _, c := range sortedCounters(sp.Counters) {
-			fmt.Fprintf(&sb, " %s=%s", c.Name, formatCounter(c.Value))
-		}
-		fmt.Fprintln(t.W, sb.String())
-	})
-}
-
-func formatCounter(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%.3f", v)
 }
 
 // JSONSink renders each span as one JSON object per line (JSON-lines),

@@ -1,7 +1,8 @@
 // Package telemetry is the compiler's observability layer: hierarchical
 // phase spans (wall time, counters, key/value attributes) emitted as a
-// tree per traced operation, plus a process-wide metrics registry
-// (counters, gauges, histograms) for cross-compilation aggregates.
+// tree per traced operation, plus a metrics registry (counters,
+// gauges, histograms) for cross-compilation aggregates, which the
+// span→metrics bridge (MetricsSink) fills from finished trees.
 //
 // The layer is built around two cost rules:
 //
@@ -16,10 +17,7 @@
 // the metrics Registry is safe for concurrent use.
 package telemetry
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Attr is one key/value annotation on a span.
 type Attr struct {
@@ -61,10 +59,10 @@ type Tracer struct {
 }
 
 // New returns a tracer emitting finished root spans to sink. A nil
-// sink falls back to NopSink.
+// sink discards them.
 func New(sink Sink) *Tracer {
 	if sink == nil {
-		sink = NopSink{}
+		sink = MultiSink{}
 	}
 	return &Tracer{sink: sink, now: time.Now}
 }
@@ -201,12 +199,4 @@ func (s *Span) Walk(visit func(sp *Span, depth int)) {
 		}
 	}
 	rec(s, 0)
-}
-
-// sortedAttrKeys returns attribute keys in insertion order; counters
-// are reported sorted by name for stable output.
-func sortedCounters(cs []CounterValue) []CounterValue {
-	out := append([]CounterValue(nil), cs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -107,29 +107,6 @@ func TestEndIdempotent(t *testing.T) {
 	}
 }
 
-func TestTextSinkGolden(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewWithClock(&TextSink{W: &buf}, fakeClock(time.Millisecond))
-
-	root := tr.Start("compile")
-	root.SetAttr("scheme", "select")
-	root.SetAttr("regn", 12)
-	alloc := root.Child("allocate")
-	alloc.Add("rounds", 2)
-	alloc.AddFloat("score", 1.5)
-	alloc.End()
-	root.End()
-
-	// Clock steps 1ms per reading: root start, alloc start, alloc end,
-	// root end => alloc spans 1ms, root 3ms.
-	want := "" +
-		"compile 3ms scheme=select regn=12\n" +
-		"  allocate 1ms rounds=2 score=1.500\n"
-	if buf.String() != want {
-		t.Fatalf("text output:\n%s\nwant:\n%s", buf.String(), want)
-	}
-}
-
 func TestJSONSinkGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewWithClock(&JSONSink{W: &buf}, fakeClock(time.Millisecond))

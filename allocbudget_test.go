@@ -1,7 +1,10 @@
 package diffra_test
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"testing"
 
 	"diffra"
@@ -17,6 +20,7 @@ import (
 	"diffra/internal/scratch"
 	"diffra/internal/service"
 	"diffra/internal/ssaalloc"
+	"diffra/internal/telemetry"
 	"diffra/internal/workloads"
 )
 
@@ -38,13 +42,26 @@ const (
 	interpBudget      = 13   // measured 10 (crc32, K=8)
 	refineBudget      = 50   // measured 38 (susan, RegN=12, DiffN=8)
 	coalesceBudget    = 1460 // measured 1124 (susan, RegN=DiffN=8)
-	parseBudget       = 77   // measured 59 (adpcm, the most blocks)
+	parseBudget       = 13   // measured 10 (every §8 kernel)
+	cloneBudget       = 9    // measured 7 (every §8 kernel)
 	cacheKeyBudget    = 2    // measured 1 (every §8 kernel)
 	hitBudget         = 2    // measured 1 (every §8 kernel, select/irc, RegN=12)
+	httpHitBudget     = 8    // measured 6 (every §8 kernel, select/irc, RegN=12)
 	decodeBudget      = 4    // measured 3 (every §8 kernel's select/irc/RegN=12 body)
 	decideBudget      = 115  // measured 64-90 (every §8 kernel, loop spills at K=6, whole-range at K=8)
 	spillBudget       = 122  // measured 47-94 (every §8 kernel, ssa and irc at K=6)
+	spanTreeBudget    = 25   // measured 12-17 (ospill) and 17-19 (coalesce) over the plain compile, every §8 kernel
 )
+
+// serveMissBudgets hold a served miss on each of perfbench's
+// miss-spill lanes to its allocations per request, averaged over the
+// ten §8 kernels.
+var serveMissBudgets = map[string]float64{
+	"baseline/irc":    90,  // measured 69.5
+	"baseline/ssa":    82,  // measured 62.8
+	"ospill/ospill":   202, // measured 155.7
+	"coalesce/ospill": 502, // measured 385.8
+}
 
 func assertAllocBudget(t *testing.T, name string, budget float64, body func()) {
 	t.Helper()
@@ -225,6 +242,79 @@ func TestAllocBudgetParse(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetClone pins the copy every allocator makes of its
+// input: blocks, edge lists, instructions, operands and instruction
+// lists each come from one slab, so a clone allocates per function,
+// never per block or instruction.
+func TestAllocBudgetClone(t *testing.T) {
+	for _, k := range workloads.Kernels() {
+		assertAllocBudget(t, "Clone/"+k.Name, cloneBudget, func() {
+			k.F.Clone()
+		})
+	}
+}
+
+// TestAllocBudgetSpanTree pins what capture adds to a compile: the
+// traced compile, under a tracer whose trees fold into a registry as
+// the service's do, minus the plain one. A tree's spans, child lists,
+// counters and attributes come from chunks its root owns, so the
+// difference is a few chunks and the boxed attribute values, not an
+// allocation per span or counter.
+func TestAllocBudgetSpanTree(t *testing.T) {
+	ar := new(scratch.Arena)
+	for _, lane := range spillLanes[2:] {
+		opts := diffra.Options{Scheme: diffra.Scheme(lane.Scheme), Alloc: diffra.Backend(lane.Alloc), RegN: lane.RegN, Scratch: ar}
+		traced := opts
+		traced.Telemetry = telemetry.New(&telemetry.MetricsSink{Reg: telemetry.NewRegistry()})
+		for _, k := range workloads.Kernels() {
+			compile := func(opts diffra.Options) func() {
+				return func() {
+					if _, err := diffra.CompileFunc(k.F, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			plain := testing.AllocsPerRun(20, compile(opts))
+			name := "SpanTree/" + lane.Scheme + "/" + k.Name
+			got := testing.AllocsPerRun(20, compile(traced)) - plain
+			t.Logf("%s: %.0f allocs/op (budget %d)", name, got, spanTreeBudget)
+			if got > spanTreeBudget {
+				t.Errorf("%s allocates %.0f/op over the plain compile, budget %d", name, got, spanTreeBudget)
+			}
+		}
+	}
+}
+
+// TestAllocBudgetServeMiss pins a cache miss through Server.Compile,
+// capture on, on each of perfbench's miss-spill lanes: parse, key,
+// compile on the worker's arena, capture and cache the result.
+func TestAllocBudgetServeMiss(t *testing.T) {
+	srv, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const runs = 10
+	for _, lane := range spillLanes {
+		name := "ServeMiss/" + lane.Scheme + "/" + lane.Alloc
+		// AllocsPerRun serves the ten kernels runs+1 times.
+		reqs := missRequests(lane, 10*(runs+1))
+		got := testing.AllocsPerRun(runs, func() {
+			for _, req := range reqs[:10] {
+				if resp := srv.Compile(ctx, req); resp.Error != "" || resp.Cached {
+					t.Fatalf("%s: %q cached=%v", name, resp.Error, resp.Cached)
+				}
+			}
+			reqs = reqs[10:]
+		}) / 10
+		budget := serveMissBudgets[lane.Scheme+"/"+lane.Alloc]
+		t.Logf("%s: %.1f allocs/request (budget %.0f)", name, got, budget)
+		if got > budget {
+			t.Errorf("%s allocates %.1f/request, budget %.0f", name, got, budget)
+		}
+	}
+}
+
 // TestAllocBudgetCacheKey pins the cache key to its one result string:
 // the printing and the options are hashed from a stack buffer.
 func TestAllocBudgetCacheKey(t *testing.T) {
@@ -266,10 +356,61 @@ func TestAllocBudgetHit(t *testing.T) {
 	}
 }
 
+// discardWriter is an http.ResponseWriter that keeps one header map
+// across responses and drops the body, so a handler's allocations are
+// its own.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestAllocBudgetServeHTTPHit pins a warm repeat through the /compile
+// handler: decode, the source-key hit, the response headers (shared
+// prebuilt values, not one []string per header) and the JSON reply.
+// The body decodes through a pooled buffer, so the budget skips under
+// the race detector.
+func TestAllocBudgetServeHTTPHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the request buffer comes from a sync.Pool, which drops items under -race")
+	}
+	srv, err := service.New(service.Config{NodeID: "node-a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	w := &discardWriter{h: http.Header{}}
+	body := bytes.NewReader(nil)
+	req, err := http.NewRequest("POST", "/compile", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Body = io.NopCloser(body)
+	bodies := kernelBodies(t)
+	for i, k := range workloads.Kernels() {
+		b := bodies[i]
+		serve := func() {
+			body.Reset(b)
+			clear(w.h)
+			h.ServeHTTP(w, req)
+		}
+		serve()
+		serve()
+		assertAllocBudget(t, "ServeHTTPHit/"+k.Name, httpHitBudget, serve)
+		if w.h.Get("X-Diffra-Alloc") != "irc" || w.h.Get("X-Diffra-Node") != "node-a" {
+			t.Fatalf("%s: headers %v", k.Name, w.h)
+		}
+	}
+}
+
 // TestAllocBudgetDecodeRequest pins the decode of a /compile body: one
 // pass that allocates the strings it returns and nothing per byte, key
-// or escape.
+// or escape. The body is read through a pooled buffer, so the budget
+// skips under the race detector.
 func TestAllocBudgetDecodeRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("DecodeRequest's scratch comes from a sync.Pool, which drops items under -race")
+	}
 	bodies := kernelBodies(t)
 	for i, k := range workloads.Kernels() {
 		assertAllocBudget(t, "DecodeRequest/"+k.Name, decodeBudget, func() {

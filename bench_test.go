@@ -310,6 +310,81 @@ func BenchmarkServeHit(b *testing.B) {
 	})
 }
 
+// spillLanes are perfbench's miss-spill lanes: the allocation backends
+// and the spill ILP do the work, and remap runs only in the coalesce
+// lane.
+var spillLanes = []service.Request{
+	{Scheme: "baseline", Alloc: "irc", RegN: 6},
+	{Scheme: "baseline", Alloc: "ssa", RegN: 6},
+	{Scheme: "ospill", Alloc: "ospill", RegN: 6},
+	{Scheme: "coalesce", Alloc: "ospill", RegN: 8},
+}
+
+// missNames numbers the functions missRequests renames, so that no
+// two requests of a test binary share a cache key.
+var missNames int
+
+// missRequests returns n requests of the ten §8 kernels under lane,
+// kernel after kernel, each under a fresh function name: every one
+// misses the cache, as perfbench's miss workloads do.
+func missRequests(lane service.Request, n int) []service.Request {
+	kernels := workloads.Kernels()
+	reqs := make([]service.Request, n)
+	for i := range reqs {
+		k := kernels[i%len(kernels)]
+		missNames++
+		req := lane
+		req.IR = "func m" + strconv.Itoa(missNames) + k.F.String()[len("func "+k.F.Name):]
+		reqs[i] = req
+	}
+	return reqs
+}
+
+// BenchmarkServeMiss measures what a cache miss costs inside the
+// server: one op serves the ten §8 kernels under each of perfbench's
+// four miss-spill lanes through Server.Compile, capture on, each under
+// a fresh function name. The requests are built before the timer
+// starts.
+func BenchmarkServeMiss(b *testing.B) {
+	b.Run("spill", func(b *testing.B) {
+		srv, err := service.New(service.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		var reqs []service.Request
+		for _, lane := range spillLanes {
+			reqs = append(reqs, missRequests(lane, 10*(b.N+1))...)
+		}
+		// Lane by lane, op by op: op i serves requests 10i..10i+9 of
+		// each lane.
+		serve := func(op int) error {
+			for l := range spillLanes {
+				for _, req := range reqs[(l*(b.N+1)+op)*10:][:10] {
+					resp := srv.Compile(ctx, req)
+					if resp.Error != "" {
+						return errors.New(resp.Error)
+					}
+					if resp.Cached {
+						return errors.New("service: a fresh name hit the cache")
+					}
+				}
+			}
+			return nil
+		}
+		if err := serve(b.N); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := serve(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // kernelBodies returns the /compile bodies of the ten §8 kernels in
 // the select/irc/RegN-12 lane, encoded as perfbench encodes them.
 func kernelBodies(tb testing.TB) [][]byte {

@@ -130,12 +130,13 @@ type Options struct {
 	// telemetry.MetricsSink folds the trees into the caller's registry.
 	// Nil costs nothing.
 	Telemetry *telemetry.Tracer
-	// Scratch, when non-nil, supplies the arena the compile's hot
-	// phases (IRC allocation, differential encoding) carve transient
-	// state from. The compile owns the arena for its duration and
-	// resets it between phases; results never alias it. One arena
-	// serves one compile at a time on one goroutine — the service gives
-	// each worker its own. Never affects results or cache keys.
+	// Scratch, when non-nil, supplies the arena every compile phase
+	// carves transient state from: each backend's allocation (liveness
+	// included), refinement, verification and differential encoding.
+	// The compile owns the arena for its duration and resets it between
+	// phases; results never alias it. One arena serves one compile at a
+	// time on one goroutine — the service gives each worker its own.
+	// Never affects results or cache keys.
 	Scratch *scratch.Arena
 }
 
@@ -307,11 +308,14 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 	}
 	root := opts.Telemetry.Start("compile")
 	defer root.End()
-	root.SetAttr("func", f.Name)
-	root.SetAttr("scheme", string(opts.Scheme))
-	root.SetAttr("regn", opts.RegN)
-	root.SetAttr("diffn", opts.DiffN)
-	root.SetAttr("alloc_backend", string(backend))
+	if root != nil {
+		// Boxed only when a tree keeps them.
+		root.SetAttr("func", f.Name)
+		root.SetAttr("scheme", string(opts.Scheme))
+		root.SetAttr("regn", opts.RegN)
+		root.SetAttr("diffn", opts.DiffN)
+		root.SetAttr("alloc_backend", string(backend))
+	}
 
 	var (
 		out *ir.Func
@@ -321,7 +325,9 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 	// The backend owns the core allocation; the scheme's post-passes
 	// (remapping, refinement) and encoding mode are unchanged by it.
 	alloc := root.Child("allocate")
-	alloc.SetAttr("backend", string(backend))
+	if alloc != nil {
+		alloc.SetAttr("backend", string(backend))
+	}
 	differential := opts.Scheme == Remapping || opts.Scheme == Select || opts.Scheme == Coalesce
 	switch backend {
 	case AllocSSA:
@@ -340,9 +346,9 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 		}
 	case AllocOSpill:
 		if opts.Scheme == Coalesce {
-			out, asn, _, err = diffcoal.Allocate(f, diffcoal.Options{RegN: opts.RegN, DiffN: opts.DiffN, SpillWorkers: opts.SpillWorkers, Trace: alloc, Cancel: cancelled})
+			out, asn, _, err = diffcoal.Allocate(f, diffcoal.Options{RegN: opts.RegN, DiffN: opts.DiffN, SpillWorkers: opts.SpillWorkers, Trace: alloc, Cancel: cancelled, Scratch: opts.Scratch})
 		} else {
-			out, asn, _, err = ospill.Allocate(f, ospill.Options{K: opts.RegN, Workers: opts.SpillWorkers, Trace: alloc, Cancel: cancelled})
+			out, asn, _, err = ospill.Allocate(f, ospill.Options{K: opts.RegN, Workers: opts.SpillWorkers, Trace: alloc, Cancel: cancelled, Scratch: opts.Scratch})
 		}
 	default: // AllocIRC
 		io := irc.Options{K: opts.RegN, Trace: alloc, Scratch: opts.Scratch}
@@ -380,7 +386,11 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 	}
 	phase = "verify"
 	verify := root.Child("verify")
-	err = regalloc.Verify(out, asn)
+	// Each phase after allocation starts from a rewound arena: nothing
+	// arena-backed outlives a phase (the rewritten function, the
+	// assignment and the result are all heap).
+	opts.Scratch.Reset()
+	err = regalloc.VerifyScratch(out, asn, opts.Scratch)
 	verify.End()
 	if err != nil {
 		root.SetAttr("error", err.Error())
@@ -398,12 +408,7 @@ func CompileFuncContext(ctx context.Context, f *ir.Func, opts Options) (*Result,
 		cfg := diffenc.Config{RegN: opts.RegN, DiffN: opts.DiffN}
 		regOf := func(r ir.Reg) int { return asn.Color[r] }
 		encSpan := root.Child("encode")
-		// The allocate phase is over: nothing arena-backed is live (the
-		// rewritten function, the assignment, and the result are all
-		// heap), so the encoder starts from a rewound arena.
-		if opts.Scratch != nil {
-			opts.Scratch.Reset()
-		}
+		opts.Scratch.Reset()
 		enc, err := diffenc.EncodeScratch(out, regOf, cfg, opts.Scratch)
 		if enc != nil {
 			encSpan.Add("sets", int64(enc.Cost()))
@@ -488,7 +493,8 @@ func applyRemap(out *ir.Func, asn *regalloc.Assignment, opts Options, parent *te
 func refineTraced(out *ir.Func, asn *regalloc.Assignment, opts Options, parent *telemetry.Span, cancel func() bool) {
 	span := parent.Child("refine")
 	defer span.End()
-	changed := diffsel.Refine(out, asn, diffsel.Params{RegN: opts.RegN, DiffN: opts.DiffN, Cancel: cancel})
+	opts.Scratch.Reset()
+	changed := diffsel.Refine(out, asn, diffsel.Params{RegN: opts.RegN, DiffN: opts.DiffN, Cancel: cancel, Scratch: opts.Scratch})
 	span.Add("recolored", int64(changed))
 }
 

@@ -23,6 +23,7 @@ import (
 	"diffra/internal/liveness"
 	"diffra/internal/ospill"
 	"diffra/internal/regalloc"
+	"diffra/internal/scratch"
 	"diffra/internal/telemetry"
 )
 
@@ -44,6 +45,11 @@ type Options struct {
 	// coalescing probes; returning true aborts Allocate with
 	// ErrCancelled.
 	Cancel func() bool
+	// Scratch, when non-nil, supplies the arena the spill decision and
+	// every round's liveness are carved from; Allocate resets it at the
+	// start of every round. Never changes the result. Nil: private
+	// arenas.
+	Scratch *scratch.Arena
 }
 
 // ErrCancelled is returned by Allocate when Options.Cancel aborted the
@@ -82,7 +88,7 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	work := f.Clone()
 	spills, _, spillStats := ospill.Decide(work, ospill.Options{
 		K: opts.RegN, Workers: opts.SpillWorkers, DisableLoopSpills: true,
-		Trace: opts.Trace, Cancel: opts.Cancel,
+		Trace: opts.Trace, Cancel: opts.Cancel, Scratch: opts.Scratch,
 	})
 	if spillStats.Cancelled {
 		return nil, nil, nil, ErrCancelled
@@ -106,6 +112,9 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		if round >= temps {
 			return nil, nil, nil, fmt.Errorf("diffcoal: no colorable graph after %d fallback rounds", round)
 		}
+		// Nothing carved from the arena outlives a round: the round's
+		// graphs are heap.
+		opts.Scratch.Reset()
 		cs = newCoalesceState(work, opts, freq, temps)
 		cs.cur.build(cs.ig, cs.alias)
 		stuck := cs.simplify(cs.cur)
@@ -127,8 +136,10 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 	coalSpan.Add("attempts", int64(st.Attempts))
 	coalSpan.Add("committed", int64(st.Coalesced))
 	coalSpan.Add("rejected", int64(st.Attempts-st.Coalesced))
-	coalSpan.SetAttr("initial_cost", st.InitialCost)
-	coalSpan.SetAttr("final_cost", st.FinalCost)
+	if coalSpan != nil {
+		coalSpan.SetAttr("initial_cost", st.InitialCost)
+		coalSpan.SetAttr("final_cost", st.FinalCost)
+	}
 	coalSpan.End()
 	opts.Trace.Add("fallback_spills", int64(st.FallbackSpills))
 	// run leaves cs.cur holding the merged graph of the final aliases.
@@ -178,7 +189,7 @@ func newCoalesceState(f *ir.Func, opts Options, freq []float64, temps int) *coal
 	n := f.NumRegs()
 	cs := &coalesceState{
 		opts:      opts,
-		ig:        regalloc.Build(f, liveness.Compute(f)),
+		ig:        regalloc.Build(f, liveness.ComputeScratch(f, nil, opts.Scratch)),
 		adj:       adjacency.BuildVReg(f),
 		cost:      liveness.SpillCostsWeighted(f, freq, nil),
 		temps:     temps,

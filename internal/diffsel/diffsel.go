@@ -14,6 +14,7 @@ import (
 	"diffra/internal/adjacency"
 	"diffra/internal/ir"
 	"diffra/internal/irc"
+	"diffra/internal/scratch"
 	"diffra/internal/telemetry"
 )
 
@@ -29,6 +30,10 @@ type Params struct {
 	// refinement with the moves made so far, each of them legal. Nil
 	// never cancels.
 	Cancel func() bool
+	// Scratch, when non-nil, supplies the arena RefineProfile carves
+	// its liveness from, without resetting it; nothing carved outlives
+	// the call. Nil: a private arena.
+	Scratch *scratch.Arena
 }
 
 // NewFactory returns an irc.PickerFactory implementing differential

@@ -32,7 +32,7 @@ const refineCancelStride = 256
 // coloring.
 func RefineProfile(f *ir.Func, asn *regalloc.Assignment, p Params, freq []float64) int {
 	g := adjacency.BuildVRegProfile(f, freq)
-	ig := regalloc.Build(f, liveness.Compute(f))
+	ig := regalloc.Build(f, liveness.ComputeScratch(f, nil, p.Scratch))
 
 	colorOf := func(v int) int {
 		if v < len(asn.Color) {

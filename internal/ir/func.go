@@ -32,11 +32,21 @@ func (b *Block) InsertBefore(i int, in *Instr) {
 // Func is a single function: an entry block (Blocks[0]), the remaining
 // blocks in layout order, and a virtual register counter. Params are
 // the registers holding incoming arguments, live on entry.
+//
+// A function allocates its blocks and edge lists per function, not per
+// block: NewBlock carves blocks from one slab, and AddEdge carves
+// successor and predecessor lists from a second. Each carve is clipped
+// to its own capacity, so an append past it copies out instead of
+// writing a neighbour's storage. A full slab is replaced by a fresh,
+// larger one; carves already handed out stay where they are.
 type Func struct {
 	Name    string
 	Blocks  []*Block
 	Params  []Reg
 	numRegs int
+
+	blockSlab []Block  // NewBlock's open chunk
+	edgeSlab  []*Block // the edge lists' open chunk
 }
 
 // NewFunc creates an empty function.
@@ -65,9 +75,49 @@ func (f *Func) EnsureRegs(n int) {
 
 // NewBlock appends a new empty block.
 func (f *Func) NewBlock(name string) *Block {
-	b := &Block{Name: name, Index: len(f.Blocks)}
+	if len(f.blockSlab) == cap(f.blockSlab) {
+		f.blockSlab = make([]Block, 0, max(4, 2*cap(f.blockSlab)))
+	}
+	f.blockSlab = append(f.blockSlab, Block{Name: name, Index: len(f.Blocks)})
+	b := &f.blockSlab[len(f.blockSlab)-1]
 	f.Blocks = append(f.Blocks, b)
 	return b
+}
+
+// reserve sizes the open block and edge slabs and the Blocks list for
+// blocks more blocks and edges more edge-list slots, so a builder that
+// knows its sizes allocates each once.
+func (f *Func) reserve(blocks, edges int) {
+	if cap(f.blockSlab)-len(f.blockSlab) < blocks {
+		f.blockSlab = make([]Block, 0, blocks)
+	}
+	if cap(f.edgeSlab)-len(f.edgeSlab) < edges {
+		f.edgeSlab = make([]*Block, 0, edges)
+	}
+	if cap(f.Blocks)-len(f.Blocks) < blocks {
+		f.Blocks = append(make([]*Block, 0, len(f.Blocks)+blocks), f.Blocks...)
+	}
+}
+
+// carveEdges returns an empty edge list with room for n blocks, carved
+// from the edge slab.
+func (f *Func) carveEdges(n int) []*Block {
+	if cap(f.edgeSlab)-len(f.edgeSlab) < n {
+		f.edgeSlab = make([]*Block, 0, max(n, 8, 2*cap(f.edgeSlab)))
+	}
+	o := len(f.edgeSlab)
+	f.edgeSlab = f.edgeSlab[:o+n]
+	return f.edgeSlab[o : o : o+n]
+}
+
+// appendEdge appends b to the edge list l. A list with room grows in
+// place, inside its own carve; a full one moves to a fresh carve of
+// twice its length (two at least, the successor count of a branch).
+func (f *Func) appendEdge(l []*Block, b *Block) []*Block {
+	if len(l) == cap(l) {
+		l = append(f.carveEdges(max(2, 2*len(l))), l...)
+	}
+	return append(l, b)
 }
 
 // Entry returns the function entry block.
@@ -89,20 +139,23 @@ func (f *Func) BlockByName(name string) *Block {
 }
 
 // AddEdge records a CFG edge from b to succ, updating both endpoints.
+// Both lists grow in f's edge slab.
 func (f *Func) AddEdge(b, succ *Block) {
-	b.Succs = append(b.Succs, succ)
-	succ.Preds = append(succ.Preds, b)
+	b.Succs = f.appendEdge(b.Succs, succ)
+	succ.Preds = f.appendEdge(succ.Preds, b)
 }
 
 // RecomputePreds rebuilds all predecessor lists from successor lists.
 // Passes that restructure the CFG call this before running analyses.
+// Each list refills its own storage and moves to the edge slab only
+// once it outgrows it.
 func (f *Func) RecomputePreds() {
 	for _, b := range f.Blocks {
 		b.Preds = b.Preds[:0]
 	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs {
-			s.Preds = append(s.Preds, b)
+			s.Preds = f.appendEdge(s.Preds, b)
 		}
 	}
 }
@@ -125,56 +178,86 @@ func (f *Func) NumInstrs() int {
 
 // Clone returns a deep copy of the function (blocks, instructions,
 // edges). Allocators that rewrite code clone first so callers keep the
-// original. The copied instructions and their operand slices live in
-// two slabs — one allocation each instead of three per instruction.
-// Operand slices are carved at exact capacity, so a hypothetical
-// append to one would copy out rather than clobber its neighbor; the
-// instruction slab is sized up front and never reallocates, keeping
-// the *Instr pointers stable.
+// original. The copy allocates per function, not per block or
+// instruction: its blocks, its edge lists, its instructions, their
+// operand lists (and the parameters) and the blocks' instruction lists
+// each live in one slab. Every list is carved at exact capacity, so an
+// append to one copies out rather than clobbering its neighbour; the
+// instruction and block slabs are sized up front and never reallocate,
+// keeping the *Instr and *Block pointers stable.
 func (f *Func) Clone() *Func {
 	nf := &Func{Name: f.Name, numRegs: f.numRegs}
-	nf.Params = append([]Reg(nil), f.Params...)
-	nops := 0
+	nops, nedges := len(f.Params), 0
 	for _, b := range f.Blocks {
+		nedges += len(b.Succs) + len(b.Preds)
 		for _, in := range b.Instrs {
 			nops += len(in.Uses) + len(in.Defs)
 		}
 	}
-	slab := make([]Instr, 0, f.NumInstrs())
+	nins := f.NumInstrs()
+	slab := make([]Instr, 0, nins)
+	ptrs := make([]*Instr, 0, nins)
 	ops := make([]Reg, 0, nops)
-	idx := make(map[*Block]*Block, len(f.Blocks))
+	// carve copies regs into ops at exact capacity; an empty list keeps
+	// its original (possibly nil) header so a clone is indistinguishable
+	// from a copy.
+	carve := func(regs []Reg) []Reg {
+		if len(regs) == 0 {
+			return regs
+		}
+		o := len(ops)
+		ops = append(ops, regs...)
+		return ops[o:len(ops):len(ops)]
+	}
+	if len(f.Params) > 0 {
+		nf.Params = carve(f.Params)
+	}
+	nf.reserve(len(f.Blocks), nedges)
 	for _, b := range f.Blocks {
 		nb := nf.NewBlock(b.Name)
-		nb.Instrs = make([]*Instr, len(b.Instrs))
-		for i, in := range b.Instrs {
+		o := len(ptrs)
+		for _, in := range b.Instrs {
 			slab = append(slab, *in)
 			c := &slab[len(slab)-1]
-			// Empty operand lists keep their original (possibly nil)
-			// header so a clone is indistinguishable from a copy.
-			if len(in.Defs) > 0 {
-				o := len(ops)
-				ops = append(ops, in.Defs...)
-				c.Defs = ops[o:len(ops):len(ops)]
-			}
-			if len(in.Uses) > 0 {
-				o := len(ops)
-				ops = append(ops, in.Uses...)
-				c.Uses = ops[o:len(ops):len(ops)]
-			}
-			nb.Instrs[i] = c
+			c.Defs = carve(in.Defs)
+			c.Uses = carve(in.Uses)
+			ptrs = append(ptrs, c)
 		}
-		idx[b] = nb
+		nb.Instrs = ptrs[o:len(ptrs):len(ptrs)]
 	}
-	for _, b := range f.Blocks {
-		nb := idx[b]
-		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, idx[s])
+	// Edges resolve by Block.Index; a stale index falls back to a
+	// search, and an edge to a block outside f.Blocks copies as nil.
+	clone := func(l []*Block) []*Block {
+		c := nf.carveEdges(len(l))
+		for _, b := range l {
+			c = append(c, counterpart(f, nf, b))
 		}
-		for _, p := range b.Preds {
-			nb.Preds = append(nb.Preds, idx[p])
+		return c
+	}
+	for i, b := range f.Blocks {
+		nb := nf.Blocks[i]
+		if len(b.Succs) > 0 {
+			nb.Succs = clone(b.Succs)
+		}
+		if len(b.Preds) > 0 {
+			nb.Preds = clone(b.Preds)
 		}
 	}
 	return nf
+}
+
+// counterpart returns the block of nf, a clone of f, that stands for
+// f's block b, or nil when b is not one of f's blocks.
+func counterpart(f, nf *Func, b *Block) *Block {
+	if i := b.Index; i >= 0 && i < len(f.Blocks) && f.Blocks[i] == b {
+		return nf.Blocks[i]
+	}
+	for i, x := range f.Blocks {
+		if x == b {
+			return nf.Blocks[i]
+		}
+	}
+	return nil
 }
 
 // Verify checks structural invariants: every block non-empty and

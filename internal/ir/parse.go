@@ -40,11 +40,18 @@ func Parse(src string) (*Func, error) {
 	// instruction count; the slabChunk cap bounds what a body of blank
 	// lines or labels allocates for instructions it does not have.
 	n := min(strings.Count(src, "\n")+1, slabChunk)
+	// Printed labels end their line, so this counts the blocks of a
+	// printed function; the cap bounds what a body of label-like
+	// comments reserves. A block branches to at most two labels.
+	nb := max(1, min(strings.Count(src, ":\n"), slabChunk))
 	p := &parser{
-		src:    src,
-		instrs: make([]Instr, 0, n),
-		ops:    make([]Reg, 0, 2*n),
-		ptrs:   make([]*Instr, 0, n),
+		src:     src,
+		instrs:  make([]Instr, 0, n),
+		ops:     make([]Reg, 0, 2*n),
+		ptrs:    make([]*Instr, 0, n),
+		labels:  make([]string, 0, 2*nb),
+		edges:   make([]pendingEdge, 0, nb),
+		nblocks: nb,
 	}
 	p.blocks.seed = maphash.MakeSeed()
 	return p.parse()
@@ -75,6 +82,9 @@ type parser struct {
 	labels []string // every pending edge's labels, back to back
 	edges  []pendingEdge
 	blocks blockIndex
+	// nblocks is the expected block count, which sizes the function's
+	// block slab.
+	nblocks int
 }
 
 // blockIndex finds a block by name in O(1): an open-addressing table
@@ -168,11 +178,17 @@ func (p *parser) parse() (*Func, error) {
 			if f, err = p.parseHeader(line); err != nil {
 				return nil, err
 			}
+			f.reserve(p.nblocks, 0)
 		case line == "}":
 			if f == nil {
 				return nil, p.errf("} without func")
 			}
 			p.closeBlock(cur)
+			// An edge list first reserves two entries, so two slots
+			// per label and two per block hold every list of a
+			// function whose blocks have at most two predecessors; a
+			// list that grows past its carve may take a new chunk.
+			f.reserve(0, 2*len(p.labels)+2*len(f.Blocks))
 			for _, e := range p.edges {
 				for _, lbl := range p.labels[e.lo:e.hi] {
 					t := p.blocks.find(f, lbl)

@@ -21,8 +21,8 @@ func (f *Func) SplitEdge(from, to *Block) *Block {
 	if !rewired {
 		panic(fmt.Sprintf("ir: SplitEdge: no edge %s -> %s", from.Name, to.Name))
 	}
-	nb.Preds = []*Block{from}
-	nb.Succs = []*Block{to}
+	nb.Preds = append(f.carveEdges(1), from)
+	nb.Succs = append(f.carveEdges(1), to)
 	replaced := false
 	for i, p := range to.Preds {
 		if p == from && !replaced {

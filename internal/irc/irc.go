@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"diffra/internal/ir"
 	"diffra/internal/liveness"
@@ -104,10 +105,7 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 		if round >= maxRounds {
 			return nil, nil, fmt.Errorf("irc: no convergence after %d spill rounds (K=%d)", maxRounds, opts.K)
 		}
-		var rs *telemetry.Span
-		if opts.Trace != nil {
-			rs = opts.Trace.Child(fmt.Sprintf("round-%d", round))
-		}
+		rs := opts.Trace.Child(roundNames[round])
 		opts.Trace.Add("rounds", 1)
 		// The arena rewinds here: everything the previous round carved
 		// (including its liveness Info and spill costs) is dead by now —
@@ -143,6 +141,15 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, error) 
 		asn.Spill(work, spilled, slots)
 	}
 }
+
+// roundNames are the round spans' names, so a traced round formats
+// nothing.
+var roundNames = func() (names [maxRounds]string) {
+	for i := range names {
+		names[i] = "round-" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // Node/move worklist states. nodeState is a byte alias so state
 // vectors carve straight from the arena; the two removed states

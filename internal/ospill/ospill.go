@@ -21,6 +21,7 @@ import (
 	"diffra/internal/ir"
 	"diffra/internal/irc"
 	"diffra/internal/regalloc"
+	"diffra/internal/scratch"
 	"diffra/internal/telemetry"
 )
 
@@ -47,6 +48,12 @@ type Options struct {
 	// Cancel, when non-nil, is polled by the ILP solver and between
 	// phases; returning true aborts Allocate with ErrCancelled.
 	Cancel func() bool
+	// Scratch, when non-nil, supplies the arena the spill decision
+	// carves its liveness from, without resetting it; nothing carved
+	// outlives Decide. Allocate then hands it to the coloring phase,
+	// which resets it every round. Never changes the result. Nil:
+	// private arenas.
+	Scratch *scratch.Arena
 }
 
 // ErrCancelled is returned by Allocate when Options.Cancel aborted the
@@ -128,7 +135,7 @@ func Decide(f *ir.Func, opts Options) ([]int, []LoopSpillCandidate, Stats) {
 // it falls back to the whole-range model (always feasible) and keeps
 // the abandoned solve's scheduler effort in Stats.Steal.
 func decide(f *ir.Func, opts Options, loops bool) ([]int, []LoopSpillCandidate, Stats) {
-	prob, cands := buildProblem(f, opts.K, loops)
+	prob, cands := buildProblem(f, opts.K, loops, opts.Scratch)
 	st := Stats{Constraints: len(prob.Constraints)}
 	if len(prob.Constraints) == 0 {
 		st.ILPOptimal = true
@@ -188,11 +195,14 @@ func Allocate(f *ir.Func, opts Options) (*ir.Func, *regalloc.Assignment, *Stats,
 		return nil, nil, nil, err
 	}
 
+	// The decision's views of the arena are dead by now, so the
+	// coloring may reset it.
 	colorSpan := opts.Trace.Child("color")
 	out, asn, err := irc.Allocate(work, irc.Options{
-		K:     opts.K,
-		Slots: slots,
-		Trace: colorSpan,
+		K:       opts.K,
+		Slots:   slots,
+		Trace:   colorSpan,
+		Scratch: opts.Scratch,
 	})
 	colorSpan.End()
 	if err != nil {

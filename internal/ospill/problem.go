@@ -8,6 +8,7 @@ import (
 	"diffra/internal/ilp"
 	"diffra/internal/ir"
 	"diffra/internal/liveness"
+	"diffra/internal/scratch"
 )
 
 // SpillProblem builds the covering instance for f with K registers:
@@ -15,7 +16,7 @@ import (
 // that at least pressure-K of the ranges live there be spilled.
 // Duplicate points collapse into one constraint.
 func SpillProblem(f *ir.Func, k int) ilp.Problem {
-	p, _ := buildProblem(f, k, false)
+	p, _ := buildProblem(f, k, false, nil)
 	return p
 }
 
@@ -26,7 +27,7 @@ func SpillProblem(f *ir.Func, k int) ilp.Problem {
 // loop, so paying for both must never count twice toward a pressure
 // constraint.
 func ExtendedSpillProblem(f *ir.Func, k int) (ilp.Problem, []LoopSpillCandidate) {
-	return buildProblem(f, k, true)
+	return buildProblem(f, k, true, nil)
 }
 
 // buildProblem is the one builder behind both models: one liveness
@@ -41,9 +42,11 @@ func ExtendedSpillProblem(f *ir.Func, k int) (ilp.Problem, []LoopSpillCandidate)
 // Constraints are kept in first-seen order, and a point whose (need,
 // vars) repeats an earlier constraint adds nothing: points are hashed
 // into an open-addressing table and compared exactly on a hash match.
-// All constraint variables live in one flat slice.
-func buildProblem(f *ir.Func, k int, withLoops bool) (ilp.Problem, []LoopSpillCandidate) {
-	info := liveness.Compute(f)
+// All constraint variables live in one flat slice. The liveness is
+// carved from ar (nil: a private arena) and dead once the problem is
+// built: the problem and the candidates are heap.
+func buildProblem(f *ir.Func, k int, withLoops bool, ar *scratch.Arena) (ilp.Problem, []LoopSpillCandidate) {
+	info := liveness.ComputeScratch(f, nil, ar)
 	n := f.NumRegs()
 	freq := f.BlockFreqs()
 	var cands []LoopSpillCandidate

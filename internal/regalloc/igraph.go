@@ -10,6 +10,7 @@ import (
 	"diffra/internal/bitset"
 	"diffra/internal/ir"
 	"diffra/internal/liveness"
+	"diffra/internal/scratch"
 )
 
 // Graph is an interference graph over the virtual registers of one
@@ -166,10 +167,20 @@ func SpillStats(f *ir.Func) (spills, total int) {
 // colors. It recomputes liveness to be independent of allocator
 // bookkeeping.
 func Verify(f *ir.Func, asn *Assignment) error {
+	return VerifyScratch(f, asn, nil)
+}
+
+// VerifyScratch is Verify with its working sets and liveness carved
+// from ar, without resetting it; nothing carved outlives the call.
+// Nil: a private arena.
+func VerifyScratch(f *ir.Func, asn *Assignment, ar *scratch.Arena) error {
 	if len(asn.Color) < f.NumRegs() {
 		return fmt.Errorf("regalloc: assignment covers %d of %d vregs", len(asn.Color), f.NumRegs())
 	}
-	used := bitset.New(f.NumRegs())
+	if ar == nil {
+		ar = new(scratch.Arena)
+	}
+	used := ar.Bitset(f.NumRegs())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, r := range in.Uses {
@@ -200,7 +211,7 @@ func Verify(f *ir.Func, asn *Assignment) error {
 	// materializing a Graph: the walk is O(instrs x live) and stores
 	// nothing, while Build walks twice and keeps every reported pair.
 	var err2 error
-	Interferences(f, liveness.Compute(f), nil, func(u, v int) {
+	Interferences(f, liveness.ComputeScratch(f, nil, ar), nil, func(u, v int) {
 		if err2 == nil && u != v && asn.Color[u] == asn.Color[v] {
 			err2 = fmt.Errorf("regalloc: interfering v%d and v%d share R%d", u, v, asn.Color[u])
 		}

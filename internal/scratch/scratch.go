@@ -65,8 +65,12 @@ type Arena struct {
 }
 
 // Reset rewinds every region to empty, keeping the backing arrays for
-// reuse. See the package comment for what Reset invalidates.
+// reuse. See the package comment for what Reset invalidates. A nil
+// Arena, which callers pass for "no arena", has nothing to reset.
 func (a *Arena) Reset() {
+	if a == nil {
+		return
+	}
 	a.ints.off = 0
 	a.u64.off = 0
 	a.f64.off = 0

@@ -96,21 +96,46 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := s.Compile(r.Context(), req)
-	if s.cfg.NodeID != "" {
-		w.Header().Set("X-Diffra-Node", s.cfg.NodeID)
+	// The common headers take shared prebuilt values, which net/http
+	// copies when the header is written, instead of a fresh []string
+	// per header per request.
+	h := w.Header()
+	if s.nodeHeader != nil {
+		h["X-Diffra-Node"] = s.nodeHeader
 	}
 	if resp.AllocBackend != "" {
 		// The resolved allocation backend, so "auto" clients can see
 		// which allocator answered without parsing the body.
-		w.Header().Set("X-Diffra-Alloc", resp.AllocBackend)
+		h["X-Diffra-Alloc"] = allocHeader(resp.AllocBackend)
 	}
 	if resp.Shed {
 		secs := (resp.RetryAfterMs + 999) / 1000
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		h.Set("Retry-After", strconv.Itoa(secs))
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	w.WriteHeader(statusOf(resp))
 	json.NewEncoder(w).Encode(resp)
+}
+
+// jsonContentType and allocHeaders are shared header values; each has
+// capacity 1, so an Add to a response's copy appends to fresh storage.
+var (
+	jsonContentType = []string{"application/json"}
+	allocHeaders    = func() map[string][]string {
+		m := make(map[string][]string, len(backends))
+		for _, b := range backends {
+			m[string(b)] = []string{string(b)}
+		}
+		return m
+	}()
+)
+
+// allocHeader returns the X-Diffra-Alloc value for backend b.
+func allocHeader(b string) []string {
+	if v, ok := allocHeaders[b]; ok {
+		return v
+	}
+	return []string{b}
 }
 
 // handleBatch streams: requests are decoded one NDJSON value at a

@@ -224,15 +224,21 @@ type Server struct {
 
 	started  time.Time
 	draining atomic.Bool
-	traces   *traceBuffer // nil: capture disabled
-	bridge   *telemetry.MetricsSink
+	// nodeHeader is the shared X-Diffra-Node value (nil: no NodeID).
+	nodeHeader []string
+	traces     *traceBuffer // nil: capture disabled
+	bridge     *telemetry.MetricsSink
 
-	// arenas is a free list of per-worker scratch arenas, sized to the
+	// workers is a free list of per-worker compile state, sized to the
 	// pool: a compile checks one out for its duration (so at most
 	// Workers() are ever live at once) and returns it reset. Steady
-	// state, every compile runs on warmed memory and the allocator/
+	// state, every compile runs on a warmed arena and the allocator/
 	// encoder hot loops allocate nothing.
-	arenas chan *scratch.Arena
+	workers chan *worker
+	// allocBackend keeps each backend's service_alloc_backend_total
+	// counter from its first compile on, so a compile builds no
+	// labeled name.
+	allocBackend [len(backends)]atomic.Pointer[telemetry.Counter]
 
 	accessMu    sync.Mutex
 	accessBuf   *bufio.Writer
@@ -260,7 +266,7 @@ func New(cfg Config) (*Server, error) {
 		reg:     cfg.Registry,
 		started: time.Now(),
 	}
-	s.arenas = make(chan *scratch.Arena, s.pool.Workers())
+	s.workers = make(chan *worker, s.pool.Workers())
 	if cfg.TraceBuffer > 0 {
 		s.traces = newTraceBuffer(cfg.TraceBuffer, traceSlowKeep, traceErrKeep)
 		s.bridge = &telemetry.MetricsSink{Reg: s.reg}
@@ -272,6 +278,7 @@ func New(cfg Config) (*Server, error) {
 	s.reg.Gauge("service_start_time_unix").Set(s.started.Unix())
 	if cfg.NodeID != "" {
 		s.reg.GaugeL("service_node_info", "node", cfg.NodeID).Set(1)
+		s.nodeHeader = []string{cfg.NodeID}
 	}
 	return s, nil
 }
@@ -579,7 +586,7 @@ func (s *Server) cacheHit(resp Response) Response {
 }
 
 // compile runs the facade under ctx and renders the response. When
-// capture is on, the compile runs under a per-request tracer whose
+// capture is on, the compile runs under its worker's tracer, whose
 // finished tree both lands on the request's TraceRecord and folds into
 // the registry's per-stage metrics through the span→metrics bridge —
 // the same breakdown tracing would show, with tracing never configured.
@@ -589,27 +596,24 @@ func (s *Server) compile(ctx context.Context, f *ir.Func, opts diffra.Options, r
 	// proof pins this counter: N identical concurrent requests through
 	// the router must move it by exactly 1 fleet-wide.
 	s.reg.Counter("service_compiles_total").Inc()
-	if s.traces != nil {
-		capture := &telemetry.CollectSink{}
-		opts.Telemetry = telemetry.New(telemetry.MultiSink{capture, s.bridge})
-		defer func() { rec.root = capture.Last() }()
-	}
-	// Check a scratch arena out of the free list for the compile's
+	// Check a worker's state out of the free list for the compile's
 	// duration; first use on a cold slot mints one. The arena is reset
 	// before it goes back so a request never observes another request's
 	// data, and because compile() always holds a pool slot, at most
-	// Workers() arenas exist.
-	var ar *scratch.Arena
+	// Workers() exist.
+	var w *worker
 	select {
-	case ar = <-s.arenas:
+	case w = <-s.workers:
 	default:
-		ar = new(scratch.Arena)
+		w = s.newWorker()
 	}
-	opts.Scratch = ar
+	opts.Scratch = &w.arena
+	opts.Telemetry = w.tracer
 	defer func() {
-		ar.Reset()
+		rec.root, w.root = w.root, nil
+		w.arena.Reset()
 		select {
-		case s.arenas <- ar:
+		case s.workers <- w:
 		default:
 		}
 	}()
@@ -639,7 +643,7 @@ func (s *Server) compile(ctx context.Context, f *ir.Func, opts diffra.Options, r
 	// backend the policy actually picked — the live view of how often
 	// the deadline ladder steps down from a scheme's preferred
 	// allocator.
-	s.reg.CounterL("service_alloc_backend_total", "backend", resp.AllocBackend).Inc()
+	s.allocBackendCounter(res.AllocBackend).Inc()
 	if enc := res.Encoding; enc != nil {
 		resp.RangeSets = enc.RangeSets()
 		resp.JoinSets = enc.JoinSets
@@ -653,6 +657,53 @@ func (s *Server) compile(ctx context.Context, f *ir.Func, opts diffra.Options, r
 		}
 	}
 	return resp
+}
+
+// worker is the state one compile checks out: the scratch arena and,
+// while capture is on, a tracer whose sink, the worker, keeps the
+// finished tree for the request's TraceRecord and folds it into the
+// server's metrics. Both outlive the compile, so a compile makes
+// neither.
+type worker struct {
+	arena  scratch.Arena
+	tracer *telemetry.Tracer // nil: capture disabled
+	root   *telemetry.Span
+	bridge *telemetry.MetricsSink
+}
+
+func (s *Server) newWorker() *worker {
+	w := &worker{bridge: s.bridge}
+	if s.traces != nil {
+		w.tracer = telemetry.New(w)
+	}
+	return w
+}
+
+// Emit keeps the compile's tree and forwards it to the bridge.
+func (w *worker) Emit(root *telemetry.Span) {
+	w.root = root
+	w.bridge.Emit(root)
+}
+
+// backends are the allocation backends a compile resolves to.
+var backends = [...]diffra.Backend{diffra.AllocIRC, diffra.AllocSSA, diffra.AllocOSpill}
+
+// allocBackendCounter returns b's service_alloc_backend_total counter,
+// registering it at the backend's first compile.
+func (s *Server) allocBackendCounter(b diffra.Backend) *telemetry.Counter {
+	i := 0
+	for i < len(backends) && backends[i] != b {
+		i++
+	}
+	if i == len(backends) {
+		return s.reg.CounterL("service_alloc_backend_total", "backend", string(b))
+	}
+	if c := s.allocBackend[i].Load(); c != nil {
+		return c
+	}
+	c := s.reg.CounterL("service_alloc_backend_total", "backend", string(b))
+	s.allocBackend[i].Store(c)
+	return c
 }
 
 // selfCheck shadow-oracles a sampled fraction of successful compiles:

@@ -11,10 +11,13 @@
 //     single pointer comparison, no allocation, no formatting.
 //   - Telemetry on must be cheap. Spans buffer in memory and are
 //     rendered only when the root span ends; counters are flat slices
-//     searched linearly (span counter sets are small).
+//     searched linearly (span counter sets are small). A tree
+//     allocates per tree, not per span: its spans, child lists,
+//     counters and attributes are carved from storage its root owns
+//     (see spanStore).
 //
 // Spans are single-goroutine by design (a compilation is sequential);
-// the metrics Registry is safe for concurrent use.
+// a Tracer and the metrics Registry are safe for concurrent use.
 package telemetry
 
 import "time"
@@ -45,14 +48,16 @@ type Span struct {
 	Counters []CounterValue
 	Children []*Span
 
-	tracer *Tracer
 	parent *Span
+	store  *spanStore // the tree's storage, owned by its root
 	ended  bool
 }
 
 // Tracer creates root spans and owns the sink the finished trees are
 // emitted to. The zero Tracer is unusable; construct with New. A nil
-// *Tracer is the disabled tracer: Start returns nil.
+// *Tracer is the disabled tracer: Start returns nil. Several
+// goroutines may root trees on one Tracer at once: each tree's storage
+// belongs to its root, not to the Tracer.
 type Tracer struct {
 	sink Sink
 	now  func() time.Time
@@ -77,13 +82,22 @@ func NewWithClock(sink Sink, now func() time.Time) *Tracer {
 	return t
 }
 
+// rootSpan is a root span and its tree's storage, allocated together.
+type rootSpan struct {
+	Span
+	storage spanStore
+}
+
 // Start begins a root span. On a nil tracer it returns nil, and the
 // entire span tree below it degenerates to no-ops.
 func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{Name: name, Start: t.now(), tracer: t}
+	r := &rootSpan{}
+	r.storage.init(t)
+	r.Span = Span{Name: name, Start: t.now(), store: &r.storage}
+	return &r.Span
 }
 
 // Child begins a sub-span of s. Returns nil when s is nil.
@@ -91,8 +105,10 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, Start: s.tracer.now(), tracer: s.tracer, parent: s}
-	s.Children = append(s.Children, c)
+	st := s.store
+	c := st.spans.one()
+	*c = Span{Name: name, Start: st.tracer.now(), parent: s, store: st}
+	s.Children = st.kids.append(s.Children, c)
 	return c
 }
 
@@ -104,9 +120,10 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.Dur = s.tracer.now().Sub(s.Start)
+	t := s.store.tracer
+	s.Dur = t.now().Sub(s.Start)
 	if s.parent == nil {
-		s.tracer.sink.Emit(s)
+		t.sink.Emit(s)
 	}
 }
 
@@ -121,7 +138,7 @@ func (s *Span) SetAttr(key string, value any) {
 			return
 		}
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
+	s.Attrs = s.store.attrs.append(s.Attrs, Attr{Key: key, Value: value})
 }
 
 // Add accumulates delta into the named counter.
@@ -140,7 +157,7 @@ func (s *Span) AddFloat(name string, delta float64) {
 			return
 		}
 	}
-	s.Counters = append(s.Counters, CounterValue{Name: name, Value: delta})
+	s.Counters = s.store.counters.append(s.Counters, CounterValue{Name: name, Value: delta})
 }
 
 // Counter returns the accumulated value of a counter (0 if absent).

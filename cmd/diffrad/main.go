@@ -1,6 +1,6 @@
 // Command diffrad is the diffra compile server: a daemon that accepts
-// IR functions over HTTP and compiles them concurrently through a
-// bounded worker pool with a content-addressed result cache.
+// IR functions over HTTP and compiles them concurrently on a fixed set
+// of worker slots with a content-addressed result cache.
 //
 //	diffrad -addr :8791
 //
@@ -30,9 +30,9 @@
 //
 // Per-request deadlines (timeout_ms, capped by -timeout as the
 // default) propagate into the compiler's long-running searches, so a
-// client that gives up stops burning a worker slot. -alloc sets the
-// server-wide allocation backend for requests that do not pick one
-// ("alloc" in the request body); "auto" makes the compiler step down
+// client that gives up stops burning a worker slot. A request picks
+// its allocation backend with "alloc" in its body, or leaves it empty
+// for the scheme's preferred one; "auto" makes the compiler step down
 // from each scheme's preferred allocator to the near-linear SSA scan
 // as a request's deadline nears, and the resolved choice comes back
 // in the alloc_backend field and the X-Diffra-Alloc header. SIGINT/SIGTERM
@@ -67,10 +67,9 @@ func main() {
 	nodeID := flag.String("node-id", "", "fleet identity echoed as the X-Diffra-Node response header")
 	maxBytes := flag.Int64("max-request-bytes", 1<<20, "request body / IR source size limit")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request compile deadline")
-	alloc := flag.String("alloc", "", "default allocation backend for requests that set none: auto|irc|ssa|ospill (empty = each scheme's preferred; the resolved choice is echoed as X-Diffra-Alloc)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown drain limit")
 	selfCheck := flag.Int("selfcheck", 0, "shadow-oracle every Nth successful compile against the reference interpreter (0 = off; see service_selfcheck_* metrics)")
-	remapWorkers := flag.Int("remap-workers", 0, "parallel remap-search workers per compile (0 = serial; the pool already compiles one request per core)")
+	remapWorkers := flag.Int("remap-workers", 0, "parallel remap-search workers per compile (0 = serial; the worker slots already compile one request per core)")
 	spillWorkers := flag.Int("spill-workers", 0, "parallel spill-ILP workers per compile (0 = serial; bit-identical result at any count)")
 	traceBuffer := flag.Int("trace-buffer", 0, "request traces retained for /debug/traces (0 = 256; negative disables capture)")
 	debugAddr := flag.String("debug-addr", "", "opt-in debug listener serving /debug/pprof/, /debug/traces and /metrics (empty = disabled)")
@@ -101,7 +100,6 @@ func main() {
 		NodeID:          *nodeID,
 		MaxRequestBytes: *maxBytes,
 		DefaultTimeout:  *timeout,
-		Alloc:           *alloc,
 		SelfCheck:       *selfCheck,
 		RemapWorkers:    *remapWorkers,
 		SpillWorkers:    *spillWorkers,
@@ -118,7 +116,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "diffrad:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "diffrad: listening on %s (%d workers)\n", l.Addr(), srv.Pool().Workers())
+	fmt.Fprintf(os.Stderr, "diffrad: listening on %s (%d workers)\n", l.Addr(), srv.Workers())
 
 	if *debugAddr != "" {
 		dl, err := net.Listen("tcp", *debugAddr)

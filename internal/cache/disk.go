@@ -227,8 +227,8 @@ func (d *Disk) evictLocked() {
 }
 
 // MarkCorrupt deletes an entry that failed validation after read —
-// either here (header/checksum) or in a caller's decoder (TwoLevel) —
-// and counts it. The next Get of the key is a plain miss.
+// either here (header/checksum) or in the caller's decoder — and
+// counts it. The next Get of the key is a plain miss.
 func (d *Disk) MarkCorrupt(key string) {
 	d.corrupt.Add(1)
 	d.dropEntry(key, true)

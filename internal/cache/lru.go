@@ -7,7 +7,7 @@ import (
 
 // LRU is a bounded, concurrency-safe least-recently-used map from
 // string keys to values. It is the in-memory tier of the service's
-// result cache (see TwoLevel); the zero capacity disables it, so a
+// result cache, above Disk; the zero capacity disables it, so a
 // disabled cache and a full cache share one code path. Unlike the
 // set-associative Cache model above — which simulates hardware for the
 // paper's pipeline — LRU is infrastructure: exact recency order, no

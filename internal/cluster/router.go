@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"diffra"
 	"diffra/internal/ir"
 	"diffra/internal/service"
 	"diffra/internal/telemetry"
@@ -157,24 +156,17 @@ func (rt *Router) Handler() http.Handler {
 
 // RouteKey derives the routing key for a raw /compile request body:
 // the same content-addressed service.CacheKey the backends cache
-// under, so a key always routes to the node that has it. The backend
-// resolves with the other options (empty: the scheme's preferred one,
-// which is what a backend run without a default -alloc caches under).
-// Bodies that fail to decode, parse, or resolve (an unknown backend
-// included) hash as raw bytes instead — the owner backend then reports
-// the error, and identical broken requests still dedupe.
+// under, over the options service.Resolve gives the backends too, so a
+// key always routes to the node that has it. Bodies that fail to
+// decode, parse, or resolve (an unknown backend included) hash as raw
+// bytes instead — the owner backend then reports the error, and
+// identical broken requests still dedupe.
 func RouteKey(body []byte) string {
 	req, err := service.DecodeRequest(body)
 	if err != nil {
 		return rawKey(body)
 	}
-	opts, err := diffra.Options{
-		Scheme:   diffra.Scheme(req.Scheme),
-		Alloc:    diffra.Backend(req.Alloc),
-		RegN:     req.RegN,
-		DiffN:    req.DiffN,
-		Restarts: req.Restarts,
-	}.Resolved()
+	opts, err := service.Resolve(req)
 	if err != nil {
 		return rawKey(body)
 	}
@@ -205,30 +197,44 @@ func (rt *Router) candidates(key string) []string {
 	return succ
 }
 
-// forward POSTs body to node+path under the upstream timeout and
-// returns the full payload. Transport and read failures return err;
-// any HTTP status (including 429/5xx) returns normally — status
-// policy belongs to the caller.
-func (rt *Router) forward(ctx context.Context, node, path string, body []byte) (payload []byte, status int, header http.Header, err error) {
+// reply is one upstream answer as the router hands it on: the node
+// that gave it, its status, headers and payload, or the error that
+// stopped every attempt. forward makes it; compileUpstream, the flight
+// group and the hedged batch path pass it on, and only handleCompile
+// turns it into response headers. Flight waiters share one reply, so
+// it is read-only.
+type reply struct {
+	node    string
+	status  int
+	header  http.Header
+	payload []byte
+	err     error
+}
+
+// forward POSTs body to node's /compile under the upstream timeout and
+// returns the full reply. Transport and read failures set its err; any
+// HTTP status (including 429/5xx) is a reply — status policy belongs
+// to the caller.
+func (rt *Router) forward(ctx context.Context, node string, body []byte) reply {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/compile", bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, nil, err
+		return reply{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	start := time.Now()
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return nil, 0, nil, err
+		return reply{err: err}
 	}
 	defer resp.Body.Close()
-	payload, err = io.ReadAll(resp.Body)
+	payload, err := io.ReadAll(resp.Body)
 	rt.reg.Histogram("router_upstream_us").Observe(time.Since(start).Microseconds())
 	if err != nil {
-		return nil, 0, nil, err
+		return reply{err: err}
 	}
-	return payload, resp.StatusCode, resp.Header, nil
+	return reply{node: node, status: resp.StatusCode, header: resp.Header, payload: payload}
 }
 
 // passthroughHeaders are the upstream response headers a proxied reply
@@ -238,40 +244,32 @@ var passthroughHeaders = []string{"Content-Type", "X-Diffra-Node", "Retry-After"
 // compileUpstream runs one routed compile attempt chain: the owner
 // first, then ring successors on transport failure. HTTP-level errors
 // (429 shed, 422 bad IR, ...) are authoritative answers from the
-// owner, not failover triggers. The chosen node lands in the
-// X-Diffra-Backend header.
-func (rt *Router) compileUpstream(ctx context.Context, key string, body []byte) ([]byte, int, map[string]string, error) {
+// owner, not failover triggers.
+func (rt *Router) compileUpstream(ctx context.Context, key string, body []byte) reply {
 	var lastErr error
 	for i, node := range rt.candidates(key) {
 		if i > 0 {
 			rt.reg.Counter("router_failovers_total").Inc()
 		}
-		payload, status, hdr, err := rt.forward(ctx, node, "/compile", body)
-		if err != nil {
-			lastErr = err
-			rt.reg.CounterL("router_upstream_errors_total", "node", node).Inc()
-			if ctx.Err() != nil {
-				return nil, 0, nil, ctx.Err()
-			}
-			continue
+		rep := rt.forward(ctx, node, body)
+		if rep.err == nil {
+			return rep
 		}
-		out := map[string]string{"X-Diffra-Backend": node}
-		for _, h := range passthroughHeaders {
-			if v := hdr.Get(h); v != "" {
-				out[h] = v
-			}
+		lastErr = rep.err
+		rt.reg.CounterL("router_upstream_errors_total", "node", node).Inc()
+		if ctx.Err() != nil {
+			return reply{err: ctx.Err()}
 		}
-		return payload, status, out, nil
 	}
-	return nil, 0, nil, fmt.Errorf("cluster: all %d backends failed for key %.12s…: %w",
-		len(rt.ring.Nodes()), key, lastErr)
+	return reply{err: fmt.Errorf("cluster: all %d backends failed for key %.12s…: %w",
+		len(rt.ring.Nodes()), key, lastErr)}
 }
 
 func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	rt.reg.Counter("router_requests_total").Inc()
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxRequestBytes))
 	if err != nil {
-		http.Error(w, "request too large or unreadable", http.StatusRequestEntityTooLarge)
+		service.WriteBodyError(w, err)
 		return
 	}
 	key := RouteKey(body)
@@ -280,26 +278,30 @@ func (rt *Router) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// differing only in non-semantic fields (TimeoutMs) share a cache
 	// entry but must not share a flight, or one caller's short deadline
 	// would answer another's long one.
-	payload, status, hdr, shared, err := rt.group.Do(r.Context(), rawKey(body),
-		func(ctx context.Context) ([]byte, int, map[string]string, error) {
-			return rt.compileUpstream(ctx, key, body)
-		})
-	if err != nil {
+	rep, shared := rt.group.Do(r.Context(), rawKey(body), func(ctx context.Context) reply {
+		return rt.compileUpstream(ctx, key, body)
+	})
+	if rep.err != nil {
 		if r.Context().Err() != nil {
 			// Client went away; nothing useful to write.
 			return
 		}
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		http.Error(w, rep.err.Error(), http.StatusBadGateway)
 		return
 	}
-	for k, v := range hdr {
-		w.Header().Set(k, v)
+	// The node that answered lands in X-Diffra-Backend.
+	h := w.Header()
+	h.Set("X-Diffra-Backend", rep.node)
+	for _, k := range passthroughHeaders {
+		if v := rep.header.Get(k); v != "" {
+			h.Set(k, v)
+		}
 	}
 	if shared {
-		w.Header().Set("X-Diffra-Singleflight", "shared")
+		h.Set("X-Diffra-Singleflight", "shared")
 	}
-	w.WriteHeader(status)
-	w.Write(payload)
+	w.WriteHeader(rep.status)
+	w.Write(rep.payload)
 }
 
 // hedgeDelay is how long a batch line waits on the owner before a
@@ -317,47 +319,24 @@ func (rt *Router) hedgeDelay() time.Duration {
 	return min(max(p95, hedgeMin), hedgeMax)
 }
 
-type hedgeReply struct {
-	payload []byte
-	status  int
-	hdr     map[string]string
-	err     error
-	node    string
-	hedged  bool
-}
-
 // compileHedged issues the line to the owner chain and, if no reply
 // arrives within hedgeDelay, races a second attempt starting at the
 // next distinct ring node. First success wins; the loser's context is
 // cancelled. Used by /batch, where one slow node would otherwise set
 // the whole stream's tail latency.
-func (rt *Router) compileHedged(ctx context.Context, key string, body []byte) hedgeReply {
+func (rt *Router) compileHedged(ctx context.Context, key string, body []byte) reply {
 	cands := rt.candidates(key)
 	delay := rt.hedgeDelay()
 	if len(cands) < 2 || delay < 0 {
-		p, s, h, err := rt.compileUpstream(ctx, key, body)
-		return hedgeReply{payload: p, status: s, hdr: h, err: err}
+		return rt.compileUpstream(ctx, key, body)
 	}
 
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the loser once a winner is chosen
-	replies := make(chan hedgeReply, 2)
-	attempt := func(node string, hedged bool) {
-		payload, status, hdr, err := rt.forward(hctx, node, "/compile", body)
-		if err == nil && hdr != nil {
-			out := map[string]string{"X-Diffra-Backend": node}
-			for _, h := range passthroughHeaders {
-				if v := hdr.Get(h); v != "" {
-					out[h] = v
-				}
-			}
-			replies <- hedgeReply{payload: payload, status: status, hdr: out, node: node, hedged: hedged}
-			return
-		}
-		replies <- hedgeReply{err: err, node: node, hedged: hedged}
-	}
+	replies := make(chan reply, 2)
+	attempt := func(node string) { replies <- rt.forward(hctx, node, body) }
 
-	go attempt(cands[0], false)
+	go attempt(cands[0])
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	inFlight := 1
@@ -366,16 +345,16 @@ func (rt *Router) compileHedged(ctx context.Context, key string, body []byte) he
 		case <-timer.C:
 			if inFlight == 1 {
 				rt.reg.Counter("router_hedges_total").Inc()
-				go attempt(cands[1], true)
+				go attempt(cands[1])
 				inFlight++
 			}
-		case r := <-replies:
+		case rep := <-replies:
 			inFlight--
-			if r.err == nil {
-				if r.hedged {
+			if rep.err == nil {
+				if rep.node == cands[1] {
 					rt.reg.Counter("router_hedge_wins_total").Inc()
 				}
-				return r
+				return rep
 			}
 			// This attempt failed; if the other is still running let it
 			// finish, otherwise fall back to the sequential chain which
@@ -384,12 +363,11 @@ func (rt *Router) compileHedged(ctx context.Context, key string, body []byte) he
 				continue
 			}
 			if ctx.Err() != nil {
-				return hedgeReply{err: ctx.Err()}
+				return reply{err: ctx.Err()}
 			}
-			p, s, h, err := rt.compileUpstream(ctx, key, body)
-			return hedgeReply{payload: p, status: s, hdr: h, err: err}
+			return rt.compileUpstream(ctx, key, body)
 		case <-ctx.Done():
-			return hedgeReply{err: ctx.Err()}
+			return reply{err: ctx.Err()}
 		}
 	}
 }

@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
-	"diffra"
-	"diffra/internal/ir"
 	"diffra/internal/service"
 	"diffra/internal/telemetry"
 )
@@ -498,23 +500,100 @@ func TestRouteKeyStability(t *testing.T) {
 	}
 
 	// Every backend choice routes under the key its owner caches it
-	// under: the options resolved with the backend, not without it.
-	f := ir.MustParse(tinyIR)
-	keys := map[string]string{}
-	for _, alloc := range []string{"", "irc", "ssa", "auto"} {
-		opts, err := diffra.Options{Scheme: diffra.Select, Alloc: diffra.Backend(alloc)}.Resolved()
-		if err != nil {
-			t.Fatal(err)
+	// under: a server with a disk tier files each compile as
+	// key+".v1", and that key must be the body's route key.
+	for _, scheme := range []string{"baseline", "remapping", "select", "ospill", "coalesce"} {
+		for _, alloc := range []string{"", "irc", "ssa", "ospill", "auto"} {
+			for _, mode := range []struct{ listing, explain bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+				body := compileBody(t, service.Request{IR: tinyIR, Scheme: scheme, Alloc: alloc, Listing: mode.listing, Explain: mode.explain})
+				if got, want := cachedFiles(t, body), []string{RouteKey(body) + ".v1"}; !slices.Equal(got, want) {
+					t.Errorf("%s/%q listing=%t explain=%t: the server cached %v, the router routes %v",
+						scheme, alloc, mode.listing, mode.explain, got, want)
+				}
+			}
 		}
-		want := service.CacheKey(f, opts, false, false)
-		body := []byte(`{"ir":` + mustJSON(tinyIR) + `,"scheme":"select","alloc":"` + alloc + `"}`)
-		if got := RouteKey(body); got != want {
-			t.Errorf("alloc %q routes as %s, cached as %s", alloc, got, want)
-		}
-		keys[alloc] = want
 	}
-	if keys[""] != keys["irc"] || keys["irc"] == keys["ssa"] || keys["irc"] == keys["auto"] || keys["ssa"] == keys["auto"] {
-		t.Errorf("select's keys by backend: %v; want \"\" and irc equal, irc, ssa and auto distinct", keys)
+}
+
+// cachedFiles compiles body on a fresh server with a disk tier and
+// returns the names of the files it wrote there.
+func cachedFiles(t *testing.T, body []byte) []string {
+	t.Helper()
+	dir := t.TempDir()
+	srv, err := service.New(service.Config{Workers: 1, CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("compile: %d %s", rec.Code, rec.Body)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestRouterEmptyAllocIsPreferredBackend: a request without alloc and
+// the same request naming its scheme's preferred backend are one
+// compile to the fleet: both reach one node, which compiles once.
+func TestRouterEmptyAllocIsPreferredBackend(t *testing.T) {
+	a, b := startBackend(t, service.Config{}), startBackend(t, service.Config{})
+	_, ts := newTestRouter(t, Config{Nodes: []string{a.url, b.url}})
+	preferred := map[string]string{"baseline": "irc", "remapping": "irc", "select": "irc", "ospill": "ospill", "coalesce": "ospill"}
+	compiles := func() int64 {
+		return a.reg.Counter("service_compiles_total").Value() + b.reg.Counter("service_compiles_total").Value()
+	}
+	for scheme, alloc := range preferred {
+		before := compiles()
+		req := service.Request{IR: tinyIRNamed("f_" + scheme), Scheme: scheme}
+		hr1, p1 := postRaw(t, ts.URL, compileBody(t, req))
+		req.Alloc = alloc
+		hr2, p2 := postRaw(t, ts.URL, compileBody(t, req))
+		if hr1.StatusCode != http.StatusOK || hr2.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %s / %s\n%s\n%s", scheme, hr1.Status, hr2.Status, p1, p2)
+		}
+		if n1, n2 := hr1.Header.Get("X-Diffra-Backend"), hr2.Header.Get("X-Diffra-Backend"); n1 != n2 {
+			t.Errorf("%s: no alloc routed to %s, alloc %q to %s", scheme, n1, alloc, n2)
+		}
+		if n := compiles() - before; n != 1 {
+			t.Errorf("%s: the fleet compiled %d times, want 1", scheme, n)
+		}
+	}
+}
+
+// TestRouterBadBody: the router answers a body it cannot read as
+// diffrad does: 413 naming the limit when the body is too large, 400
+// for any other read error.
+func TestRouterBadBody(t *testing.T) {
+	rt, err := New(Config{Nodes: []string{"http://127.0.0.1:1"}, HealthInterval: -1, MaxRequestBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		code int
+		want string
+	}{
+		{"too large", strings.NewReader(strings.Repeat("x", 65)), http.StatusRequestEntityTooLarge, "64-byte limit"},
+		{"unreadable", iotest.ErrReader(errors.New("connection reset")), http.StatusBadRequest, "connection reset"},
+	} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/compile", tc.body))
+		if rec.Code != tc.code || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: %d %q, want %d naming %q", tc.name, rec.Code, rec.Body, tc.code, tc.want)
+		}
+	}
+	if n := rt.reg.Counter("router_requests_total").Value(); n != 2 {
+		t.Fatalf("router_requests_total = %d, want 2", n)
 	}
 }
 

@@ -5,15 +5,6 @@ import (
 	"sync"
 )
 
-// flightResult is what a completed flight hands every waiter. Payload
-// is shared read-only — callers must not mutate it.
-type flightResult struct {
-	payload []byte
-	status  int
-	header  map[string]string
-	err     error
-}
-
 // flight is one in-progress deduplicated call. waiters counts callers
 // currently blocked on done; when it reaches zero before completion
 // the flight's context is cancelled so the backend request is not
@@ -22,7 +13,7 @@ type flight struct {
 	done    chan struct{}
 	cancel  context.CancelFunc
 	waiters int
-	res     flightResult
+	rep     reply // shared read-only by every waiter
 }
 
 // Group collapses concurrent calls with the same key into a single
@@ -39,20 +30,20 @@ type Group struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 
-	// Shared / Led are telemetry hooks, called outside the lock.
-	// Shared fires for each caller that joined an existing flight.
+	// Shared is a telemetry hook, called outside the lock for each
+	// caller that joined an existing flight.
 	Shared func()
 }
 
 // Do executes fn(key) once per set of concurrent callers with equal
-// key, returning the shared (payload, status, header, error). The
-// bool result reports whether this caller shared another caller's
-// flight (false for the leader).
+// key, returning the shared reply. The bool result reports whether
+// this caller shared another caller's flight (false for the leader).
 //
 // ctx governs only this caller's wait: if it expires, the caller gets
-// ctx.Err() but the flight keeps running for the remaining waiters.
-// fn receives a context that is cancelled when all waiters are gone.
-func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, int, map[string]string, error)) ([]byte, int, map[string]string, bool, error) {
+// a reply carrying ctx.Err() but the flight keeps running for the
+// remaining waiters. fn receives a context that is cancelled when all
+// waiters are gone.
+func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context) reply) (reply, bool) {
 	g.mu.Lock()
 	if g.flights == nil {
 		g.flights = make(map[string]*flight)
@@ -75,9 +66,9 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 	g.mu.Unlock()
 
 	go func() {
-		payload, status, header, err := fn(fctx)
+		rep := fn(fctx)
 		g.mu.Lock()
-		f.res = flightResult{payload: payload, status: status, header: header, err: err}
+		f.rep = rep
 		delete(g.flights, key) // later callers start a fresh flight
 		g.mu.Unlock()
 		close(f.done)
@@ -89,14 +80,13 @@ func (g *Group) Do(ctx context.Context, key string, fn func(ctx context.Context)
 // wait blocks until the flight completes or the caller's own context
 // expires. A departing caller decrements waiters; the last one out
 // cancels the flight.
-func (g *Group) wait(ctx context.Context, key string, f *flight, shared bool) ([]byte, int, map[string]string, bool, error) {
+func (g *Group) wait(ctx context.Context, key string, f *flight, shared bool) (reply, bool) {
 	select {
 	case <-f.done:
 		g.mu.Lock()
 		f.waiters--
 		g.mu.Unlock()
-		r := f.res
-		return r.payload, r.status, r.header, shared, r.err
+		return f.rep, shared
 	case <-ctx.Done():
 		g.mu.Lock()
 		f.waiters--
@@ -119,6 +109,6 @@ func (g *Group) wait(ctx context.Context, key string, f *flight, shared bool) ([
 		if abandoned {
 			f.cancel()
 		}
-		return nil, 0, nil, shared, ctx.Err()
+		return reply{err: ctx.Err()}, shared
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,11 +20,11 @@ func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
-	fn := func(ctx context.Context) ([]byte, int, map[string]string, error) {
+	fn := func(ctx context.Context) reply {
 		calls.Add(1)
 		started <- struct{}{}
 		<-gate
-		return []byte("payload"), 200, map[string]string{"K": "V"}, nil
+		return reply{payload: []byte("payload"), status: 200, header: http.Header{"K": {"V"}}}
 	}
 
 	const n = 8
@@ -36,28 +37,28 @@ func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		payload, _, _, shared, err := g.Do(context.Background(), "k", fn)
-		if err != nil || shared {
-			t.Errorf("leader: shared=%v err=%v", shared, err)
+		rep, shared := g.Do(context.Background(), "k", fn)
+		if rep.err != nil || shared {
+			t.Errorf("leader: shared=%v err=%v", shared, rep.err)
 		}
-		results[0] = payload
+		results[0] = rep.payload
 	}()
 	<-started
 	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			payload, status, hdr, shared, err := g.Do(context.Background(), "k", fn)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
+			rep, shared := g.Do(context.Background(), "k", fn)
+			if rep.err != nil {
+				t.Errorf("caller %d: %v", i, rep.err)
 			}
 			if shared {
 				sharedCount.Add(1)
 			}
-			if status != 200 || hdr["K"] != "V" {
-				t.Errorf("caller %d: status=%d hdr=%v", i, status, hdr)
+			if rep.status != 200 || rep.header.Get("K") != "V" {
+				t.Errorf("caller %d: status=%d hdr=%v", i, rep.status, rep.header)
 			}
-			results[i] = payload
+			results[i] = rep.payload
 		}(i)
 	}
 	// Let the joiners block on the flight before releasing it. Their
@@ -84,9 +85,9 @@ func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 	// The flight is gone: a fresh call runs fn again.
 	done := make(chan struct{})
 	go func() {
-		g.Do(context.Background(), "k", func(ctx context.Context) ([]byte, int, map[string]string, error) {
+		g.Do(context.Background(), "k", func(ctx context.Context) reply {
 			calls.Add(1)
-			return nil, 200, nil, nil
+			return reply{status: 200}
 		})
 		close(done)
 	}()
@@ -101,9 +102,9 @@ func TestGroupCollapsesConcurrentCalls(t *testing.T) {
 func TestGroupDistinctKeysDoNotShare(t *testing.T) {
 	var g Group
 	var calls atomic.Int64
-	fn := func(ctx context.Context) ([]byte, int, map[string]string, error) {
+	fn := func(ctx context.Context) reply {
 		calls.Add(1)
-		return nil, 200, nil, nil
+		return reply{status: 200}
 	}
 	var wg sync.WaitGroup
 	for _, k := range []string{"a", "b", "c"} {
@@ -125,17 +126,17 @@ func TestGroupDistinctKeysDoNotShare(t *testing.T) {
 func TestGroupCancelsAbandonedFlight(t *testing.T) {
 	var g Group
 	flightCancelled := make(chan struct{})
-	fn := func(ctx context.Context) ([]byte, int, map[string]string, error) {
+	fn := func(ctx context.Context) reply {
 		<-ctx.Done()
 		close(flightCancelled)
-		return nil, 0, nil, ctx.Err()
+		return reply{err: ctx.Err()}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := g.Do(ctx, "k", fn)
-		errc <- err
+		rep, _ := g.Do(ctx, "k", fn)
+		errc <- rep.err
 	}()
 	// Wait for the flight to exist, then abandon it.
 	for {
@@ -158,12 +159,12 @@ func TestGroupCancelsAbandonedFlight(t *testing.T) {
 	}
 
 	// The key must be free immediately — not stuck on the dead flight.
-	payload, _, _, shared, err := g.Do(context.Background(), "k",
-		func(ctx context.Context) ([]byte, int, map[string]string, error) {
-			return []byte("fresh"), 200, nil, nil
+	rep, shared := g.Do(context.Background(), "k",
+		func(ctx context.Context) reply {
+			return reply{payload: []byte("fresh"), status: 200}
 		})
-	if err != nil || shared || string(payload) != "fresh" {
-		t.Fatalf("post-abandon call: payload=%q shared=%v err=%v", payload, shared, err)
+	if rep.err != nil || shared || string(rep.payload) != "fresh" {
+		t.Fatalf("post-abandon call: payload=%q shared=%v err=%v", rep.payload, shared, rep.err)
 	}
 }
 
@@ -173,21 +174,21 @@ func TestGroupLeaderHangupKeepsFlight(t *testing.T) {
 	var g Group
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
-	fn := func(ctx context.Context) ([]byte, int, map[string]string, error) {
+	fn := func(ctx context.Context) reply {
 		started <- struct{}{}
 		select {
 		case <-gate:
-			return []byte("survived"), 200, nil, nil
+			return reply{payload: []byte("survived"), status: 200}
 		case <-ctx.Done():
-			return nil, 0, nil, ctx.Err()
+			return reply{err: ctx.Err()}
 		}
 	}
 
 	leaderCtx, leaderCancel := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, _, _, err := g.Do(leaderCtx, "k", fn)
-		leaderErr <- err
+		rep, _ := g.Do(leaderCtx, "k", fn)
+		leaderErr <- rep.err
 	}()
 	<-started
 
@@ -195,12 +196,12 @@ func TestGroupLeaderHangupKeepsFlight(t *testing.T) {
 	joined := make(chan struct{})
 	go func() {
 		close(joined)
-		payload, _, _, _, err := g.Do(context.Background(), "k", fn)
-		if err != nil {
-			joinerDone <- "err: " + err.Error()
+		rep, _ := g.Do(context.Background(), "k", fn)
+		if rep.err != nil {
+			joinerDone <- "err: " + rep.err.Error()
 			return
 		}
-		joinerDone <- string(payload)
+		joinerDone <- string(rep.payload)
 	}()
 	<-joined
 	// Make sure the joiner is registered on the flight before the

@@ -8,7 +8,7 @@ import (
 )
 
 // TestArenaReuseAcrossConcurrentCompiles hammers the per-worker
-// scratch-arena free list: many goroutines, more than the pool has
+// scratch-arena free list: many goroutines, more than the server has
 // slots, each compiling a distinct function (distinct cache keys, so
 // every request reaches the backend) under different schemes and
 // register counts. Run under -race this proves two things at once:

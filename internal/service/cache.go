@@ -67,75 +67,85 @@ func appendOptions(b []byte, opts diffra.Options, listing, explain bool) []byte 
 
 // resultCache is the two-level compile-result cache: the per-node
 // in-memory LRU above the optional persistent disk tier
-// (Config.CacheDir), both keyed by CacheKey. Responses are plain
-// values (no pointers into compiler state), so returning a cached copy
-// is safe under concurrency, and they cross the disk boundary as JSON
-// — the same encoding the HTTP layer serves.
+// (Config.CacheDir), both keyed by CacheKey. A lookup reads memory
+// first and promotes a disk hit into memory; a store writes through to
+// both. Responses are plain values (no pointers into compiler state),
+// so returning a cached copy is safe under concurrency, and they cross
+// the disk boundary as JSON — the same encoding the HTTP layer serves.
 //
 // Beside the tiers, aliases maps a request's source key to the
 // canonical key its text parsed to, so a repeat finds its entry
 // without parsing or printing the function. It lives in memory only,
 // under the memory tier's bound.
 type resultCache struct {
-	tl      cache.TwoLevel[Response]
+	mem     *cache.LRU[Response]
+	disk    *cache.Disk // nil: memory only
 	aliases *cache.LRU[string]
 	reg     *telemetry.Registry
-	// tierHits keeps each tier's service_cache_tier_hits counter from
-	// its first hit on, so a hit builds no labeled name.
-	tierHits [cache.TierDisk + 1]atomic.Pointer[telemetry.Counter]
+	// memHits and diskHits keep each tier's service_cache_tier_hits
+	// counter from its first hit on, so a hit builds no labeled name.
+	memHits, diskHits atomic.Pointer[telemetry.Counter]
 }
 
 // newResultCache builds the cache. maxEntries bounds the memory tier
 // and the aliases (<= 0 disables both); dir, when non-empty, enables
 // the disk tier bounded to diskBytes (0: the cache package default).
 func newResultCache(maxEntries int, dir string, diskBytes int64, reg *telemetry.Registry) (*resultCache, error) {
-	c := &resultCache{reg: reg, aliases: cache.NewLRU[string](maxEntries)}
-	c.tl.Mem = cache.NewLRU[Response](maxEntries)
+	c := &resultCache{
+		mem:     cache.NewLRU[Response](maxEntries),
+		aliases: cache.NewLRU[string](maxEntries),
+		reg:     reg,
+	}
 	if dir != "" {
 		disk, err := cache.OpenDisk(dir, diskBytes)
 		if err != nil {
 			return nil, err
 		}
-		c.tl.Disk = disk
-		c.tl.Encode = func(r Response) ([]byte, error) { return json.Marshal(r) }
-		c.tl.Decode = func(b []byte) (Response, error) {
-			var r Response
-			err := json.Unmarshal(b, &r)
-			return r, err
-		}
+		c.disk = disk
 	}
 	return c, nil
 }
 
-// get looks a key up and records per-tier metrics: service_cache_hits
-// counts a hit in either tier (the PR 2 counter, unchanged for
-// existing dashboards), service_cache_tier_hits{tier=...} attributes
-// it, and the disk tier's lookup latency lands in
-// service_disk_cache_get_us.
+// get looks a key up, memory first, and records per-tier metrics:
+// service_cache_hits counts a hit in either tier (the PR 2 counter,
+// unchanged for existing dashboards), service_cache_tier_hits{tier=...}
+// attributes it, and a lookup that reaches the disk lands in
+// service_disk_cache_get_us. A disk entry that does not decode is
+// marked corrupt and is a miss, like a damaged file.
 func (c *resultCache) get(key string) (Response, bool) {
-	start := time.Now()
-	resp, tier, ok := c.tl.Get(key)
-	if c.tl.Disk != nil && tier != cache.TierMem {
-		// Only lookups that actually consulted the disk count toward
-		// its latency histogram.
-		c.reg.Histogram("service_disk_cache_get_us").Observe(time.Since(start).Microseconds())
+	if resp, ok := c.mem.Get(key); ok {
+		c.tierHit(&c.memHits, "mem").Inc()
+		return resp, true
 	}
+	if c.disk == nil {
+		return Response{}, false
+	}
+	start := time.Now()
+	defer func() { c.reg.Histogram("service_disk_cache_get_us").Observe(time.Since(start).Microseconds()) }()
+	raw, ok := c.disk.Get(key)
 	if !ok {
 		return Response{}, false
 	}
-	c.tierHit(tier).Inc()
+	var resp Response
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		c.disk.MarkCorrupt(key)
+		return Response{}, false
+	}
+	c.mem.Put(key, resp)
+	c.tierHit(&c.diskHits, "disk").Inc()
 	return resp, true
 }
 
-// tierHit returns tier's hit counter, registering it at the tier's
-// first hit so that it appears in /metrics only once it counts.
-func (c *resultCache) tierHit(tier cache.Tier) *telemetry.Counter {
-	if h := c.tierHits[tier].Load(); h != nil {
-		return h
+// tierHit returns the hit counter h keeps for tier, registering it at
+// the tier's first hit so that it appears in /metrics only once it
+// counts.
+func (c *resultCache) tierHit(h *atomic.Pointer[telemetry.Counter], tier string) *telemetry.Counter {
+	if ctr := h.Load(); ctr != nil {
+		return ctr
 	}
-	h := c.reg.CounterL("service_cache_tier_hits", "tier", tier.String())
-	c.tierHits[tier].Store(h)
-	return h
+	ctr := c.reg.CounterL("service_cache_tier_hits", "tier", tier)
+	h.Store(ctr)
+	return ctr
 }
 
 // canonical returns the canonical key recorded for a source key.
@@ -148,32 +158,30 @@ func (c *resultCache) alias(src [sha256.Size]byte, key string) {
 	c.aliases.Put(string(src[:]), key)
 }
 
-// put stores a response in every tier; the disk write's latency lands
+// put stores a response in both tiers; the disk write's latency lands
 // in service_disk_cache_put_us.
 func (c *resultCache) put(key string, resp Response) {
-	start := time.Now()
-	c.tl.Put(key, resp)
-	if c.tl.Disk != nil {
-		c.reg.Histogram("service_disk_cache_put_us").Observe(time.Since(start).Microseconds())
+	c.mem.Put(key, resp)
+	if c.disk == nil {
+		return
 	}
+	start := time.Now()
+	// A Response holds only strings, ints and bools, which always
+	// marshal.
+	raw, _ := json.Marshal(resp)
+	c.disk.Put(key, raw)
+	c.reg.Histogram("service_disk_cache_put_us").Observe(time.Since(start).Microseconds())
 }
 
-func (c *resultCache) len() int {
-	if c.tl.Mem == nil {
-		return 0
-	}
-	return c.tl.Mem.Len()
-}
+func (c *resultCache) len() int { return c.mem.Len() }
 
 // refreshGauges mirrors the tiers' internal counters into the
 // registry, called on every /metrics scrape: disk hit/miss/corrupt/
 // evict totals, entry and byte footprints, and the memory tier's
 // eviction count.
 func (c *resultCache) refreshGauges() {
-	if c.tl.Mem != nil {
-		c.reg.Gauge("service_cache_mem_evictions").Set(c.tl.Mem.Evictions())
-	}
-	d := c.tl.Disk
+	c.reg.Gauge("service_cache_mem_evictions").Set(c.mem.Evictions())
+	d := c.disk
 	if d == nil {
 		return
 	}

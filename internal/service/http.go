@@ -87,12 +87,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	*buf = body.Bytes()
 	putBuf(buf)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds the %d-byte limit (MaxRequestBytes)", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		WriteBodyError(w, err)
 		return
 	}
 	resp := s.Compile(r.Context(), req)
@@ -117,6 +112,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
+// WriteBodyError answers a request whose body could not be read or
+// decoded: 413, naming the limit, when the body ran past
+// http.MaxBytesReader's limit, and 400 otherwise. diffrad and the
+// cluster router answer a bad body alike through it.
+func WriteBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds the %d-byte limit (MaxRequestBytes)", tooBig.Limit), http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+}
+
 // jsonContentType and allocHeaders are shared header values; each has
 // capacity 1, so an Add to a response's copy appends to fresh storage.
 var (
@@ -139,9 +147,10 @@ func allocHeader(b string) []string {
 }
 
 // handleBatch streams: requests are decoded one NDJSON value at a
-// time and submitted to the pool immediately, while a writer goroutine
-// emits responses in input order, flushing each one — so early
-// results reach the client while later compiles are still running.
+// time and each is served at once, waiting for a worker slot if it
+// misses, while a writer goroutine emits responses in input order,
+// flushing each one — so early results reach the client while later
+// compiles are still running.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("service_batches").Inc()
 	// Answers stream while lines still arrive. Without full duplex an

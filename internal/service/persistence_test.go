@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"diffra/internal/cache"
 )
 
 // TestDiskCacheSurvivesRestart is the acceptance check for the
@@ -59,6 +61,101 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 	if n := reg.CounterL("service_cache_tier_hits", "tier", "mem").Value(); n != 1 {
 		t.Fatalf("mem tier hits = %d, want 1", n)
+	}
+}
+
+// TestDiskHitPromotesToMemory: memory is read before disk, and a disk
+// hit is copied into memory. On a warm server a repeat never reaches
+// the disk; after a restart the first repeat is a disk hit and the
+// next a memory hit.
+func TestDiskHitPromotesToMemory(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{IR: tinyIR, Scheme: "select"}
+
+	s1 := newTestServer(t, Config{CacheDir: dir})
+	for i := 0; i < 2; i++ {
+		if resp := s1.Compile(context.Background(), req); resp.Error != "" || resp.Cached != (i > 0) {
+			t.Fatalf("warm request %d: %+v", i, resp)
+		}
+	}
+	reg := s1.Registry()
+	if n := reg.CounterL("service_cache_tier_hits", "tier", "mem").Value(); n != 1 {
+		t.Fatalf("warm: mem tier hits = %d, want 1", n)
+	}
+	if n := reg.Histogram("service_disk_cache_get_us").Snapshot().Count; n != 1 {
+		t.Fatalf("warm: %d lookups reached the disk, want the first request's 1", n)
+	}
+
+	s2 := newTestServer(t, Config{CacheDir: dir})
+	for i, tier := range []string{"disk", "mem"} {
+		if resp := s2.Compile(context.Background(), req); resp.Error != "" || !resp.Cached {
+			t.Fatalf("restart request %d: %+v", i, resp)
+		}
+		if n := s2.Registry().CounterL("service_cache_tier_hits", "tier", tier).Value(); n != 1 {
+			t.Fatalf("restart request %d: %s tier hits = %d, want 1", i, tier, n)
+		}
+	}
+	if n := s2.Registry().Histogram("service_disk_cache_get_us").Snapshot().Count; n != 1 {
+		t.Fatalf("restart: %d lookups reached the disk, want 1", n)
+	}
+}
+
+// TestDiskEntryUndecodableIsCorruptMiss: a disk entry whose frame is
+// intact but whose payload is not a Response is a miss, counted in
+// service_disk_cache_corrupt and removed; the recompile replaces it.
+func TestDiskEntryUndecodableIsCorruptMiss(t *testing.T) {
+	dir := t.TempDir()
+	req := Request{IR: tinyIR, Scheme: "select"}
+	if resp := newTestServer(t, Config{CacheDir: dir}).Compile(context.Background(), req); resp.Error != "" {
+		t.Fatal(resp.Error)
+	}
+	d, err := cache.OpenDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Put(canonicalKey(t, req), []byte("not json"))
+
+	s := newTestServer(t, Config{CacheDir: dir})
+	if resp := s.Compile(context.Background(), req); resp.Error != "" || resp.Cached {
+		t.Fatalf("undecodable entry served: %+v", resp)
+	}
+	s.cache.refreshGauges()
+	reg := s.Registry()
+	if n := reg.Gauge("service_disk_cache_corrupt").Value(); n != 1 {
+		t.Fatalf("service_disk_cache_corrupt = %d, want 1", n)
+	}
+	if n := reg.Counter("service_compiles_total").Value(); n != 1 {
+		t.Fatalf("service_compiles_total = %d, want 1", n)
+	}
+	if resp := newTestServer(t, Config{CacheDir: dir}).Compile(context.Background(), req); !resp.Cached {
+		t.Fatal("the recompile did not replace the corrupt entry")
+	}
+}
+
+// TestCacheTierAlone: either tier serves on its own. Without a
+// CacheDir every hit is a memory hit; with the memory tier disabled
+// every hit comes from disk.
+func TestCacheTierAlone(t *testing.T) {
+	for _, tc := range []struct {
+		tier string
+		cfg  Config
+	}{
+		{"mem", Config{}},
+		{"disk", Config{CacheEntries: -1, CacheDir: t.TempDir()}},
+	} {
+		s := newTestServer(t, tc.cfg)
+		for i := 0; i < 3; i++ {
+			if resp := s.Compile(context.Background(), Request{IR: tinyIR}); resp.Error != "" || resp.Cached != (i > 0) {
+				t.Fatalf("%s: request %d: %+v", tc.tier, i, resp)
+			}
+		}
+		reg := s.Registry()
+		if n := reg.CounterL("service_cache_tier_hits", "tier", tc.tier).Value(); n != 2 {
+			t.Fatalf("%s: %d %s-tier hits, want 2", tc.tier, n, tc.tier)
+		}
+		if n := reg.Counter("service_cache_hits").Value(); n != 2 {
+			t.Fatalf("%s: %d hits, want 2", tc.tier, n)
+		}
 	}
 }
 

@@ -162,19 +162,6 @@ func TestAllocCacheKeyRules(t *testing.T) {
 	}
 }
 
-// TestConfigAllocDefault: the server-wide backend applies to requests
-// that do not choose one, and a request override wins.
-func TestConfigAllocDefault(t *testing.T) {
-	srv := newTestServer(t, Config{Alloc: "ssa"})
-	ctx := context.Background()
-	if r := srv.Compile(ctx, Request{IR: tinyIR, Scheme: "select"}); r.Error != "" || r.AllocBackend != "ssa" {
-		t.Fatalf("server default not applied: %+v", r)
-	}
-	if r := srv.Compile(ctx, Request{IR: tinyIR, Scheme: "select", Alloc: "irc"}); r.Error != "" || r.AllocBackend != "irc" {
-		t.Fatalf("request override lost to server default: %+v", r)
-	}
-}
-
 func TestUnknownAllocBackendRejected(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	r := srv.Compile(context.Background(), Request{IR: tinyIR, Alloc: "bogus"})

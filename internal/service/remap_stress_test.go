@@ -25,7 +25,7 @@ func remapIR(name string, n int) string {
 	return b.String()
 }
 
-// TestRemapStressThroughPool hammers the server's worker pool with
+// TestRemapStressThroughPool hammers the server's worker slots with
 // concurrent remapping-scheme compiles while each compile runs its own
 // multi-worker remap search — the nested-parallelism path the race
 // detector must see clean. The cache is disabled so every request

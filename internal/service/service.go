@@ -1,6 +1,6 @@
 // Package service turns the diffra compiler into a
-// compilation-as-a-service subsystem: a bounded worker pool sized to
-// GOMAXPROCS, a content-addressed LRU cache over compile results, and
+// compilation-as-a-service subsystem: a fixed set of worker slots sized
+// to GOMAXPROCS, a content-addressed LRU cache over compile results, and
 // an HTTP front end (cmd/diffrad) accepting single JSON requests and a
 // streaming NDJSON batch mode. Per-request deadlines and client
 // cancellation propagate through diffra.CompileFuncContext into the
@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,11 +41,11 @@ type Request struct {
 	DiffN    int `json:"diffn,omitempty"`
 	Restarts int `json:"restarts,omitempty"`
 	// Alloc selects the allocation backend: auto|irc|ssa|ospill, or
-	// empty for the server's configured default (Config.Alloc, falling
-	// back to the scheme's preferred backend). "auto" steps down to
-	// cheaper backends as the request deadline nears; the resolved
-	// choice comes back in Response.AllocBackend and the X-Diffra-Alloc
-	// header.
+	// empty for the scheme's preferred backend (irc for baseline,
+	// remapping and select, ospill for ospill and coalesce), on every
+	// node and in the router alike. "auto" steps down to cheaper
+	// backends as the request deadline nears; the resolved choice comes
+	// back in Response.AllocBackend and the X-Diffra-Alloc header.
 	Alloc string `json:"alloc,omitempty"`
 	// TimeoutMs bounds this request's compile time; 0 uses the server
 	// default. The deadline also covers time spent queued for a worker.
@@ -54,6 +55,21 @@ type Request struct {
 	Listing bool `json:"listing,omitempty"`
 	// Explain asks for the set_last_reg attribution report.
 	Explain bool `json:"explain,omitempty"`
+}
+
+// Resolve turns a request into the compile options it is compiled and
+// keyed under: the facade's defaults filled in, and an empty Alloc
+// resolved to the scheme's preferred backend. The server and the
+// cluster router both resolve through it, so a request routes under
+// the key its node caches it under.
+func Resolve(req Request) (diffra.Options, error) {
+	return diffra.Options{
+		Scheme:   diffra.Scheme(req.Scheme),
+		Alloc:    diffra.Backend(req.Alloc),
+		RegN:     req.RegN,
+		DiffN:    req.DiffN,
+		Restarts: req.Restarts,
+	}.Resolved()
 }
 
 // Response is the outcome of one Request. Error is set (and the other
@@ -108,7 +124,8 @@ type Response struct {
 
 // Config parameterizes a Server. The zero value is usable.
 type Config struct {
-	// Workers bounds concurrent compilations (<= 0: GOMAXPROCS).
+	// Workers is the number of worker slots, which bounds concurrent
+	// compilations (<= 0: GOMAXPROCS).
 	Workers int
 	// CacheEntries bounds the in-memory result cache and the source
 	// texts remembered for it (0: 1024; negative: memory tier and
@@ -122,8 +139,8 @@ type Config struct {
 	CacheDir string
 	// CacheDiskBytes bounds the disk tier's entry bytes (0: 256 MiB).
 	CacheDiskBytes int64
-	// MaxQueue bounds the requests waiting for a worker slot. Once the
-	// pool is saturated and MaxQueue requests are queued, new arrivals
+	// MaxQueue bounds the requests waiting for a worker slot. Once
+	// every slot is busy and MaxQueue requests are queued, new arrivals
 	// are shed: Response.Shed is set, the HTTP layer answers 429 with
 	// a Retry-After derived from observed compile latency, and
 	// service_load_shed_total counts the rejection. 0: unbounded (the
@@ -142,15 +159,12 @@ type Config struct {
 	// DefaultTimeout bounds requests that do not set TimeoutMs
 	// (0: 30s).
 	DefaultTimeout time.Duration
-	// Alloc is the allocation backend for requests that do not set
-	// their own: auto|irc|ssa|ospill, or empty to let each scheme use
-	// its preferred backend (the pre-portfolio behaviour).
-	Alloc string
 	// RemapWorkers bounds the parallelism of each compile's remapping
-	// search (diffra.Options.RemapWorkers). 0 keeps it serial: the pool
-	// already runs one compile per core, so intra-compile parallelism
-	// only helps when the server is otherwise idle. The remap result is
-	// bit-identical at any setting, so it is excluded from cache keys.
+	// search (diffra.Options.RemapWorkers). 0 keeps it serial: the
+	// worker slots already run one compile per core, so intra-compile
+	// parallelism only helps when the server is otherwise idle. The
+	// remap result is bit-identical at any setting, so it is excluded
+	// from cache keys.
 	RemapWorkers int
 	// SpillWorkers bounds the parallelism of each compile's spill ILP
 	// solve (diffra.Options.SpillWorkers) for the ospill and coalesce
@@ -192,6 +206,15 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.RemapWorkers <= 0 {
+		c.RemapWorkers = 1
+	}
+	if c.SpillWorkers <= 0 {
+		c.SpillWorkers = 1
+	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
 	}
@@ -210,12 +233,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the compilation service: pool + cache + metrics. It is
-// safe for concurrent use; the HTTP layer in http.go is one front end,
-// Compile is the in-process one.
+// Server is the compilation service: worker slots + cache + metrics.
+// It is safe for concurrent use; the HTTP layer in http.go is one front
+// end, Compile is the in-process one.
 type Server struct {
 	cfg       Config
-	pool      *Pool
 	cache     *resultCache
 	reg       *telemetry.Registry
 	inflight  atomic.Int64
@@ -229,11 +251,11 @@ type Server struct {
 	traces     *traceBuffer // nil: capture disabled
 	bridge     *telemetry.MetricsSink
 
-	// workers is a free list of per-worker compile state, sized to the
-	// pool: a compile checks one out for its duration (so at most
-	// Workers() are ever live at once) and returns it reset. Steady
-	// state, every compile runs on a warmed arena and the allocator/
-	// encoder hot loops allocate nothing.
+	// workers holds the free worker slots, Workers() in all, and is the
+	// semaphore that admits compiles: a cache miss takes a worker for
+	// its compile and returns it reset, so at most Workers() compiles
+	// run at once. Steady state, every compile runs on a warmed arena
+	// and the allocator/encoder hot loops allocate nothing.
 	workers chan *worker
 	// allocBackend keeps each backend's service_alloc_backend_total
 	// counter from its first compile on, so a compile builds no
@@ -261,15 +283,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		pool:    NewPool(cfg.Workers),
 		cache:   rc,
 		reg:     cfg.Registry,
 		started: time.Now(),
+		workers: make(chan *worker, cfg.Workers),
 	}
-	s.workers = make(chan *worker, s.pool.Workers())
 	if cfg.TraceBuffer > 0 {
 		s.traces = newTraceBuffer(cfg.TraceBuffer, traceSlowKeep, traceErrKeep)
 		s.bridge = &telemetry.MetricsSink{Reg: s.reg}
+	}
+	for range cfg.Workers {
+		s.workers <- s.newWorker()
 	}
 	if cfg.AccessLog != nil {
 		s.accessBuf = bufio.NewWriterSize(cfg.AccessLog, 64<<10)
@@ -315,9 +339,9 @@ func (s *Server) Trace(id int64) *TraceRecord {
 	return s.traces.get(id)
 }
 
-// Pool exposes the server's admission semaphore and its concurrency
-// bound.
-func (s *Server) Pool() *Pool { return s.pool }
+// Workers reports the number of worker slots: how many compiles run
+// at once.
+func (s *Server) Workers() int { return cap(s.workers) }
 
 // Registry exposes the metrics registry the server records into.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
@@ -325,13 +349,13 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // shedResponse builds the admission-control rejection, with a
 // Retry-After hint derived from the live state: the current backlog
 // times the observed median compile time, spread over the worker
-// pool, clamped to [1s, 60s]. Before any compile has been observed
+// slots, clamped to [1s, 60s]. Before any compile has been observed
 // the hint is the 1s floor.
 func (s *Server) shedResponse() Response {
 	retry := time.Second
 	if snap := s.reg.Histogram("service_compile_us").Snapshot(); snap.Count > 0 {
 		backlog := s.queued.Load() + 1
-		est := time.Duration(snap.P50*float64(backlog)/float64(s.pool.Workers())) * time.Microsecond
+		est := time.Duration(snap.P50*float64(backlog)/float64(s.Workers())) * time.Microsecond
 		if est > retry {
 			retry = est
 		}
@@ -363,7 +387,7 @@ func errResponse(err error) Response {
 }
 
 // Compile serves one request: validate, consult the cache, then
-// compile on a pool slot under the request deadline. It never panics
+// compile on a worker slot under the request deadline. It never panics
 // on malformed input — every failure is a Response with Error set.
 // Every request leaves a TraceRecord in the capture ring and one
 // access-log line (when configured), whatever its outcome.
@@ -470,7 +494,7 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 	if int64(len(req.IR)) > s.cfg.MaxRequestBytes {
 		return errResponse(fmt.Errorf("service: ir source %d bytes exceeds limit %d", len(req.IR), s.cfg.MaxRequestBytes))
 	}
-	opts, err := s.options(req)
+	opts, err := Resolve(req)
 	if err != nil {
 		return errResponse(err)
 	}
@@ -506,40 +530,38 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	// Admission control: once MaxQueue requests are already waiting
-	// for a worker slot, shed instead of queueing. A loaded server
-	// answering 429 in microseconds beats one answering 504 after the
-	// client's whole deadline — and tells the router/client when to
-	// retry. (The check-then-add window can overshoot by a few
-	// requests under a stampede; the bound is a shed policy, not an
-	// invariant.)
-	if max := s.cfg.MaxQueue; max > 0 && s.queued.Load() >= int64(max) {
-		s.reg.Counter("service_load_shed_total").Inc()
-		return s.shedResponse()
+	// Admission control: a miss takes a free worker, or else reserves a
+	// place in the queue for one, and is shed once MaxQueue requests
+	// already hold one. A loaded server answering 429 in microseconds
+	// beats one answering 504 after the client's whole deadline, and
+	// tells the router or client when to retry.
+	var w *worker
+	select {
+	case w = <-s.workers:
+	default:
+		if !s.enqueue() {
+			s.reg.Counter("service_load_shed_total").Inc()
+			return s.shedResponse()
+		}
 	}
-
-	var resp Response
 	s.reg.Gauge("service_inflight").Set(s.inflight.Add(1))
 	defer func() { s.reg.Gauge("service_inflight").Set(s.inflight.Add(-1)) }()
-	s.queued.Add(1)
-	dequeued := false
 	started := time.Now()
-	err = s.pool.Do(ctx, func() {
-		s.queued.Add(-1)
-		dequeued = true
-		rec.QueueUS = time.Since(started).Microseconds()
-		s.reg.Histogram("service_queue_wait_us").Observe(rec.QueueUS)
-		resp = s.compile(ctx, f, opts, req, rec)
-	})
-	s.reg.Histogram("service_compile_us").Observe(time.Since(started).Microseconds())
-	if err != nil {
-		// The deadline fired while the request was still queued.
-		if !dequeued {
-			s.queued.Add(-1)
+	if w == nil {
+		select {
+		case w = <-s.workers:
+		case <-ctx.Done():
 		}
-		rec.QueueUS = time.Since(started).Microseconds()
-		return errResponse(fmt.Errorf("service: queued past deadline: %w", err))
+		s.queued.Add(-1)
 	}
+	rec.QueueUS = time.Since(started).Microseconds()
+	if w == nil {
+		s.reg.Histogram("service_compile_us").Observe(rec.QueueUS)
+		return errResponse(fmt.Errorf("service: queued past deadline: %w", ctx.Err()))
+	}
+	s.reg.Histogram("service_queue_wait_us").Observe(rec.QueueUS)
+	resp := s.compile(ctx, w, f, opts, req, rec)
+	s.reg.Histogram("service_compile_us").Observe(time.Since(started).Microseconds())
 	if resp.Error == "" {
 		s.cache.put(key, resp)
 		s.reg.Gauge("service_cache_entries").Set(int64(s.cache.len()))
@@ -547,35 +569,19 @@ func (s *Server) compileCached(ctx context.Context, req Request, rec *TraceRecor
 	return resp
 }
 
-// options resolves a request's compile options against the server's
-// defaults.
-func (s *Server) options(req Request) (diffra.Options, error) {
-	alloc := req.Alloc
-	if alloc == "" {
-		alloc = s.cfg.Alloc
+// enqueue reserves a place in the queue for a worker, and fails once
+// MaxQueue requests already hold one. The check and the reservation
+// are one compare-and-swap, so MaxQueue bounds the queue exactly.
+func (s *Server) enqueue() bool {
+	for {
+		n := s.queued.Load()
+		if s.cfg.MaxQueue > 0 && n >= int64(s.cfg.MaxQueue) {
+			return false
+		}
+		if s.queued.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	opts, err := diffra.Options{
-		Scheme:   diffra.Scheme(req.Scheme),
-		Alloc:    diffra.Backend(alloc),
-		RegN:     req.RegN,
-		DiffN:    req.DiffN,
-		Restarts: req.Restarts,
-	}.Resolved()
-	if err != nil {
-		return opts, err
-	}
-	// After Resolved: RemapWorkers and SpillWorkers never alter the
-	// compile result, so they must not influence the resolved options a
-	// cache key hashes.
-	opts.RemapWorkers = s.cfg.RemapWorkers
-	if opts.RemapWorkers <= 0 {
-		opts.RemapWorkers = 1
-	}
-	opts.SpillWorkers = s.cfg.SpillWorkers
-	if opts.SpillWorkers <= 0 {
-		opts.SpillWorkers = 1
-	}
-	return opts, nil
 }
 
 // cacheHit counts a hit in either tier and marks its response.
@@ -585,38 +591,33 @@ func (s *Server) cacheHit(resp Response) Response {
 	return resp
 }
 
-// compile runs the facade under ctx and renders the response. When
-// capture is on, the compile runs under its worker's tracer, whose
-// finished tree both lands on the request's TraceRecord and folds into
-// the registry's per-stage metrics through the span→metrics bridge —
-// the same breakdown tracing would show, with tracing never configured.
-func (s *Server) compile(ctx context.Context, f *ir.Func, opts diffra.Options, req Request, rec *TraceRecord) Response {
+// compile runs the facade under ctx on worker w and renders the
+// response; it returns w to the free slots, reset, however the compile
+// ends, a panic included. When capture is on, the compile runs under
+// w's tracer, whose finished tree both lands on the request's
+// TraceRecord and folds into the registry's per-stage metrics through
+// the span→metrics bridge — the same breakdown tracing would show, with
+// tracing never configured.
+func (s *Server) compile(ctx context.Context, w *worker, f *ir.Func, opts diffra.Options, req Request, rec *TraceRecord) Response {
 	// Counts actual backend compile executions — cache hits and shed
 	// requests never reach here. The cluster's singleflight dedup
 	// proof pins this counter: N identical concurrent requests through
 	// the router must move it by exactly 1 fleet-wide.
 	s.reg.Counter("service_compiles_total").Inc()
-	// Check a worker's state out of the free list for the compile's
-	// duration; first use on a cold slot mints one. The arena is reset
-	// before it goes back so a request never observes another request's
-	// data, and because compile() always holds a pool slot, at most
-	// Workers() exist.
-	var w *worker
-	select {
-	case w = <-s.workers:
-	default:
-		w = s.newWorker()
-	}
-	opts.Scratch = &w.arena
-	opts.Telemetry = w.tracer
+	// The arena is reset before the worker goes back, so a request never
+	// observes another request's data.
 	defer func() {
 		rec.root, w.root = w.root, nil
 		w.arena.Reset()
-		select {
-		case s.workers <- w:
-		default:
-		}
+		s.workers <- w
 	}()
+	opts.Scratch = &w.arena
+	opts.Telemetry = w.tracer
+	// RemapWorkers and SpillWorkers never alter the compile result, so
+	// they are set here, on the options the compile runs, not on the
+	// resolved options a cache key hashes.
+	opts.RemapWorkers = s.cfg.RemapWorkers
+	opts.SpillWorkers = s.cfg.SpillWorkers
 	res, err := diffra.CompileFuncContext(ctx, f, opts)
 	if err != nil {
 		return errResponse(err)
@@ -659,7 +660,7 @@ func (s *Server) compile(ctx context.Context, f *ir.Func, opts diffra.Options, r
 	return resp
 }
 
-// worker is the state one compile checks out: the scratch arena and,
+// worker is one worker slot's compile state: the scratch arena and,
 // while capture is on, a tracer whose sink, the worker, keeps the
 // finished tree for the request's TraceRecord and folds it into the
 // server's metrics. Both outlive the compile, so a compile makes

@@ -24,20 +24,20 @@ entry:
 `
 
 // aliasOf returns the canonical key s has recorded for req's source
-// text, resolving the options as compileCached does.
+// text.
 func aliasOf(t *testing.T, s *Server, req Request) (string, bool) {
 	t.Helper()
-	opts, err := s.options(req)
+	opts, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s.cache.canonical(sourceKey(req.IR, opts, req.Listing, req.Explain))
 }
 
-// canonicalKey is the CacheKey s files req's compile under.
-func canonicalKey(t *testing.T, s *Server, req Request) string {
+// canonicalKey is the CacheKey a server files req's compile under.
+func canonicalKey(t *testing.T, req Request) string {
 	t.Helper()
-	opts, err := s.options(req)
+	opts, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func TestSourceKeyServesOtherSpellings(t *testing.T) {
 	ctx := context.Background()
 	base := Request{IR: tinyIR, Scheme: "select"}
 	other := Request{IR: tinyRespelled, Scheme: "select"}
-	key := canonicalKey(t, s, base)
-	if got := canonicalKey(t, s, other); got != key {
+	key := canonicalKey(t, base)
+	if got := canonicalKey(t, other); got != key {
 		t.Fatalf("respelled text keys %s, want the canonical %s", got, key)
 	}
 
@@ -163,10 +163,11 @@ func TestSourceKeyNeverAliasesFailures(t *testing.T) {
 }
 
 // TestSourceKeyCoversResolvedOptions: the source key hashes every
-// resolved option the canonical key does, the server's default backend
-// included, and nothing else — not the timeout, not the worker counts.
+// resolved option the canonical key does, the backend an empty alloc
+// resolves to included, and nothing else — not the timeout, not the
+// worker counts.
 func TestSourceKeyCoversResolvedOptions(t *testing.T) {
-	s := newTestServer(t, Config{Alloc: "ssa"})
+	s := newTestServer(t, Config{})
 	ctx := context.Background()
 	base := Request{IR: tinyIR, Scheme: "select"}
 	for i := 0; i < 2; i++ {
@@ -183,7 +184,7 @@ func TestSourceKeyCoversResolvedOptions(t *testing.T) {
 		hit  bool
 	}{
 		{"timeout", func(r *Request) { r.TimeoutMs = 5000 }, true},
-		{"explicit server default alloc", func(r *Request) { r.Alloc = "ssa" }, true},
+		{"explicit preferred alloc", func(r *Request) { r.Alloc = "irc" }, true},
 		{"explicit default geometry", func(r *Request) { r.RegN, r.DiffN, r.Restarts = 12, 8, 1000 }, true},
 		{"listing", func(r *Request) { r.Listing = true }, false},
 		{"explain", func(r *Request) { r.Explain = true }, false},
@@ -191,7 +192,7 @@ func TestSourceKeyCoversResolvedOptions(t *testing.T) {
 		{"regn", func(r *Request) { r.RegN = 16 }, false},
 		{"diffn", func(r *Request) { r.DiffN = 4 }, false},
 		{"restarts", func(r *Request) { r.Restarts = 10 }, false},
-		{"alloc", func(r *Request) { r.Alloc = "irc" }, false},
+		{"alloc", func(r *Request) { r.Alloc = "ssa" }, false},
 	} {
 		req := base
 		tc.edit(&req)
@@ -207,19 +208,11 @@ func TestSourceKeyCoversResolvedOptions(t *testing.T) {
 		}
 	}
 
-	keyOn := func(cfg Config) [32]byte {
-		opts, err := newTestServer(t, cfg).options(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sourceKey(base.IR, opts, base.Listing, base.Explain)
-	}
-	serial := keyOn(Config{Alloc: "ssa"})
-	if keyOn(Config{Alloc: "ssa", RemapWorkers: 4, SpillWorkers: 3}) != serial {
-		t.Error("worker counts changed the source key")
-	}
-	if keyOn(Config{Alloc: "irc"}) == serial {
-		t.Error("the server's default backend is missing from the source key")
+	// A server searching in parallel finds the serial server's entry.
+	dir := t.TempDir()
+	newTestServer(t, Config{CacheDir: dir}).Compile(ctx, base)
+	if resp := newTestServer(t, Config{CacheDir: dir, RemapWorkers: 4, SpillWorkers: 3}).Compile(ctx, base); !resp.Cached {
+		t.Errorf("worker counts changed the key: %+v", resp)
 	}
 }
 
@@ -266,7 +259,7 @@ func TestSourceKeyAfterRestart(t *testing.T) {
 		if n := reg.CounterL("service_cache_tier_hits", "tier", tier).Value(); n != 1 {
 			t.Fatalf("repeat %d: %d %s-tier hits, want 1", i, n, tier)
 		}
-		if got, ok := aliasOf(t, s2, req); !ok || got != canonicalKey(t, s2, req) {
+		if got, ok := aliasOf(t, s2, req); !ok || got != canonicalKey(t, req) {
 			t.Fatalf("repeat %d left alias %q (%v)", i, got, ok)
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestSpillStressThroughPool hammers the server's worker pool with
+// TestSpillStressThroughPool hammers the server's worker slots with
 // concurrent coalesce-scheme compiles while each compile runs its own
 // multi-worker spill ILP — the nested-parallelism path through
 // diffcoal → ospill → ilp that the race detector must see clean. The

@@ -25,7 +25,7 @@ type TraceRecord struct {
 	Alloc  string `json:"alloc,omitempty"`
 	Cached bool   `json:"cached,omitempty"`
 	// DurUS is the request's total wall time including queueing;
-	// QueueUS the part spent waiting for a pool slot.
+	// QueueUS the part spent waiting for a worker slot.
 	DurUS   int64  `json:"dur_us"`
 	QueueUS int64  `json:"queue_us"`
 	Error   string `json:"error,omitempty"`
